@@ -3,18 +3,21 @@
 // one cache-friendly pass, with contiguous arrays for bid, remaining
 // work, accrued cost, and lane state instead of the per-client object
 // graph the single-job runtime (internal/client + internal/job) walks.
-// It exists for ROADMAP item 1 — markets where 10⁵–10⁶ simulated
-// bidders *are* the demand curve — where the per-client slot loop's
-// ~170µs and ~300KB per market fetch are orders of magnitude too slow.
+// It exists for fleets where 10⁴–10⁶ simulated bidders are the
+// market, where the per-client slot loop — a monitored market fetch
+// per tenant per slot, tens of µs each (client.market in
+// BENCH_core.json) — is orders of magnitude too slow.
 //
-// Semantics are not approximated: a lane's per-slot transition is the
+// Semantics are not approximated: one lane kernel (advance) is the
 // exact fusion of cloud.Region.Tick (out-bid termination → launch →
 // per-slot billing, in that order) and job.Tracker.Observe (restore,
 // recovery-first work consumption, the 1e-12 completion epsilon) for
-// one spot request on a clean region, and the lane kernel reproduces
-// job.Run's Outcome bit for bit — including the float-summation order
-// of multi-instance billing. The equivalence is pinned by tests that
-// replay individual lanes through the real region + tracker.
+// one spot request on a clean region, and it reproduces job.Run's
+// Outcome bit for bit — including the float-summation order of
+// multi-instance billing. Tick and Run both drive that one kernel,
+// which holds a lane's state in locals across a whole range of slots.
+// The equivalence is pinned by tests that replay individual lanes
+// through the real region + tracker.
 //
 // Determinism: lanes are advanced in parallel over contiguous index
 // shards (sched.Shards), and every observable byte is independent of
@@ -154,7 +157,7 @@ type Engine struct {
 	bid    []float64 // submitted bid, USD per instance-hour
 	start  []int32   // submission slot; first observed slot is start+1
 
-	// Mutable lane state, advanced by step.
+	// Mutable lane state, advanced only by the lane kernel (advance).
 	status     []uint8
 	active     []bool    // the spot instance is running (request Active)
 	begun      []bool    // ever launched (tracker "started")
@@ -330,90 +333,136 @@ func (e *Engine) Horizon() int { return e.horizon }
 // Slot reports the last settled slot.
 func (e *Engine) Slot() int { return e.slot }
 
-// step advances lane i through slot s: the exact fusion of
+// advance settles lane i over slots [from, to): the exact fusion of
 // cloud.Region.Tick's settlement order (out-bid termination at the new
 // price → launch of open requests → per-slot billing) with
 // job.Tracker.Observe on a clean substrate (durable checkpoints, no
 // injector). Any observable deviation from that pair is a bug, not a
 // modeling choice — TestLaneMatchesJobRun replays lanes through the
 // real region to hold the line.
-func (e *Engine) step(i, s int) {
+//
+// It is the engine's only transition: Tick calls it over one slot, Run
+// over the rest of the trace. The lane's state is loaded into locals
+// once, walked over its market's price slice, and stored back once. A
+// lane's life is a sequence of waiting stretches (request open, bid
+// below the price) and running stretches (instance up, bid ≥ price),
+// each an inner loop. A running stretch bills and consumes work slot
+// by slot — the same float operations in the same order as one slot at
+// a time, nothing reassociated or fused — and leaves only on out-bid,
+// completion or the end of the range.
+func (e *Engine) advance(i, from, to int) {
 	st := e.status[i]
-	if st == laneDone || st == laneFailed || s <= int(e.start[i]) {
+	if st == laneDone || st == laneFailed {
 		return
 	}
-	price := e.markets[e.market[i]].prices[s]
-	bid := e.bid[i]
-
-	// Region phase 1: out-bid termination. The terminated instance is
-	// not billed for this slot; its bill folds into the lane total now
-	// — launch order — matching how Tracker.Outcome sums per-instance
-	// costs.
-	if e.active[i] && bid < price {
-		e.active[i] = false
-		e.intr[i]++
-		e.cost[i] += e.instCost[i]
-		e.instCost[i] = 0
-	} else if !e.active[i] && bid >= price {
-		// Region phase 2: an open request clears the price and
-		// launches; the launch slot is billed. A request out-bid in
-		// phase 1 cannot relaunch here (its bid is below the price),
-		// and a failed one-time lane never re-enters step.
-		e.active[i] = true
+	// A lane first observes the slot after its submission.
+	if first := int(e.start[i]) + 1; from < first {
+		from = first
 	}
-	// Region phase 3: per-slot billing of the running instance.
-	if e.active[i] {
-		e.instCost[i] += price * e.slotHours
+	if from >= to {
+		return
 	}
+	prices := e.markets[e.market[i]].prices[:to]
+	bid, dt, rec := e.bid[i], e.slotHours, float64(e.cfg.Recovery)
+	oneTime := e.kind[i] == KindOneTime
+	active, begun, restore := e.active[i], e.begun[i], e.restore[i]
+	remaining, pendingRec := e.remaining[i], e.pendingRec[i]
+	instCost, cost, recHours := e.instCost[i], e.cost[i], e.recHours[i]
+	runSlots, idleSlots, intr, finish := e.runSlots[i], e.idleSlots[i], e.intr[i], e.finish[i]
 
-	// Tracker.Observe.
-	if !e.active[i] {
-		if st == laneRunning {
-			// Fresh interruption: the durable checkpoint preserves
-			// remaining exactly; the next running slot restores.
-			e.restore[i] = true
-			if e.kind[i] == KindOneTime {
-				e.status[i] = laneFailed
-				e.finish[i] = int32(s)
-				return
+slots:
+	for s := from; s < len(prices); s++ {
+		price := prices[s]
+		if active && bid < price {
+			// Region phase 1: out-bid termination. The terminated
+			// instance is not billed for this slot; its bill folds into
+			// the lane total now — launch order — matching how
+			// Tracker.Outcome sums per-instance costs. Tracker.Observe
+			// sees a fresh interruption: the durable checkpoint
+			// preserves remaining exactly and the next running slot
+			// restores.
+			active = false
+			intr++
+			cost += instCost
+			instCost = 0
+			restore = true
+			if oneTime {
+				st = laneFailed
+				finish = int32(s)
+				break
 			}
+			st = laneIdle // a running lane has begun
+			idleSlots++
+			continue
 		}
-		if e.begun[i] {
-			e.status[i] = laneIdle
-		} else {
-			e.status[i] = lanePending
+		if !active {
+			if !(bid >= price) {
+				// A waiting stretch: the open request stays below the
+				// price, slot after slot. The test is the region's
+				// launch test negated as written, so the two agree on
+				// every float.
+				if begun {
+					st = laneIdle
+				} else {
+					st = lanePending
+				}
+				idleSlots++
+				for s+1 < len(prices) && !(bid >= prices[s+1]) {
+					s++
+					idleSlots++
+				}
+				continue
+			}
+			// Region phase 2: the open request clears the price and
+			// launches; the launch slot is billed.
+			active = true
 		}
-		e.idleSlots[i]++
-		return
+		// Tracker.Observe on the first running slot of a stretch.
+		if restore {
+			pendingRec += rec
+			recHours += rec
+			restore = false
+		}
+		begun = true
+		st = laneRunning
+		for {
+			// Region phase 3: per-slot billing of the running instance,
+			// then the tracker's recovery-first work consumption.
+			instCost += price * dt
+			runSlots++
+			avail := dt
+			if pendingRec > 0 {
+				use := pendingRec
+				if use > avail {
+					use = avail
+				}
+				pendingRec -= use
+				avail -= use
+			}
+			remaining -= avail
+			// Tracker's float-residue tolerance: within a picosecond is
+			// done.
+			if remaining <= 1e-12 {
+				remaining = 0
+				st = laneDone
+				finish = int32(s)
+				cost += instCost
+				instCost = 0
+				break slots
+			}
+			if s+1 == len(prices) || bid < prices[s+1] {
+				break
+			}
+			s++
+			price = prices[s]
+		}
 	}
-	if e.restore[i] {
-		rec := float64(e.cfg.Recovery)
-		e.pendingRec[i] += rec
-		e.recHours[i] += rec
-		e.restore[i] = false
-	}
-	e.begun[i] = true
-	e.status[i] = laneRunning
-	e.runSlots[i]++
 
-	avail := e.slotHours
-	if e.pendingRec[i] > 0 {
-		use := e.pendingRec[i]
-		if use > avail {
-			use = avail
-		}
-		e.pendingRec[i] -= use
-		avail -= use
-	}
-	e.remaining[i] -= avail
-	// Tracker's float-residue tolerance: within a picosecond is done.
-	if e.remaining[i] <= 1e-12 {
-		e.remaining[i] = 0
-		e.status[i] = laneDone
-		e.finish[i] = int32(s)
-		e.cost[i] += e.instCost[i]
-		e.instCost[i] = 0
-	}
+	e.status[i] = st
+	e.active[i], e.begun[i], e.restore[i] = active, begun, restore
+	e.remaining[i], e.pendingRec[i] = remaining, pendingRec
+	e.instCost[i], e.cost[i], e.recHours[i] = instCost, cost, recHours
+	e.runSlots[i], e.idleSlots[i], e.intr[i], e.finish[i] = runSlots, idleSlots, intr, finish
 }
 
 // Tick settles the next slot for every lane — the slot-major batch
@@ -427,32 +476,26 @@ func (e *Engine) Tick() error {
 	s := e.slot
 	return sched.Shards(e.N(), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			e.step(i, s)
+			e.advance(i, s, s+1)
 		}
 		return nil
 	})
 }
 
 // Run advances the whole fleet to the end of the trace lane-major:
-// each shard walks its lanes' full remaining slot ranges back to back,
-// which keeps one lane's state in registers across its whole life. The
-// resulting arrays are bit-identical to ticking slot-major to the end
-// — the per-lane op sequence is the same, only the traversal order
-// differs — which TestTickEquivalentToRun pins.
+// each shard hands its lanes, one after another, to the same kernel
+// Tick uses, over every slot after the last settled one. The kernel
+// keeps a lane's state in locals across that whole range, so a running
+// stretch costs a price compare, a bill update and a work subtraction
+// per slot. The resulting arrays are bit-identical to ticking
+// slot-major to the end — the per-lane op sequence is the same, only
+// the traversal order differs — which TestTickEquivalentToRun pins,
+// also for a Run that resumes after some Ticks.
 func (e *Engine) Run() (*Report, error) {
-	from := e.slot
+	from := e.slot + 1
 	err := sched.Shards(e.N(), func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
-			s := int(e.start[i])
-			if s < from {
-				s = from
-			}
-			for s++; s < e.horizon; s++ {
-				e.step(i, s)
-				if st := e.status[i]; st == laneDone || st == laneFailed {
-					break
-				}
-			}
+			e.advance(i, from, e.horizon)
 		}
 		return nil
 	})

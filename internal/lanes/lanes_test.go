@@ -46,46 +46,7 @@ func TestLaneMatchesJobRun(t *testing.T) {
 	}
 	var done, failed, interrupted int
 	for i := 0; i < e.N(); i++ {
-		mi := int(e.market[i])
-		typ := e.markets[mi].typ
-		tr, err := trace.Generate(typ, trace.GenOptions{
-			Days: cfg.Days,
-			Seed: cfg.Seed + int64(mi)*1009,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		region, err := cloud.NewRegion(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for s := 0; s < int(e.start[i]); s++ {
-			if err := region.Tick(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		kind := cloud.OneTime
-		if e.kind[i] == KindPersistent {
-			kind = cloud.Persistent
-		}
-		tk, err := job.NewSpotJob(region, nil, job.Spec{
-			ID:       fmt.Sprintf("lane-%d", i),
-			Type:     typ,
-			Exec:     cfg.Exec,
-			Recovery: cfg.Recovery,
-		}, e.bid[i], kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := job.Run(region, tk)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := e.Outcome(i)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("lane %d (%s %s bid %.6f start %d): outcome diverged\nlanes: %+v\njob:   %+v",
-				i, typ, kindName(e.kind[i]), e.bid[i], e.start[i], got, want)
-		}
+		got := checkLaneOracle(t, cfg, e, i)
 		if got.Completed {
 			done++
 		}
@@ -103,6 +64,120 @@ func TestLaneMatchesJobRun(t *testing.T) {
 	}
 }
 
+// checkLaneOracle replays lane i of a finished engine through a fresh
+// cloud.Region + job.Run with the lane's market, kind, submission slot
+// and bid, fails the test unless the two Outcomes are
+// reflect.DeepEqual, and returns the lane's Outcome.
+func checkLaneOracle(t *testing.T, cfg Config, e *Engine, i int) job.Outcome {
+	t.Helper()
+	mi := int(e.market[i])
+	typ := e.markets[mi].typ
+	tr, err := trace.Generate(typ, trace.GenOptions{
+		Days: cfg.Days,
+		Seed: cfg.Seed + int64(mi)*1009,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := cloud.NewRegion(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < int(e.start[i]); s++ {
+		if err := region.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kind := cloud.OneTime
+	if e.kind[i] == KindPersistent {
+		kind = cloud.Persistent
+	}
+	tk, err := job.NewSpotJob(region, nil, job.Spec{
+		ID:       fmt.Sprintf("lane-%d", i),
+		Type:     typ,
+		Exec:     cfg.Exec,
+		Recovery: cfg.Recovery,
+	}, e.bid[i], kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := job.Run(region, tk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := e.Outcome(i)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("lane %d (%s %s bid %.6f start %d): outcome diverged\nlanes: %+v\njob:   %+v",
+			i, typ, kindName(e.kind[i]), e.bid[i], e.start[i], got, want)
+	}
+	return got
+}
+
+// TestBidEqualToPrice pins the tie semantics the kernel's stretch
+// loops split on: a request launches when bid ≥ price and is out-bid
+// only when bid < price, so a bid exactly equal to the price launches
+// and keeps running. The jittered bids of testConfig never tie, so
+// each lane's bid is overwritten with the trace price at one of its
+// first three observed slots (lane i takes slot i mod 3); the price
+// regimes then tie the lane on many slots, both at launch and
+// mid-stretch. In both traversal orders — Run's long ranges and Tick's
+// one-slot calls, which enter the kernel with the instance already up
+// — every lane must still match the region + tracker replay bit for
+// bit.
+func TestBidEqualToPrice(t *testing.T) {
+	cfg := testConfig()
+	for _, tick := range []bool{false, true} {
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < e.N(); i++ {
+			e.bid[i] = e.markets[e.market[i]].prices[int(e.start[i])+1+i%3]
+		}
+		if tick {
+			tickToEnd(t, e)
+		} else if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var ties, running int
+		for i := 0; i < e.N(); i++ {
+			out := checkLaneOracle(t, cfg, e, i)
+			last := e.Slot()
+			if st := e.status[i]; st == laneDone || st == laneFailed {
+				last = int(e.finish[i])
+			}
+			for _, p := range e.markets[e.market[i]].prices[e.start[i]+1 : last+1] {
+				if p == e.bid[i] {
+					ties++
+				}
+			}
+			if out.RunTime > 0 {
+				running++
+			}
+		}
+		t.Logf("tick=%v: %d lanes tie with the price on %d slots; %d of them ran", tick, e.N(), ties, running)
+		// Vacuity guard: the ties must outnumber the lanes (so some
+		// fall inside a running stretch, not only at a launch), and the
+		// lanes must have run.
+		if ties <= e.N() || running == 0 {
+			t.Fatalf("degenerate tie fleet: %d ties over %d lanes, %d ran — tune the overwrite", ties, e.N(), running)
+		}
+	}
+}
+
+// tickToEnd settles every remaining slot of e slot-major.
+func tickToEnd(t testing.TB, e *Engine) {
+	t.Helper()
+	for {
+		if err := e.Tick(); err != nil {
+			if err == ErrEndOfTrace {
+				return
+			}
+			t.Fatal(err)
+		}
+	}
+}
+
 // fleetBytes runs a fresh engine to completion and returns every
 // observable byte stream: the rendered table, the JSON report, and the
 // per-lane JSONL.
@@ -114,14 +189,7 @@ func fleetBytes(t testing.TB, cfg Config, tick bool) (render string, jsonRep, js
 	}
 	var rep *Report
 	if tick {
-		for {
-			if err := e.Tick(); err != nil {
-				if err == ErrEndOfTrace {
-					break
-				}
-				t.Fatal(err)
-			}
-		}
+		tickToEnd(t, e)
 		rep = e.Report()
 	} else {
 		rep, err = e.Run()
@@ -137,8 +205,13 @@ func fleetBytes(t testing.TB, cfg Config, tick bool) (render string, jsonRep, js
 }
 
 // TestTickEquivalentToRun pins the traversal-order contract: advancing
-// the fleet slot-major (Tick) and lane-major (Run) must produce
-// byte-identical reports and lane records.
+// the fleet slot-major (Tick), lane-major (Run), or k Ticks followed by
+// a Run must produce byte-identical reports and lane records. The
+// resume points cut a lane inside a waiting stretch, inside a running
+// stretch (also one still paying recovery), at a lane's submission
+// slot and one slot before the horizon, so a kernel that dropped a
+// lane field between calls or mishandled its range start would
+// diverge.
 func TestTickEquivalentToRun(t *testing.T) {
 	cfg := testConfig()
 	r1, j1, l1 := fleetBytes(t, cfg, true)
@@ -152,6 +225,88 @@ func TestTickEquivalentToRun(t *testing.T) {
 	if !bytes.Equal(l1, l2) {
 		t.Errorf("JSONL diverged between Tick and Run")
 	}
+
+	points := resumePoints(t, cfg)
+	for _, c := range []string{
+		"inside a waiting stretch",
+		"inside a running stretch",
+		"inside a running stretch, recovery pending",
+		"at a lane's start slot",
+		"near the horizon",
+	} {
+		k, ok := points[c]
+		if !ok {
+			t.Errorf("%s: no resume point in testConfig's fleet", c)
+			continue
+		}
+		t.Logf("%s: Tick %d slots, then Run", c, k)
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < k; n++ {
+			if err := e.Tick(); err != nil {
+				t.Fatalf("%s: Tick %d: %v", c, n+1, err)
+			}
+		}
+		rep, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jsonl bytes.Buffer
+		if err := e.WriteJSONL(&jsonl); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rep.JSON(), j2) {
+			t.Errorf("%s (Tick %d slots, then Run): JSON diverged from a plain Run", c, k)
+		}
+		if !bytes.Equal(jsonl.Bytes(), l2) {
+			t.Errorf("%s (Tick %d slots, then Run): JSONL diverged from a plain Run", c, k)
+		}
+	}
+}
+
+// resumePoints ticks a fleet through its trace and returns, per case,
+// the first tick count k after which some lane is in that state and
+// stays in it through slot k+1, so a Run resumed after k Ticks picks
+// the lane up mid-stretch.
+func resumePoints(t *testing.T, cfg Config) map[string]int {
+	t.Helper()
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := map[string]int{
+		"at a lane's start slot": int(e.start[0]),
+		"near the horizon":       e.Horizon() - 2,
+	}
+	for e.Slot()+2 < e.Horizon() {
+		if err := e.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		k := e.Slot()
+		for i := 0; i < e.N(); i++ {
+			if k <= int(e.start[i]) {
+				continue
+			}
+			next := e.markets[e.market[i]].prices[k+1]
+			var c string
+			switch st := e.status[i]; {
+			case (st == laneIdle || st == lanePending) && e.bid[i] < next:
+				c = "inside a waiting stretch"
+			case st == laneRunning && e.bid[i] >= next && e.pendingRec[i] > 0:
+				c = "inside a running stretch, recovery pending"
+			case st == laneRunning && e.bid[i] >= next:
+				c = "inside a running stretch"
+			default:
+				continue
+			}
+			if _, ok := points[c]; !ok {
+				points[c] = k
+			}
+		}
+	}
+	return points
 }
 
 // TestReferenceEquivalence pins the SoA engine against its

@@ -5,14 +5,16 @@
 # seed yields one byte sequence per export format, which is only true
 # if no wall-clock reading ever reaches an event, a span, or anything
 # they are derived from. This gate fails the build if time.Now or
-# time.Since appears in the slot-indexed core. A line that has a
-# legitimate need (none today) can carry a `nowallclock:allow` comment
-# with a justification.
+# time.Since appears in the slot-indexed core. The struct-of-arrays
+# batch core (internal/lanes, internal/sched) is held to the same rule:
+# its reports are byte-identical at any GOMAXPROCS (DESIGN.md §15). A
+# line that has a legitimate need (none today) can carry a
+# `nowallclock:allow` comment with a justification.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-dirs="internal/obs internal/cloud internal/client internal/fleet internal/serve"
+dirs="internal/obs internal/cloud internal/client internal/fleet internal/serve internal/lanes internal/sched"
 
 hits=$(grep -rn --include='*.go' 'time\.\(Now\|Since\)(' $dirs 2>/dev/null |
 	grep -v 'nowallclock:allow' || true)
