@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race race-obs shuffle no-wallclock check fuzz bench bench-json bench-core bench-lanes bench-serve perfgate resilcheck trace-demo serve-demo top-demo
+.PHONY: all build test vet race race-obs shuffle no-wallclock check fuzz bench bench-record bench-lanes perfgate resilcheck trace-demo serve-demo top-demo
 
 all: check
 
@@ -67,39 +67,27 @@ resilcheck:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Instrumented-vs-Noop overhead record (JSON): micro hot paths plus
-# the end-to-end Table 3 pairs (metrics and tracing), whose overhead
-# budget is < 5%. Also refreshes the serving hot-path record.
-bench-json:
-	$(GO) run ./cmd/obsbench -out BENCH_obs.json
-	$(GO) run ./cmd/servebench -out BENCH_serve.json
-
-# Serving hot-path record (JSON): quotes/sec, sampled p99 latency, and
-# allocs/op per quote branch. The committed BENCH_serve.json is the
-# 0-alloc contract scripts/perfgate.sh enforces.
-bench-serve:
-	$(GO) run ./cmd/servebench -out BENCH_serve.json
-
-# Hot-path before/after record (JSON): the incremental windowed ECDF
-# vs the legacy per-slot rebuild, and the trace memo vs regeneration,
-# plus current ns/op + allocs/op for the core operations. Commit the
-# refreshed BENCH_core.json after an intentional perf change.
-bench-core:
-	$(GO) run ./cmd/corebench -out BENCH_core.json
+# The committed performance record (BENCH.json): singles (ns/op,
+# allocs/op) for the core operations and the quote hot path, legacy vs
+# shipped speedups, instrumented-vs-Noop overheads (macro budget
+# < 5%), and the quote p99 sample. Commit the refreshed record after
+# an intentional performance change; DESIGN.md §10 lists its gates.
+bench-record:
+	$(GO) run ./cmd/perfgate -out BENCH.json
 
 # Struct-of-arrays fleet engine benchmarks (in-package: SoA run vs the
 # array-of-structs reference twin, allocs reported). The committed
-# fleet-scale numbers live in BENCH_core.json (lanes.fleet_tick and
-# the lanes.fleet pair) and are enforced by `make check` through
+# fleet-scale numbers live in BENCH.json (lanes.fleet_tick and the
+# lanes.fleet speedup) and are enforced by `make check` through
 # perfgate's ratio + min-speedup gates.
 bench-lanes:
 	$(GO) test -bench 'BenchmarkFleet' -benchmem ./internal/lanes/
 
-# Ratio-based perf regression gate against the committed
-# BENCH_core.json plus the 0-alloc serving gate against
-# BENCH_serve.json; part of `make check`.
+# Perf regression gate, part of `make check`: a quick re-measure held
+# to the committed BENCH.json — speedup ratios, allocation ceilings,
+# and the 0-alloc quote path and flight-recorder emit.
 perfgate:
-	sh scripts/perfgate.sh
+	$(GO) run ./cmd/perfgate -quick -gate BENCH.json
 
 # Chaos-failover flight-recorder walkthrough: per-slot timeline on
 # stdout; see examples/flightrecorder for the Perfetto export flags.

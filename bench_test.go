@@ -62,7 +62,8 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable3Instrumented is BenchmarkTable3 with a live metrics
 // registry installed; the delta against BenchmarkTable3 is the
 // observability layer's end-to-end overhead, budgeted at < 5%
-// (measured precisely by `make bench-json` → BENCH_obs.json).
+// (measured by `make bench-record`: experiments.table3 under
+// overheads in BENCH.json).
 func BenchmarkTable3Instrumented(b *testing.B) {
 	b.ReportAllocs()
 	coldMemo(b)

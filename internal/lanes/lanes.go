@@ -6,7 +6,7 @@
 // It exists for fleets where 10⁴–10⁶ simulated bidders are the
 // market, where the per-client slot loop — a monitored market fetch
 // per tenant per slot, tens of µs each (client.market in
-// BENCH_core.json) — is orders of magnitude too slow.
+// BENCH.json) — is orders of magnitude too slow.
 //
 // Semantics are not approximated: one lane kernel (advance) is the
 // exact fusion of cloud.Region.Tick (out-bid termination → launch →

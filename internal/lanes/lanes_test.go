@@ -400,7 +400,7 @@ func BenchmarkFleetRun(b *testing.B) {
 
 // BenchmarkFleetReference measures the legacy per-client machinery
 // (region + tracker sweep + snapshot quotes) at the same scale — the
-// corebench pair quotes the ratio of these two.
+// lanes.fleet speedup in cmd/perfgate is the ratio of these two.
 func BenchmarkFleetReference(b *testing.B) {
 	cfg := benchConfig(512)
 	trace.ResetMemo()

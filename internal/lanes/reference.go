@@ -24,7 +24,7 @@ import (
 // engine (quote grid, kernel, reduction) against the real substrate
 // at fleet granularity, not just lane by lane.
 //
-// It is also the honest baseline of the corebench lanes.fleet pair:
+// It is also the honest baseline of cmd/perfgate's lanes.fleet speedup:
 // the region walks its request and instance tables through pointers
 // and maps every slot, each tracker is its own heap object, and every
 // quote pays the legacy snapshot — exactly the costs the

@@ -118,9 +118,11 @@ func (a Alert) String() string {
 // matches or several samples landed between evaluations). Selector
 // matching is re-run only when the DB's series count changes — series
 // are never removed, so the matched sets only ever grow. This keeps
-// Eval's cost flat per evaluation instead of growing with history,
-// which is what holds the obsbench drill pair inside the macro
-// overhead budget.
+// Eval's cost flat per evaluation instead of growing with history. A
+// first cut that decoded every selected series per Eval put the serve
+// drill's scrape plane at +65% over the unscraped drill (the
+// experiments.servedrill+tsdb overhead pair in BENCH.json, whose
+// budget is 5%).
 type Engine struct {
 	db     *DB
 	rec    *event.Recorder

@@ -78,7 +78,8 @@ type errorBody struct {
 // The handler is the only place request time enters: nowMicros stamps
 // arrivals (spotbidd passes wall-clock micros; tests pass a logical
 // clock). JSON encoding allocates — the 0-alloc contract covers
-// Server.Quote, the HTTP edge is measured separately by servebench.
+// Server.Quote only. The HTTP edge is timed by the repository
+// benchmark's quote workload (perfbench, serve.http_edge_us).
 func NewHandler(s *Server, nowMicros func() int64) http.Handler {
 	mux := http.NewServeMux()
 

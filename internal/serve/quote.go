@@ -3,7 +3,7 @@ package serve
 // Quote answers one bid-advisory request. This is the hot path: one
 // atomic table load, a grid resolve, and an audit append — no locks
 // beyond the audit/admission mutexes, no allocations (the benchmark
-// gate in cmd/servebench holds it to 0 allocs/op).
+// gate in cmd/perfgate holds it to 0 allocs/op).
 //
 // Decision order, fixed and exhaustive — every request exits with
 // exactly one Outcome:
