@@ -152,10 +152,15 @@ func run(addr, region, typeList string, seed int64, days int, accel float64, war
 	if err != nil {
 		return err
 	}
+	// Catch SIGINT/SIGTERM before announcing the address, so a signal
+	// sent by anyone who saw the announcement drains instead of
+	// killing the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	fmt.Fprintf(os.Stderr, "spotbidd: listening on %s (%d markets, slot every %s)\n",
 		ln.Addr(), len(feeds), slotInterval(srv, accel))
 
-	hs := &http.Server{Handler: serve.NewHandler(srv, nowMicros)}
+	hs := newHTTPServer(serve.NewHandler(srv, nowMicros))
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -182,8 +187,6 @@ func run(addr, region, typeList string, seed int64, days int, accel float64, war
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case s := <-sig:
 		fmt.Fprintf(os.Stderr, "spotbidd: %v, draining\n", s)
@@ -223,6 +226,40 @@ func run(addr, region, typeList string, seed int64, days int, accel float64, war
 	}
 	fmt.Fprintln(os.Stderr, "spotbidd: bye")
 	return nil
+}
+
+// The HTTP limits. Every endpoint takes a short GET with a few query
+// parameters and answers with one small document, and none of them
+// streams, so an honest request needs well under a second per phase.
+// The limits cut off a client that holds a connection without
+// finishing its request, or keeps one idle, before it can pile up
+// connections outside admission control.
+const (
+	// readHeaderTimeout bounds the request line and headers.
+	readHeaderTimeout = 2 * time.Second
+	// readTimeout bounds the whole request, body included.
+	readTimeout = 5 * time.Second
+	// writeTimeout bounds the response, from the end of the header
+	// read to the last byte written.
+	writeTimeout = 10 * time.Second
+	// idleTimeout bounds a keep-alive connection between requests.
+	idleTimeout = 60 * time.Second
+	// maxHeaderBytes bounds the request line and headers: a quote URL
+	// is about a hundred bytes.
+	maxHeaderBytes = 8 << 10
+)
+
+// newHTTPServer wraps the handler in the daemon's HTTP server with its
+// limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 }
 
 // dumpTSDB writes the store: CSV when the filename says so, JSONL

@@ -28,13 +28,14 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the equivalence golden files")
 
-// goldenHistorySlots mirrors the experiment harness's two-month
-// price-monitor warm-up.
+// goldenHistorySlots is the two-month price-monitor history the §7.1
+// experiments submit after.
 const goldenHistorySlots = 61 * 288
 
 // goldenClient builds a fresh seeded region and client advanced past
 // the history warm-up — one independent substrate per (scenario,
-// strategy) pair, exactly like the experiment harness's singleRun.
+// strategy) pair, as the client-path oracle of the §7.1 lane step
+// (TestCellArmsMatchClient in internal/experiments) builds one per arm.
 func goldenClient(t *testing.T, seed int64, offset int) (*Client, *cloud.Region) {
 	t.Helper()
 	tr, err := trace.Generate(instances.R3XLarge, trace.GenOptions{Days: 63, Seed: seed})

@@ -199,8 +199,8 @@ type Region struct {
 	traces   map[instances.Type]*trace.Trace
 	requests map[string]*SpotRequest
 	insts    map[string]*Instance
-	order    []string // request IDs in submission order, for determinism
-	instOrd  []string // instance IDs in creation order, for determinism
+	order    []string    // request IDs in submission order, for determinism
+	instOrd  []*Instance // every instance in creation order, for determinism
 	events   []Event
 	nextReq  int
 	nextInst int
@@ -339,8 +339,8 @@ func (r *Region) Instance(id string) (*Instance, error) {
 // therefore a replayed run's cost — is bit-identical across runs.
 func (r *Region) TotalCost() float64 {
 	var sum float64
-	for _, id := range r.instOrd {
-		sum += r.insts[id].Cost
+	for _, inst := range r.instOrd {
+		sum += inst.Cost
 	}
 	return sum
 }
@@ -351,9 +351,7 @@ func (r *Region) TotalCost() float64 {
 // audit billing and occupancy through this view.
 func (r *Region) Instances() []*Instance {
 	out := make([]*Instance, len(r.instOrd))
-	for i, id := range r.instOrd {
-		out[i] = r.insts[id]
-	}
+	copy(out, r.instOrd)
 	return out
 }
 
@@ -475,7 +473,7 @@ func (r *Region) LaunchOnDemand(t instances.Type) (*Instance, error) {
 		Running:        true,
 	}
 	r.insts[inst.ID] = inst
-	r.instOrd = append(r.instOrd, inst.ID)
+	r.instOrd = append(r.instOrd, inst)
 	if r.met != nil {
 		r.met.odLaunches.Inc()
 	}
@@ -600,7 +598,7 @@ func (r *Region) Tick() error {
 			Running:        true,
 		}
 		r.insts[inst.ID] = inst
-		r.instOrd = append(r.instOrd, inst.ID)
+		r.instOrd = append(r.instOrd, inst)
 		req.State = Active
 		req.InstanceID = inst.ID
 		if r.met != nil {
@@ -614,8 +612,9 @@ func (r *Region) Tick() error {
 	}
 
 	// 3. Billing: every instance running through this slot pays,
-	// per-slot or into its open billing hour (billing.go).
-	for _, inst := range r.insts {
+	// per-slot or into its open billing hour (billing.go), in creation
+	// order, so the metered charges sum in the same order every run.
+	for _, inst := range r.instOrd {
 		if !inst.Running {
 			continue
 		}

@@ -85,7 +85,7 @@ func (r *Region) observeSlot(slot int) {
 			open++
 		}
 	}
-	for _, inst := range r.insts {
+	for _, inst := range r.instOrd {
 		if inst.Running {
 			running++
 		}

@@ -6,54 +6,168 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cloud"
+	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/instances"
-	"repro/internal/job"
+	"repro/internal/lanes"
+	"repro/internal/strategy"
 	"repro/internal/timeslot"
+	"repro/internal/trace"
 )
 
-// singleRun executes one single-instance job under one strategy on a
-// fresh region, submitted offset slots into the day after a two-month
-// history window.
-func singleRun(typ instances.Type, strategy string, seed int64, offset, days int) (client.Report, error) {
-	region, err := regionFor([]instances.Type{typ}, seed, days)
-	if err != nil {
-		return client.Report{}, err
+// A §7.1 single-instance run is a deterministic function of its price
+// trace and its bid (DESIGN.md §2), so Figures 5 and 6 build no region
+// and no client. Each (type, run) cell takes its memoized trace, builds
+// the price monitor's window at the submit slot once, prices every arm
+// there with the decider the client would call, and runs the arms as
+// lanes of one engine from the submit slot. The client path stays the
+// oracle: TestCellArmsMatchClient replays every arm through client.New
+// + Skip + Run* and requires identical reports.
+
+// execHours is t_s of every §7.1 job: one hour.
+const execHours = timeslot.Hours(1)
+
+// arm is one strategy run on a cell.
+type arm struct {
+	// name labels the arm's Figure 6 row.
+	name string
+	// strat is the decider the client calls to price the arm.
+	strat strategy.Strategy
+	// recovery is the job's t_r.
+	recovery timeslot.Hours
+}
+
+// oneTime is the Prop. 4 arm: Figure 5's measured bar and Figure 6's
+// baseline.
+var oneTime = arm{name: "one-time", strat: strategy.OneTime{}}
+
+// fig6Arms are the Fig. 6 comparison arms, in row order.
+var fig6Arms = []arm{
+	{name: "persistent-10", strat: strategy.Persistent{}, recovery: timeslot.Seconds(10)},
+	{name: "persistent-30", strat: strategy.Persistent{}, recovery: timeslot.Seconds(30)},
+	{name: "percentile-90", strat: strategy.Percentile{Q: 90, Kind: cloud.Persistent}, recovery: timeslot.Seconds(30)},
+}
+
+// cell is one (type, run) cell of the §7.1 sweep, set up at its submit
+// slot: the run's price trace and the market view the client's price
+// monitor serves there on a clean region.
+type cell struct {
+	typ    instances.Type
+	tr     *trace.Trace
+	submit int
+	market core.Market
+}
+
+// sweepCells runs step on every (type, run) cell of the §7.1 sweep
+// through one worker pool. A cell's trace seed and its submit offset
+// into the day after the two-month history are those the client path
+// used, so every cell sees the same prices and submits at the same
+// slot.
+func sweepCells(o Opts, step func(ti, run int, c *cell) error) error {
+	types := instances.Table3Types()
+	cellOffs := make([][]int, len(types))
+	for ti := range types {
+		cellOffs[ti] = offsets(o.Runs, o.Seed+int64(ti))
 	}
-	cl, err := client.New(region)
-	if err != nil {
-		return client.Report{}, err
-	}
-	if err := cl.Skip(historySlots + offset); err != nil {
-		return client.Report{}, err
-	}
-	spec := job.Spec{ID: "exp-job", Type: typ, Exec: 1}
-	switch strategy {
-	case "one-time":
-		return cl.RunOneTime(spec)
-	case "persistent-10":
-		spec.Recovery = timeslot.Seconds(10)
-		return cl.RunPersistent(spec)
-	case "persistent-30":
-		spec.Recovery = timeslot.Seconds(30)
-		return cl.RunPersistent(spec)
-	case "percentile-90":
-		spec.Recovery = timeslot.Seconds(30)
-		return cl.RunPercentile(spec, 90, cloud.Persistent)
-	case "best-offline":
-		hist, err := region.PriceHistory(typ, timeslot.Hours(10))
+	return forEachCellRun(len(types), o.Runs, nil, func(ti, run int) error {
+		seed := o.Seed + int64(ti)*1013 + int64(run)*7919
+		c, err := newCell(types[ti], seed, historySlots+cellOffs[ti][run], o.Days)
 		if err != nil {
-			return client.Report{}, err
+			return err
 		}
-		best, err := hist.BestOfflinePrice(1)
-		if err != nil {
-			return client.Report{}, err
-		}
-		return cl.RunFixedBid("best-offline", spec, best, cloud.OneTime)
-	case "on-demand":
-		return cl.RunOnDemand(spec)
-	default:
-		return client.Report{}, fmt.Errorf("experiments: unknown strategy %q", strategy)
+		return step(ti, run, c)
+	})
+}
+
+// newCell takes the memoized trace and builds the client's clean-path
+// F_π estimate at the submit slot: the two-month window
+// Region.PriceHistory returns there, Filled into a windowed ECDF sized
+// as the price monitor sizes it.
+func newCell(typ instances.Type, seed int64, submit, days int) (*cell, error) {
+	spec, err := instances.Lookup(typ)
+	if err != nil {
+		return nil, err
 	}
+	tr, err := trace.Generate(typ, trace.GenOptions{Days: days, Seed: seed})
+	if err != nil {
+		return nil, err
+	}
+	c := &cell{typ: typ, tr: tr, submit: submit}
+	hist, err := c.history(client.DefaultHistoryWindow)
+	if err != nil {
+		return nil, err
+	}
+	win, err := dist.NewWindowedECDF(max(min(tr.Grid.CeilSlots(client.DefaultHistoryWindow), tr.Len()), 1), 0)
+	if err != nil {
+		return nil, err
+	}
+	if err := win.Fill(hist.Prices); err != nil {
+		return nil, err
+	}
+	c.market = core.Market{Price: win, OnDemand: spec.OnDemand, Slot: tr.Grid.Slot}
+	return c, nil
+}
+
+// history returns what Region.PriceHistory(typ, h) returns at the
+// submit slot: the last h hours of prices up to and including it.
+func (c *cell) history(h timeslot.Hours) (*trace.Trace, error) {
+	to := c.submit + 1
+	return c.tr.Window(max(to-c.tr.Grid.CeilSlots(h), 0), to)
+}
+
+// bestOffline is Figure 5's retrospective arm: a one-time request at
+// the best offline price over the last 10 hours.
+func (c *cell) bestOffline() (arm, error) {
+	hist, err := c.history(timeslot.Hours(10))
+	if err != nil {
+		return arm{}, err
+	}
+	best, err := hist.BestOfflinePrice(execHours)
+	if err != nil {
+		return arm{}, err
+	}
+	return arm{name: "best-offline", strat: strategy.FixedBid{Label: "best-offline", Price: best, Kind: cloud.OneTime}}, nil
+}
+
+// run prices each arm on the cell's market view and runs the arms as
+// lanes of one engine from the submit slot. Each report carries what
+// the client's RunStrategy reports on a clean region: the strategy's
+// name, the submitted bid, the analytic view at that bid and the
+// lane's outcome. A bid that is not positive, where the client would
+// fall back to on-demand, makes lanes.NewEngine return an error.
+func (c *cell) run(arms ...arm) ([]client.Report, error) {
+	reps := make([]client.Report, len(arms))
+	ls := make([]lanes.Lane, len(arms))
+	for i, a := range arms {
+		job := core.Job{Exec: execHours, Recovery: a.recovery}
+		d, err := a.strat.Decide(strategy.Observation{Market: c.market, Job: job, Slot: c.submit, Spot: c.tr.At(c.submit)})
+		if err != nil {
+			return nil, err
+		}
+		// As in RunStrategy, the submitted bid overrides the analytic
+		// view's price.
+		analytic := d.Analytic
+		if d.Price > 0 && analytic.Price != d.Price {
+			analytic.Price = d.Price
+		}
+		kind := lanes.KindOneTime
+		if d.Kind == cloud.Persistent {
+			kind = lanes.KindPersistent
+		}
+		ls[i] = lanes.Lane{Kind: kind, Bid: analytic.Price, Start: c.submit, Exec: job.Exec, Recovery: job.Recovery}
+		reps[i] = client.Report{Strategy: a.strat.Name(), BidPrice: analytic.Price, Analytic: analytic}
+	}
+	e, err := lanes.NewEngine([]lanes.Market{{Type: c.typ, Prices: c.tr.Prices}}, ls)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s cell at slot %d: %w", c.typ, c.submit, err)
+	}
+	if _, err := e.Run(); err != nil {
+		return nil, err
+	}
+	for i := range reps {
+		reps[i].Outcome = e.Outcome(i)
+	}
+	return reps, nil
 }
 
 // Fig5Row is one instance type of Figure 5: one-time spot vs
@@ -89,30 +203,25 @@ type Fig5Result struct{ Rows []Fig5Row }
 func Figure5(o Opts) (Fig5Result, error) {
 	o = o.withDefaults()
 	types := instances.Table3Types()
-	// Repetitions are independent (private regions); every (type, run)
-	// pair goes through one shared worker pool, with aggregation in
-	// cell order afterwards.
+	// Cells are independent; every (type, run) pair goes through one
+	// shared worker pool, with aggregation in cell order afterwards.
 	type runResult struct {
 		rep, bo client.Report
 	}
 	results := make([][]runResult, len(types))
-	cellOffs := make([][]int, len(types))
 	for ti := range types {
 		results[ti] = make([]runResult, o.Runs)
-		cellOffs[ti] = offsets(o.Runs, o.Seed+int64(ti))
 	}
-	err := forEachCellRun(len(types), o.Runs, nil, func(ti, run int) error {
-		typ := types[ti]
-		seed := o.Seed + int64(ti)*1013 + int64(run)*7919
-		rep, err := singleRun(typ, "one-time", seed, cellOffs[ti][run], o.Days)
+	err := sweepCells(o, func(ti, run int, c *cell) error {
+		bo, err := c.bestOffline()
 		if err != nil {
 			return err
 		}
-		bo, err := singleRun(typ, "best-offline", seed, cellOffs[ti][run], o.Days)
+		reps, err := c.run(oneTime, bo)
 		if err != nil {
 			return err
 		}
-		results[ti][run] = runResult{rep: rep, bo: bo}
+		results[ti][run] = runResult{rep: reps[0], bo: reps[1]}
 		return nil
 	})
 	if err != nil {
@@ -169,13 +278,6 @@ func (r Fig5Result) Render() string {
 	return Table([]string{"type", "analytic", "measured", "on-demand", "savings", "interrupted", "best-offline", "bo-failed"}, rows)
 }
 
-// citizenReport pairs a report with its validity for the paired
-// aggregation.
-type citizenReport struct {
-	client.Report
-	ok bool
-}
-
 // Fig6Row is one (type, strategy) cell of Figure 6: percentage
 // differences of a persistent-style strategy versus the one-time
 // baseline on the same traces.
@@ -202,44 +304,34 @@ type Fig6Row struct {
 // Fig6Result is the Figure 6 reproduction.
 type Fig6Result struct{ Rows []Fig6Row }
 
-// fig6Strategies are the Fig. 6 comparison arms.
-var fig6Strategies = []string{"persistent-10", "persistent-30", "percentile-90"}
-
 // Figure6 reruns the §7.1 persistent-vs-one-time comparison: for each
 // type and strategy, paired runs on identical traces, reporting the
 // percentage differences of Fig. 6(a–c).
 func Figure6(o Opts) (Fig6Result, error) {
 	o = o.withDefaults()
 	types := instances.Table3Types()
+	// pair is one cell's one-time base and, when the base completed,
+	// its arms in fig6Arms order.
 	type pair struct {
-		base citizenReport
-		arms map[string]citizenReport
+		base client.Report
+		arms []client.Report
 	}
 	pairs := make([][]pair, len(types))
-	cellOffs := make([][]int, len(types))
 	for ti := range types {
 		pairs[ti] = make([]pair, o.Runs)
-		cellOffs[ti] = offsets(o.Runs, o.Seed+int64(ti))
 	}
-	err := forEachCellRun(len(types), o.Runs, nil, func(ti, run int) error {
-		typ := types[ti]
-		seed := o.Seed + int64(ti)*1013 + int64(run)*7919
-		base, err := singleRun(typ, "one-time", seed, cellOffs[ti][run], o.Days)
+	err := sweepCells(o, func(ti, run int, c *cell) error {
+		base, err := c.run(oneTime)
 		if err != nil {
 			return err
 		}
-		p := pair{base: citizenReport{base, true}, arms: make(map[string]citizenReport, len(fig6Strategies))}
-		if !base.Outcome.Completed {
-			p.base.ok = false // the paper's baseline never failed; skip the pair
-			pairs[ti][run] = p
-			return nil
-		}
-		for _, s := range fig6Strategies {
-			rep, err := singleRun(typ, s, seed, cellOffs[ti][run], o.Days)
-			if err != nil {
+		p := pair{base: base[0]}
+		// The paper's baseline never failed; a cell whose base did is
+		// skipped, and its arms are never priced.
+		if p.base.Outcome.Completed {
+			if p.arms, err = c.run(fig6Arms...); err != nil {
 				return err
 			}
-			p.arms[s] = citizenReport{rep, rep.Outcome.Completed}
 		}
 		pairs[ti][run] = p
 		return nil
@@ -249,49 +341,34 @@ func Figure6(o Opts) (Fig6Result, error) {
 	}
 	var res Fig6Result
 	for ti, typ := range types {
-		type acc struct {
-			bid, price, compl, cost, inter float64
-			n                              int
-		}
-		accs := make(map[string]*acc, len(fig6Strategies))
-		for _, s := range fig6Strategies {
-			accs[s] = &acc{}
-		}
-		for _, p := range pairs[ti] {
-			if !p.base.ok {
-				continue
-			}
-			base := p.base.Report
-			for _, s := range fig6Strategies {
-				arm, ok := p.arms[s]
-				if !ok || !arm.ok {
+		for ai, a := range fig6Arms {
+			var bid, price, compl, cost, inter float64
+			var n int
+			for _, p := range pairs[ti] {
+				if p.arms == nil || !p.arms[ai].Outcome.Completed {
 					continue
 				}
-				rep := arm.Report
-				a := accs[s]
-				a.n++
-				a.bid += rep.BidPrice
-				a.price += rep.Outcome.PricePerRunHour/base.Outcome.PricePerRunHour - 1
-				a.compl += float64(rep.Outcome.Completion)/float64(base.Outcome.Completion) - 1
-				a.cost += rep.Outcome.Cost/base.Outcome.Cost - 1
-				a.inter += float64(rep.Outcome.Interruptions)
+				base, rep := p.base.Outcome, p.arms[ai]
+				n++
+				bid += rep.BidPrice
+				price += rep.Outcome.PricePerRunHour/base.PricePerRunHour - 1
+				compl += float64(rep.Outcome.Completion)/float64(base.Completion) - 1
+				cost += rep.Outcome.Cost/base.Cost - 1
+				inter += float64(rep.Outcome.Interruptions)
 			}
-		}
-		for _, s := range fig6Strategies {
-			a := accs[s]
-			if a.n == 0 {
-				return Fig6Result{}, fmt.Errorf("experiments: no completed pairs for %s/%s", typ, s)
+			if n == 0 {
+				return Fig6Result{}, fmt.Errorf("experiments: no completed pairs for %s/%s", typ, a.name)
 			}
-			n := float64(a.n)
+			fn := float64(n)
 			res.Rows = append(res.Rows, Fig6Row{
 				Type:           typ,
-				Strategy:       s,
-				BidPrice:       a.bid / n,
-				PriceDiff:      a.price / n,
-				CompletionDiff: a.compl / n,
-				CostDiff:       a.cost / n,
-				Interruptions:  a.inter / n,
-				Runs:           a.n,
+				Strategy:       a.name,
+				BidPrice:       bid / fn,
+				PriceDiff:      price / fn,
+				CompletionDiff: compl / fn,
+				CostDiff:       cost / fn,
+				Interruptions:  inter / fn,
+				Runs:           n,
 			})
 		}
 	}

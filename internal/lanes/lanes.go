@@ -6,7 +6,9 @@
 // It exists for fleets where 10⁴–10⁶ simulated bidders are the
 // market, where the per-client slot loop — a monitored market fetch
 // per tenant per slot, tens of µs each (client.market in
-// BENCH.json) — is orders of magnitude too slow.
+// BENCH.json) — is orders of magnitude too slow. The same engine runs
+// the §7.1 experiments' arms (Figures 5 and 6), which price their own
+// bids and hand the engine explicit lanes through NewEngine.
 //
 // Semantics are not approximated: one lane kernel (advance) is the
 // exact fusion of cloud.Region.Tick (out-bid termination → launch →
@@ -132,30 +134,56 @@ type quote struct {
 	persistent float64
 }
 
-// marketData is one instance type's read-only market: the generated
-// price series and the per-epoch quote grid. Shared by every lane of
-// the market; never written after New.
+// marketData is one instance type's read-only market: the price
+// series and the on-demand price its report rows are measured
+// against. Shared by every lane of the market; never written after
+// construction.
 type marketData struct {
 	typ      instances.Type
 	onDemand float64
 	prices   []float64
-	quotes   []quote
+}
+
+// Market is one explicit spot market: an instance type, which labels
+// the market's report rows and supplies their on-demand price, and the
+// price series its lanes run against, one price per five-minute slot.
+type Market struct {
+	Type   instances.Type
+	Prices []float64
+}
+
+// Lane is one explicit lane: a single spot request for one job,
+// submitted to one market at one slot.
+type Lane struct {
+	// Market indexes the engine's markets.
+	Market int
+	// Kind is KindOneTime or KindPersistent.
+	Kind uint8
+	// Bid is the submitted bid, USD per instance-hour; it must be
+	// positive, as the region's submission check requires.
+	Bid float64
+	// Start is the submission slot; the lane first observes Start+1.
+	Start int
+	// Exec is t_s, the job's execution time.
+	Exec timeslot.Hours
+	// Recovery is t_r, the job's per-interruption recovery time.
+	Recovery timeslot.Hours
 }
 
 // Engine is the struct-of-arrays fleet state. All per-lane fields are
 // parallel arrays indexed by lane — the batch tick streams through
 // them contiguously instead of chasing per-client pointers.
 type Engine struct {
-	cfg       Config
 	slotHours float64
 	horizon   int
 	markets   []marketData
 
-	// Immutable lane parameters (seeded from the lane index).
-	market []int32   // market index
-	kind   []uint8   // KindOneTime | KindPersistent
-	bid    []float64 // submitted bid, USD per instance-hour
-	start  []int32   // submission slot; first observed slot is start+1
+	// Immutable lane parameters.
+	market   []int32   // market index
+	kind     []uint8   // KindOneTime | KindPersistent
+	bid      []float64 // submitted bid, USD per instance-hour
+	start    []int32   // submission slot; first observed slot is start+1
+	recovery []float64 // t_r hours charged per restore
 
 	// Mutable lane state, advanced only by the lane kernel (advance).
 	status     []uint8
@@ -177,20 +205,19 @@ type Engine struct {
 
 // New builds the fleet: one market per type (traces generated through
 // the memoized generator, quote grids computed from the live windowed
-// ECDF), then the lane arrays, seeded lane by lane from the lane-index
-// RNG streams. Markets build in parallel — each owns its slot in the
-// markets array, so the build is deterministic.
+// ECDF), then one lane per tenant, seeded lane by lane from the
+// lane-index RNG streams, and hands both to NewEngine. Markets build
+// in parallel — each owns its slot in the markets array, so the build
+// is deterministic.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e := &Engine{cfg: cfg}
 	grid := timeslot.NewGrid(timeslot.DefaultSlot)
-	e.slotHours = float64(grid.Slot)
-	e.horizon = cfg.Days * int(grid.SlotsPerHour()) * 24
-	if e.horizon <= 2*cfg.QuoteEvery {
-		return nil, fmt.Errorf("lanes: horizon %d too short for quote stride %d", e.horizon, cfg.QuoteEvery)
+	horizon := cfg.Days * int(grid.SlotsPerHour()) * 24
+	if horizon <= 2*cfg.QuoteEvery {
+		return nil, fmt.Errorf("lanes: horizon %d too short for quote stride %d", horizon, cfg.QuoteEvery)
 	}
 
 	// Deduplicate types preserving order, mirroring the experiment
@@ -203,19 +230,72 @@ func New(cfg Config) (*Engine, error) {
 			types = append(types, t)
 		}
 	}
-	e.markets = make([]marketData, len(types))
-	err := sched.Runs(len(types), func(i int) error {
-		return e.buildMarket(i, types[i], grid)
+	markets := make([]Market, len(types))
+	quotes := make([][]quote, len(types))
+	err := sched.Runs(len(types), func(i int) (err error) {
+		markets[i], quotes[i], err = buildMarket(cfg, i, types[i], grid, horizon)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	n := cfg.Lanes
+	ls := make([]Lane, cfg.Lanes)
+	maxStagger := horizon/2 - cfg.QuoteEvery
+	serr := sched.Shards(len(ls), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			mi, kind, startSlot, bidF := laneParams(cfg, i, maxStagger, len(markets))
+			q := quotes[mi][startSlot/cfg.QuoteEvery]
+			base := q.oneTime
+			if kind == KindPersistent {
+				base = q.persistent
+			}
+			ls[i] = Lane{Market: mi, Kind: kind, Bid: base * bidF, Start: startSlot, Exec: cfg.Exec, Recovery: cfg.Recovery}
+		}
+		return nil
+	})
+	if serr != nil {
+		return nil, serr
+	}
+	return NewEngine(markets, ls)
+}
+
+// NewEngine builds an engine over explicit markets and lanes. It is
+// the one construction path: New derives its markets and lanes from a
+// Config and hands them here, and callers that price their own bids
+// (the §7.1 experiments) build lanes directly. Every market must cover
+// the same number of slots, which becomes the engine's horizon. The
+// price series are shared, not copied, and must not change while the
+// engine lives.
+func NewEngine(markets []Market, lanes []Lane) (*Engine, error) {
+	if len(markets) == 0 {
+		return nil, errors.New("lanes: no markets")
+	}
+	if len(lanes) == 0 {
+		return nil, errors.New("lanes: no lanes")
+	}
+	e := &Engine{
+		slotHours: float64(timeslot.DefaultSlot),
+		horizon:   len(markets[0].Prices),
+		markets:   make([]marketData, len(markets)),
+	}
+	for mi, m := range markets {
+		spec, err := instances.Lookup(m.Type)
+		if err != nil {
+			return nil, err
+		}
+		if len(m.Prices) != e.horizon {
+			return nil, fmt.Errorf("lanes: market %d (%s) has %d slots, market 0 has %d", mi, m.Type, len(m.Prices), e.horizon)
+		}
+		e.markets[mi] = marketData{typ: m.Type, onDemand: spec.OnDemand, prices: m.Prices}
+	}
+
+	n := len(lanes)
 	e.market = make([]int32, n)
 	e.kind = make([]uint8, n)
 	e.bid = make([]float64, n)
 	e.start = make([]int32, n)
+	e.recovery = make([]float64, n)
 	e.status = make([]uint8, n)
 	e.active = make([]bool, n)
 	e.begun = make([]bool, n)
@@ -229,28 +309,28 @@ func New(cfg Config) (*Engine, error) {
 	e.idleSlots = make([]int32, n)
 	e.intr = make([]int32, n)
 	e.finish = make([]int32, n)
-
-	maxStagger := e.horizon/2 - cfg.QuoteEvery
-	serr := sched.Shards(n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			mi, kind, startSlot, bidF := laneParams(cfg, i, maxStagger, len(e.markets))
-			m := &e.markets[mi]
-			q := m.quotes[startSlot/cfg.QuoteEvery]
-			base := q.oneTime
-			if kind == KindPersistent {
-				base = q.persistent
-			}
-			e.market[i] = int32(mi)
-			e.kind[i] = kind
-			e.bid[i] = base * bidF
-			e.start[i] = int32(startSlot)
-			e.remaining[i] = float64(cfg.Exec)
-			e.finish[i] = -1
+	for i, l := range lanes {
+		switch {
+		case l.Market < 0 || l.Market >= len(markets):
+			return nil, fmt.Errorf("lanes: lane %d: market %d outside [0, %d)", i, l.Market, len(markets))
+		case l.Kind != KindOneTime && l.Kind != KindPersistent:
+			return nil, fmt.Errorf("lanes: lane %d: unknown kind %d", i, l.Kind)
+		case !(l.Bid > 0):
+			return nil, fmt.Errorf("lanes: lane %d: non-positive bid %v", i, l.Bid)
+		case l.Start < 0 || l.Start >= e.horizon:
+			return nil, fmt.Errorf("lanes: lane %d: start slot %d outside [0, %d)", i, l.Start, e.horizon)
+		case !(l.Exec > 0):
+			return nil, fmt.Errorf("lanes: lane %d: execution time %v must be positive", i, float64(l.Exec))
+		case !(l.Recovery >= 0):
+			return nil, fmt.Errorf("lanes: lane %d: negative recovery time %v", i, float64(l.Recovery))
 		}
-		return nil
-	})
-	if serr != nil {
-		return nil, serr
+		e.market[i] = int32(l.Market)
+		e.kind[i] = l.Kind
+		e.bid[i] = l.Bid
+		e.start[i] = int32(l.Start)
+		e.recovery[i] = float64(l.Recovery)
+		e.remaining[i] = float64(l.Exec)
+		e.finish[i] = -1
 	}
 	return e, nil
 }
@@ -275,53 +355,52 @@ func laneParams(cfg Config, i, maxStagger, markets int) (market int, kind uint8,
 // Prop. 4/5 quote grid at each epoch boundary — the branch-free
 // quantile/expectation queries on the shared window replace one
 // O(n log n) snapshot per lane with two bid solves per epoch.
-func (e *Engine) buildMarket(mi int, typ instances.Type, grid timeslot.Grid) error {
+func buildMarket(cfg Config, mi int, typ instances.Type, grid timeslot.Grid, horizon int) (Market, []quote, error) {
 	spec, err := instances.Lookup(typ)
 	if err != nil {
-		return err
+		return Market{}, nil, err
 	}
 	tr, err := trace.Generate(typ, trace.GenOptions{
-		Days:       e.cfg.Days,
-		Seed:       e.cfg.Seed + int64(mi)*1009,
-		DwellSlots: e.cfg.DwellSlots,
+		Days:       cfg.Days,
+		Seed:       cfg.Seed + int64(mi)*1009,
+		DwellSlots: cfg.DwellSlots,
 	})
 	if err != nil {
-		return err
+		return Market{}, nil, err
 	}
-	capacity := grid.CeilSlots(e.cfg.Window)
-	if capacity > e.horizon {
-		capacity = e.horizon
+	capacity := grid.CeilSlots(cfg.Window)
+	if capacity > horizon {
+		capacity = horizon
 	}
 	if capacity < 1 {
 		capacity = 1
 	}
 	win, err := dist.NewWindowedECDF(capacity, 0)
 	if err != nil {
-		return err
+		return Market{}, nil, err
 	}
-	job := core.Job{Exec: e.cfg.Exec, Recovery: e.cfg.Recovery}
-	quotes := make([]quote, (e.horizon-1)/e.cfg.QuoteEvery+1)
+	job := core.Job{Exec: cfg.Exec, Recovery: cfg.Recovery}
+	quotes := make([]quote, (horizon-1)/cfg.QuoteEvery+1)
 	epoch := 0
-	for s := 0; s < e.horizon; s++ {
+	for s := 0; s < horizon; s++ {
 		if err := win.Push(tr.Prices[s]); err != nil {
-			return err
+			return Market{}, nil, err
 		}
-		if s == epoch*e.cfg.QuoteEvery {
+		if s == epoch*cfg.QuoteEvery {
 			m := core.Market{Price: win, OnDemand: spec.OnDemand, Slot: grid.Slot}
 			ot, err := m.OneTimeBid(job)
 			if err != nil {
-				return fmt.Errorf("lanes: one-time quote for %s at slot %d: %w", typ, s, err)
+				return Market{}, nil, fmt.Errorf("lanes: one-time quote for %s at slot %d: %w", typ, s, err)
 			}
 			pb, err := m.PersistentBid(job)
 			if err != nil {
-				return fmt.Errorf("lanes: persistent quote for %s at slot %d: %w", typ, s, err)
+				return Market{}, nil, fmt.Errorf("lanes: persistent quote for %s at slot %d: %w", typ, s, err)
 			}
 			quotes[epoch] = quote{oneTime: ot.Price, persistent: pb.Price}
 			epoch++
 		}
 	}
-	e.markets[mi] = marketData{typ: typ, onDemand: spec.OnDemand, prices: tr.Prices, quotes: quotes}
-	return nil
+	return Market{Type: typ, Prices: tr.Prices}, quotes, nil
 }
 
 // N reports the lane count.
@@ -363,7 +442,7 @@ func (e *Engine) advance(i, from, to int) {
 		return
 	}
 	prices := e.markets[e.market[i]].prices[:to]
-	bid, dt, rec := e.bid[i], e.slotHours, float64(e.cfg.Recovery)
+	bid, dt, rec := e.bid[i], e.slotHours, e.recovery[i]
 	oneTime := e.kind[i] == KindOneTime
 	active, begun, restore := e.active[i], e.begun[i], e.restore[i]
 	remaining, pendingRec := e.remaining[i], e.pendingRec[i]

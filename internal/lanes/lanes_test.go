@@ -3,6 +3,7 @@ package lanes
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -44,9 +45,20 @@ func TestLaneMatchesJobRun(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// The oracle replays each lane over its engine market's prices, so
+	// first pin those to the generator's series for the market's seed.
+	for mi, m := range e.markets {
+		tr, err := trace.Generate(m.typ, trace.GenOptions{Days: cfg.Days, Seed: cfg.Seed + int64(mi)*1009})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.prices, tr.Prices) {
+			t.Fatalf("market %d (%s): prices differ from the generated trace", mi, m.typ)
+		}
+	}
 	var done, failed, interrupted int
 	for i := 0; i < e.N(); i++ {
-		got := checkLaneOracle(t, cfg, e, i)
+		got := checkLaneOracle(t, e, i, cfg.Exec, cfg.Recovery)
 		if got.Completed {
 			done++
 		}
@@ -65,17 +77,14 @@ func TestLaneMatchesJobRun(t *testing.T) {
 }
 
 // checkLaneOracle replays lane i of a finished engine through a fresh
-// cloud.Region + job.Run with the lane's market, kind, submission slot
-// and bid, fails the test unless the two Outcomes are
+// cloud.Region + job.Run over the lane's market prices, with the
+// lane's kind, submission slot and bid and the given execution and
+// recovery times, fails the test unless the two Outcomes are
 // reflect.DeepEqual, and returns the lane's Outcome.
-func checkLaneOracle(t *testing.T, cfg Config, e *Engine, i int) job.Outcome {
+func checkLaneOracle(t *testing.T, e *Engine, i int, exec, recovery timeslot.Hours) job.Outcome {
 	t.Helper()
-	mi := int(e.market[i])
-	typ := e.markets[mi].typ
-	tr, err := trace.Generate(typ, trace.GenOptions{
-		Days: cfg.Days,
-		Seed: cfg.Seed + int64(mi)*1009,
-	})
+	m := e.markets[e.market[i]]
+	tr, err := trace.New(m.typ, timeslot.NewGrid(timeslot.DefaultSlot), m.prices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,9 +103,9 @@ func checkLaneOracle(t *testing.T, cfg Config, e *Engine, i int) job.Outcome {
 	}
 	tk, err := job.NewSpotJob(region, nil, job.Spec{
 		ID:       fmt.Sprintf("lane-%d", i),
-		Type:     typ,
-		Exec:     cfg.Exec,
-		Recovery: cfg.Recovery,
+		Type:     m.typ,
+		Exec:     exec,
+		Recovery: recovery,
 	}, e.bid[i], kind)
 	if err != nil {
 		t.Fatal(err)
@@ -107,10 +116,100 @@ func checkLaneOracle(t *testing.T, cfg Config, e *Engine, i int) job.Outcome {
 	}
 	got := e.Outcome(i)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("lane %d (%s %s bid %.6f start %d): outcome diverged\nlanes: %+v\njob:   %+v",
-			i, typ, kindName(e.kind[i]), e.bid[i], e.start[i], got, want)
+		t.Fatalf("lane %d (%s %s bid %.6f start %d recovery %v): outcome diverged\nlanes: %+v\njob:   %+v",
+			i, m.typ, kindName(e.kind[i]), e.bid[i], e.start[i], float64(recovery), got, want)
 	}
 	return got
+}
+
+// TestMixedRecoveryLanesMatchJobRun extends the oracle to lanes built
+// explicitly with NewEngine, where every lane carries its own recovery
+// and execution time. testConfig's fleet supplies the markets, bids and
+// start slots; the kind is re-derived from i/2 so both kinds run in
+// both markets, and five recoveries (none up to three hours) alternate
+// across neighbouring lanes of one engine, so a kernel that read
+// recovery from anywhere but its own lane would diverge.
+func TestMixedRecoveryLanesMatchJobRun(t *testing.T) {
+	cfg := testConfig()
+	fleet, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoveries := []timeslot.Hours{0, timeslot.Seconds(10), timeslot.Seconds(30), 1, 3}
+	markets := make([]Market, len(fleet.markets))
+	for mi, m := range fleet.markets {
+		markets[mi] = Market{Type: m.typ, Prices: m.prices}
+	}
+	ls := make([]Lane, fleet.N())
+	for i := range ls {
+		ls[i] = Lane{
+			Market:   int(fleet.market[i]),
+			Kind:     uint8(i / 2 % 2),
+			Bid:      fleet.bid[i],
+			Start:    int(fleet.start[i]),
+			Exec:     cfg.Exec + timeslot.Hours(i%3),
+			Recovery: recoveries[i%len(recoveries)],
+		}
+	}
+	e, err := NewEngine(markets, ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	restored := map[timeslot.Hours]int{}
+	cohorts := map[[2]int]bool{}
+	for i, l := range ls {
+		out := checkLaneOracle(t, e, i, l.Exec, l.Recovery)
+		cohorts[[2]int{l.Market, int(l.Kind)}] = true
+		if out.RecoveryTime > 0 {
+			restored[l.Recovery]++
+		}
+	}
+	// Vacuity guard: every (market, kind) cohort must be present, and
+	// lanes with at least three distinct non-zero recoveries must have
+	// paid a restore.
+	if len(cohorts) != 2*len(markets) || len(restored) < 3 {
+		t.Fatalf("degenerate mixed fleet: cohorts %v, restores by recovery %v — tune the lane derivation", cohorts, restored)
+	}
+}
+
+// TestNewEngineValidation covers the explicit constructor's rejection
+// paths, one bad field per lane.
+func TestNewEngineValidation(t *testing.T) {
+	markets := []Market{{Type: instances.R3XLarge, Prices: []float64{0.1, 0.2, 0.3}}}
+	good := Lane{Market: 0, Kind: KindPersistent, Bid: 0.2, Start: 0, Exec: 1, Recovery: 0.1}
+	if _, err := NewEngine(markets, []Lane{good}); err != nil {
+		t.Fatalf("NewEngine rejected a valid lane: %v", err)
+	}
+	bad := map[string]func(l *Lane){
+		"market out of range": func(l *Lane) { l.Market = 1 },
+		"unknown kind":        func(l *Lane) { l.Kind = 2 },
+		"zero bid":            func(l *Lane) { l.Bid = 0 },
+		"NaN bid":             func(l *Lane) { l.Bid = math.NaN() },
+		"start past horizon":  func(l *Lane) { l.Start = 3 },
+		"negative start":      func(l *Lane) { l.Start = -1 },
+		"zero exec":           func(l *Lane) { l.Exec = 0 },
+		"negative recovery":   func(l *Lane) { l.Recovery = -1 },
+	}
+	for name, mutate := range bad {
+		l := good
+		mutate(&l)
+		if _, err := NewEngine(markets, []Lane{l}); err == nil {
+			t.Errorf("%s: NewEngine accepted %+v", name, l)
+		}
+	}
+	uneven := append(markets, Market{Type: instances.R32XL, Prices: []float64{0.1}})
+	if _, err := NewEngine(uneven, []Lane{good}); err == nil {
+		t.Error("NewEngine accepted markets of different lengths")
+	}
+	if _, err := NewEngine([]Market{{Type: "no-such-type", Prices: []float64{0.1}}}, []Lane{good}); err == nil {
+		t.Error("NewEngine accepted an unknown instance type")
+	}
+	if _, err := NewEngine(markets, nil); err == nil {
+		t.Error("NewEngine accepted no lanes")
+	}
 }
 
 // TestBidEqualToPrice pins the tie semantics the kernel's stretch
@@ -141,7 +240,7 @@ func TestBidEqualToPrice(t *testing.T) {
 		}
 		var ties, running int
 		for i := 0; i < e.N(); i++ {
-			out := checkLaneOracle(t, cfg, e, i)
+			out := checkLaneOracle(t, e, i, cfg.Exec, cfg.Recovery)
 			last := e.Slot()
 			if st := e.status[i]; st == laneDone || st == laneFailed {
 				last = int(e.finish[i])

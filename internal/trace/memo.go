@@ -66,10 +66,13 @@ type ecdfCell struct {
 	err  error
 }
 
-// defaultMemoCapacity bounds the cache at ~32 two-month series
-// (≈ 150 KB each), comfortably covering the distinct (type, seed)
-// combinations of the largest sweep while staying a few MB total.
-const defaultMemoCapacity = 32
+// DefaultMemoCapacity bounds the cache at 64 two-month series
+// (≈ 150 KB each, under 10 MB in all). It holds the 55 distinct
+// (type, seed) series of the default §7.1 sweep — Table 3's 5 and the
+// 50 cells Figures 5 and 6 share at ten runs — which a capacity below
+// 55 would not: the figures walk their cells in the same order, so a
+// smaller LRU evicts each series just before the next figure needs it.
+const DefaultMemoCapacity = 64
 
 var memo = struct {
 	sync.Mutex
@@ -78,7 +81,7 @@ var memo = struct {
 	order    *list.List                // front = most recently used
 	hits     uint64
 	misses   uint64
-}{capacity: defaultMemoCapacity}
+}{capacity: DefaultMemoCapacity}
 
 type memoPair struct {
 	key   memoKey

@@ -112,7 +112,7 @@ func TestMemoNormalizesDefaults(t *testing.T) {
 // the generator, results stop aliasing but stay value-identical.
 func TestMemoDisabled(t *testing.T) {
 	SetMemoCapacity(0)
-	defer SetMemoCapacity(defaultMemoCapacity)
+	defer SetMemoCapacity(DefaultMemoCapacity)
 	a, err := Generate(instances.R3XLarge, GenOptions{Days: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +133,7 @@ func TestMemoDisabled(t *testing.T) {
 // the least recently used first.
 func TestMemoEviction(t *testing.T) {
 	SetMemoCapacity(2)
-	defer SetMemoCapacity(defaultMemoCapacity)
+	defer SetMemoCapacity(DefaultMemoCapacity)
 	gen := func(seed int64) *Trace {
 		tr, err := Generate(instances.R3XLarge, GenOptions{Days: 1, Seed: seed})
 		if err != nil {
