@@ -46,10 +46,11 @@ check: vet no-wallclock race-obs race shuffle perfgate resilcheck
 
 # Short fuzz pass over both history-parser targets, the
 # fault-schedule shrinker, the strategy deciders, the quote-request
-# decoder + serving path, the tsdb chunk decoder, and the branch-free
-# order-statistic searches.
+# decoder + serving path, the tsdb chunk decoder, the branch-free
+# order-statistic searches, and the windowed ECDF's run-length Fill.
 fuzz:
 	$(GO) test -fuzz=FuzzSearchEquivalence -fuzztime=30s ./internal/dist/
+	$(GO) test -fuzz=FuzzFillEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzReadCSV$$ -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadCSVCorrupted -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=30s ./internal/invariant/

@@ -87,15 +87,24 @@ func (m *Mixture) Quantile(q float64) float64 {
 	return invertCDF(m.CDF, q, lo, hi)
 }
 
-// Sample implements Dist: pick a component by weight, then sample it.
+// Sample implements Dist in two draws: Pick's component for the first
+// uniform, then that component's own Sample. A caller that splits the
+// draw from the transform calls Pick and the component itself, in the
+// same order.
 func (m *Mixture) Sample(r *rand.Rand) float64 {
-	u := r.Float64()
+	i := m.Pick(r.Float64())
+	return m.comps[i].Sample(r)
+}
+
+// Pick returns the index of the component a uniform u ∈ [0, 1)
+// selects: the first whose cumulative weight reaches u.
+func (m *Mixture) Pick(u float64) int {
 	for i, c := range m.cum {
 		if u <= c {
-			return m.comps[i].Sample(r)
+			return i
 		}
 	}
-	return m.comps[len(m.comps)-1].Sample(r)
+	return len(m.comps) - 1
 }
 
 // Mean implements Dist.

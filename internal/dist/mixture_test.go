@@ -115,6 +115,29 @@ func TestMixtureSampleMatchesMoments(t *testing.T) {
 	}
 }
 
+// TestSplitSamplers: Sample is its uniform draws fed through Pick and
+// FromUniform, so a caller that draws the uniforms first and transforms
+// them later gets the same bits from the same stream.
+func TestSplitSamplers(t *testing.T) {
+	m := twoPareto(t)
+	comps, _ := m.Components()
+	eager := rand.New(rand.NewSource(21))
+	split := rand.New(rand.NewSource(21))
+	for i := 0; i < 10000; i++ {
+		want := m.Sample(eager)
+		c := m.Pick(split.Float64())
+		got := comps[c].(Pareto).FromUniform(split.Float64())
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: split %v, Sample %v", i, got, want)
+		}
+	}
+	for u, want := range map[float64]int{0: 0, 0.9: 0, math.Nextafter(0.9, 1): 1, 1: 1} {
+		if got := m.Pick(u); got != want {
+			t.Errorf("Pick(%v) = %d, want %d", u, got, want)
+		}
+	}
+}
+
 func TestMixturePDFIntegratesToCDF(t *testing.T) {
 	m := twoPareto(t)
 	for _, x := range []float64{0.035, 0.05, 0.2} {

@@ -60,9 +60,17 @@ func (p Pareto) Quantile(q float64) float64 {
 	return p.Xm / math.Pow(1-q, 1/p.Alpha)
 }
 
-// Sample implements Dist (inverse-transform).
+// Sample implements Dist (inverse-transform): one uniform from r,
+// mapped through FromUniform. The split lets a caller draw the uniform
+// now and pay for the transform later, or never, with the same bits.
 func (p Pareto) Sample(r *rand.Rand) float64 {
-	return p.Xm / math.Pow(1-r.Float64(), 1/p.Alpha)
+	return p.FromUniform(r.Float64())
+}
+
+// FromUniform maps a uniform u ∈ [0, 1) to the Pareto variate
+// Λ_min/(1−u)^(1/α): the arithmetic of Sample without the draw.
+func (p Pareto) FromUniform(u float64) float64 {
+	return p.Xm / math.Pow(1-u, 1/p.Alpha)
 }
 
 // Mean implements Dist. Infinite for α ≤ 1.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -36,7 +37,8 @@ type WindowedECDF struct {
 	head     int       // ring index of the oldest sample
 	n        int       // live sample count, ≤ capacity
 
-	sorted []float64 // the n live samples, sorted ascending
+	sorted []float64  // the n live samples, sorted ascending
+	runs   []valueRun // Fill's scratch, kept at its high-water size
 
 	// Lazily rebuilt aggregates. Each family carries its own dirty
 	// flag (every mutation sets all three) so a quote path that only
@@ -123,9 +125,18 @@ func (w *WindowedECDF) Push(x float64) error {
 }
 
 // Fill replaces the window contents with the trailing min(len(xs), Cap)
-// values of xs in one bulk load (copy + one sort). It is the resync
-// path: initial warm-up, and recovery after a gap too large for
-// per-slot pushes to be worth their memmoves.
+// values of xs in one bulk load. It is the resync path: initial
+// warm-up, and recovery after a gap too large for per-slot pushes to
+// be worth their memmoves.
+//
+// The validation pass also counts the stream's runs of equal
+// consecutive values. A dwell-model price trace holds one run per
+// price level, ~18 slots each at the default dwell, so when runs are
+// sparse Fill sorts the runs and expands them instead of sorting every
+// slot. Equal non-zero floats share their bits, so the expansion is
+// the slice sort.Float64s would produce. A window holding a zero falls
+// back to the plain sort: −0 and +0 compare equal but differ in bits,
+// and the order the sort leaves them in is its own.
 func (w *WindowedECDF) Fill(xs []float64) error {
 	if len(xs) == 0 {
 		return fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
@@ -133,18 +144,77 @@ func (w *WindowedECDF) Fill(xs []float64) error {
 	if len(xs) > w.capacity {
 		xs = xs[len(xs)-w.capacity:]
 	}
+	runs, zero := 0, false
+	prev := math.NaN()
 	for _, x := range xs {
 		if math.IsNaN(x) || math.IsInf(x, 0) {
 			return fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
+		}
+		if x != prev {
+			runs++
+			prev = x
+		}
+		if x == 0 {
+			zero = true
 		}
 	}
 	w.n = copy(w.ring, xs)
 	w.head = 0
 	w.sorted = w.sorted[:w.n]
-	copy(w.sorted, xs)
-	sort.Float64s(w.sorted)
+	if zero || runs*minRunLength > w.n {
+		copy(w.sorted, xs)
+		sort.Float64s(w.sorted)
+	} else {
+		w.sortRuns(xs, runs)
+	}
 	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
 	return nil
+}
+
+// minRunLength is the mean run length from which Fill sorts runs
+// rather than slots. Over a 17,568-slot window the run sort ties the
+// plain sort at a mean run of 2 and wins 1.7× at 3 and 3.6× at 18;
+// below 2, as on an i.i.d. trace, the run pass is pure overhead.
+const minRunLength = 2
+
+// valueRun is one run of equal consecutive values in a Fill stream.
+type valueRun struct {
+	v float64
+	n int
+}
+
+// sortRuns writes the sorted expansion of xs's runs (runs of them, no
+// zero among them) into w.sorted. Runs of one value land next to each
+// other in any order, since their values are bit-identical.
+func (w *WindowedECDF) sortRuns(xs []float64, runs int) {
+	if cap(w.runs) < runs {
+		w.runs = make([]valueRun, 0, runs)
+	}
+	rs := w.runs[:0]
+	for i := 0; i < len(xs); {
+		j := i + 1
+		for j < len(xs) && xs[j] == xs[i] {
+			j++
+		}
+		rs = append(rs, valueRun{v: xs[i], n: j - i})
+		i = j
+	}
+	slices.SortFunc(rs, func(a, b valueRun) int {
+		switch {
+		case a.v < b.v:
+			return -1
+		case a.v > b.v:
+			return 1
+		}
+		return 0
+	})
+	k := 0
+	for _, r := range rs {
+		for end := k + r.n; k < end; k++ {
+			w.sorted[k] = r.v
+		}
+	}
+	w.runs = rs
 }
 
 func (w *WindowedECDF) mustSample() {

@@ -32,6 +32,12 @@ func assertElementIdentical(t *testing.T, w *WindowedECDF, window []float64, nbi
 	if !reflect.DeepEqual(w.Values(), ref.Values()) {
 		t.Fatalf("sorted window differs:\n  windowed  %v\n  reference %v", w.Values(), ref.Values())
 	}
+	// DeepEqual compares floats with ==, which cannot tell −0 from +0.
+	for i, x := range ref.Values() {
+		if math.Float64bits(w.Values()[i]) != math.Float64bits(x) {
+			t.Fatalf("sorted window bit %d: windowed %v, reference %v", i, w.Values()[i], x)
+		}
+	}
 	if w.Support() != ref.Support() {
 		t.Fatalf("Support: windowed %v, reference %v", w.Support(), ref.Support())
 	}
@@ -123,6 +129,114 @@ func TestWindowedFill(t *testing.T) {
 		}
 		assertElementIdentical(t, w, windowOf(stream, capacity), 0)
 	}
+}
+
+// runStream returns n values in runs of 1 to maxRun equal values, each
+// run's value drawn by level. It is the shape of a dwell-model price
+// trace: one run per price level.
+func runStream(rng *rand.Rand, n, maxRun int, level func() float64) []float64 {
+	xs := make([]float64, 0, n)
+	for len(xs) < n {
+		v, k := level(), 1+rng.Intn(maxRun)
+		for j := 0; j < k && len(xs) < n; j++ {
+			xs = append(xs, v)
+		}
+	}
+	return xs
+}
+
+// runCount is the number of runs of equal consecutive values in xs.
+func runCount(xs []float64) int {
+	runs := 0
+	for i, x := range xs {
+		if i == 0 || x != xs[i-1] {
+			runs++
+		}
+	}
+	return runs
+}
+
+// TestWindowedFillRuns covers both branches of Fill on run-structured
+// streams. Runs of 1–40 values take the run sort, with positive levels,
+// negative levels, and levels that recur in several runs. A zero or −0
+// anywhere in the window sends Fill to the plain sort. Every fill goes
+// into one used window, as a recycled cell window is refilled, and the
+// last refill is shorter than the window it replaces.
+func TestWindowedFillRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const capacity = 1024
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name   string
+		level  func() float64
+		sparse bool
+	}{
+		{"positive levels", func() float64 { return 0.03 + rng.Float64() }, true},
+		{"negative levels", func() float64 { return rng.NormFloat64() }, true},
+		{"recurring levels", func() float64 { return math.Floor(rng.Float64()*8)/8 + 0.5 }, true},
+		{"zeros", func() float64 { return []float64{0, negZero, 1.5, -2, 0.25}[rng.Intn(5)] }, false},
+		{"negative zeros", func() float64 { return []float64{negZero, 3, -1}[rng.Intn(3)] }, false},
+	}
+	w, err := NewWindowedECDF(capacity, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		for _, n := range []int{capacity / 2, capacity, 3 * capacity, capacity / 3} {
+			stream := runStream(rng, n, 40, c.level)
+			window := windowOf(stream, capacity)
+			w.runs = nil
+			if err := w.Fill(stream); err != nil {
+				t.Fatal(err)
+			}
+			if took := w.runs != nil; took != c.sparse {
+				t.Fatalf("%s, %d values: run sort taken %v, want %v", c.name, n, took, c.sparse)
+			}
+			if c.sparse && len(w.runs) != runCount(window) {
+				t.Fatalf("%s, %d values: %d runs sorted, window has %d", c.name, n, len(w.runs), runCount(window))
+			}
+			assertElementIdentical(t, w, window, 0)
+		}
+	}
+}
+
+// FuzzFillEquivalence decodes the input into a run-structured stream
+// and fills one window twice, with the stream and then with its first
+// half: after each fill, every query must equal NewEmpirical over the
+// same trailing window, Values() bit for bit. Byte 0 sets the capacity;
+// each later pair is a level (int8/4, 0x80 for −0) and a run length of
+// 1–40.
+func FuzzFillEquivalence(f *testing.F) {
+	f.Add([]byte{32, 12, 17, 200, 3, 12, 9, 40, 39})
+	f.Add([]byte{8, 0, 5, 0x80, 5, 7, 2})
+	f.Add([]byte{255, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0})
+	f.Add([]byte{1, 250, 39})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 3 {
+			t.Skip()
+		}
+		capacity := int(raw[0]) + 1
+		var stream []float64
+		for i := 1; i+1 < len(raw); i += 2 {
+			v := float64(int8(raw[i])) / 4
+			if raw[i] == 0x80 {
+				v = math.Copysign(0, -1)
+			}
+			for j := 0; j <= int(raw[i+1])%40; j++ {
+				stream = append(stream, v)
+			}
+		}
+		w, err := NewWindowedECDF(capacity, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, xs := range [][]float64{stream, stream[:(len(stream)+1)/2]} {
+			if err := w.Fill(xs); err != nil {
+				t.Fatal(err)
+			}
+			assertElementIdentical(t, w, windowOf(xs, capacity), 0)
+		}
+	})
 }
 
 // TestWindowedRejectsBadSamples: NaN/Inf are rejected without

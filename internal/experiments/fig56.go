@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/client"
 	"repro/internal/cloud"
@@ -55,8 +56,17 @@ type cell struct {
 	typ    instances.Type
 	tr     *trace.Trace
 	submit int
+	win    *dist.WindowedECDF
 	market core.Market
 }
+
+// cellWindows recycles the cells' price-monitor windows, ~460 KB each
+// once PartialMean has built its prefix sums. A cell reads its window
+// only while its step runs: reports and decisions keep core.Bid values,
+// never the window, and Fill plus the lazy rebuilds overwrite every
+// field a query reads. So sweepCells returns each window when its
+// cell's step returns, and a later cell refills it.
+var cellWindows sync.Pool
 
 // sweepCells runs step on every (type, run) cell of the §7.1 sweep
 // through one worker pool. A cell's trace seed and its submit offset
@@ -75,6 +85,7 @@ func sweepCells(o Opts, step func(ti, run int, c *cell) error) error {
 		if err != nil {
 			return err
 		}
+		defer c.release()
 		return step(ti, run, c)
 	})
 }
@@ -82,7 +93,8 @@ func sweepCells(o Opts, step func(ti, run int, c *cell) error) error {
 // newCell takes the memoized trace and builds the client's clean-path
 // F_π estimate at the submit slot: the two-month window
 // Region.PriceHistory returns there, Filled into a windowed ECDF sized
-// as the price monitor sizes it.
+// as the price monitor sizes it. The window comes from cellWindows
+// when one of that size is free.
 func newCell(typ instances.Type, seed int64, submit, days int) (*cell, error) {
 	spec, err := instances.Lookup(typ)
 	if err != nil {
@@ -97,15 +109,26 @@ func newCell(typ instances.Type, seed int64, submit, days int) (*cell, error) {
 	if err != nil {
 		return nil, err
 	}
-	win, err := dist.NewWindowedECDF(max(min(tr.Grid.CeilSlots(client.DefaultHistoryWindow), tr.Len()), 1), 0)
-	if err != nil {
-		return nil, err
+	capacity := max(min(tr.Grid.CeilSlots(client.DefaultHistoryWindow), tr.Len()), 1)
+	win, _ := cellWindows.Get().(*dist.WindowedECDF)
+	if win == nil || win.Cap() != capacity {
+		if win, err = dist.NewWindowedECDF(capacity, 0); err != nil {
+			return nil, err
+		}
 	}
 	if err := win.Fill(hist.Prices); err != nil {
 		return nil, err
 	}
+	c.win = win
 	c.market = core.Market{Price: win, OnDemand: spec.OnDemand, Slot: tr.Grid.Slot}
 	return c, nil
+}
+
+// release returns the cell's window to cellWindows. The cell's market
+// view is unusable afterwards.
+func (c *cell) release() {
+	cellWindows.Put(c.win)
+	c.win, c.market.Price = nil, nil
 }
 
 // history returns what Region.PriceHistory(typ, h) returns at the

@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/cloud"
+	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/instances"
 	"repro/internal/job"
 	"repro/internal/timeslot"
@@ -424,6 +426,78 @@ func TestReferenceEquivalence(t *testing.T) {
 	}
 	if got := ref.JSON(); !bytes.Equal(got, jsonRep) {
 		t.Errorf("reference JSON diverged:\n%s\nvs\n%s", got, jsonRep)
+	}
+}
+
+// TestQuoteGridMatchesSnapshots proves the live-window quote grid
+// directly, on a fleet shaped like cmd/perfgate's fleetConfig: two
+// markets, 61 days, a 240-hour window and daily quotes. At every quote
+// epoch, the grid's one-time and persistent quotes must equal
+// OneTimeBid and PersistentBid on a fresh NewEmpirical of the window's
+// live samples at that slot, and every lane New builds must bid its
+// epoch's snapshot quote times its spread.
+func TestQuoteGridMatchesSnapshots(t *testing.T) {
+	cfg := Config{
+		Types:      []instances.Type{instances.R3XLarge, instances.C34XL},
+		Lanes:      10_000,
+		Days:       61,
+		Seed:       1,
+		Exec:       timeslot.Hours(200),
+		Recovery:   timeslot.Hours(1),
+		Window:     timeslot.Hours(240),
+		QuoteEvery: 288,
+	}
+	grid := timeslot.NewGrid(timeslot.DefaultSlot)
+	horizon := cfg.Days * int(grid.SlotsPerHour()) * 24
+	capacity := min(grid.CeilSlots(cfg.Window), horizon)
+	job := core.Job{Exec: cfg.Exec, Recovery: cfg.Recovery}
+	snapshots := make([][]quote, len(cfg.Types))
+	for mi, typ := range cfg.Types {
+		m, quotes, err := buildMarket(cfg, mi, typ, grid, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (horizon-1)/cfg.QuoteEvery + 1; len(quotes) != want {
+			t.Fatalf("%s: %d quote epochs, want %d", typ, len(quotes), want)
+		}
+		for epoch, q := range quotes {
+			s := epoch * cfg.QuoteEvery
+			est, err := dist.NewEmpirical(m.Prices[max(s+1-capacity, 0):s+1], 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mkt := core.Market{Price: est, OnDemand: instances.MustLookup(typ).OnDemand, Slot: grid.Slot}
+			ot, err := mkt.OneTimeBid(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := mkt.PersistentBid(job)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := quote{oneTime: ot.Price, persistent: pb.Price}
+			if math.Float64bits(q.oneTime) != math.Float64bits(want.oneTime) ||
+				math.Float64bits(q.persistent) != math.Float64bits(want.persistent) {
+				t.Fatalf("%s epoch %d (slot %d): grid quotes %+v, snapshot %+v", typ, epoch, s, q, want)
+			}
+			snapshots[mi] = append(snapshots[mi], want)
+		}
+	}
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxStagger := horizon/2 - cfg.QuoteEvery
+	for i := 0; i < e.N(); i++ {
+		mi, kind, start, bidF := laneParams(cfg, i, maxStagger, len(cfg.Types))
+		q := snapshots[mi][start/cfg.QuoteEvery]
+		base := q.oneTime
+		if kind == KindPersistent {
+			base = q.persistent
+		}
+		if want := base * bidF; math.Float64bits(e.bid[i]) != math.Float64bits(want) {
+			t.Fatalf("lane %d: bid %v, snapshot quote × spread %v", i, e.bid[i], want)
+		}
 	}
 }
 

@@ -121,19 +121,28 @@ func CalibrationFor(t instances.Type) (Calibration, error) {
 // plateau+tail Pareto mixture, both components starting at
 // Λ_min = h⁻¹(π̲) so prices begin exactly at the floor.
 func (c Calibration) ArrivalDist() (dist.Dist, error) {
+	mix, _, err := c.arrival()
+	if err != nil {
+		return nil, err
+	}
+	return mix, nil
+}
+
+// arrival returns ArrivalDist's mixture and its two Pareto components
+// in mixture order, which the lazy-level generator samples directly.
+func (c Calibration) arrival() (*dist.Mixture, [2]dist.Pareto, error) {
+	var comps [2]dist.Pareto
 	lamMin, err := c.Provider.ParetoArrivalMin()
 	if err != nil {
-		return nil, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
+		return nil, comps, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
 	}
-	plateau, err := dist.NewPareto(c.PlateauAlpha, lamMin)
-	if err != nil {
-		return nil, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
+	for i, alpha := range []float64{c.PlateauAlpha, c.TailAlpha} {
+		if comps[i], err = dist.NewPareto(alpha, lamMin); err != nil {
+			return nil, comps, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
+		}
 	}
-	tail, err := dist.NewPareto(c.TailAlpha, lamMin)
-	if err != nil {
-		return nil, fmt.Errorf("trace: calibration for %s: %w", c.Type, err)
-	}
-	return dist.NewMixture([]dist.Dist{plateau, tail}, []float64{c.PlateauWeight, 1 - c.PlateauWeight})
+	mix, err := dist.NewMixture([]dist.Dist{comps[0], comps[1]}, []float64{c.PlateauWeight, 1 - c.PlateauWeight})
+	return mix, comps, err
 }
 
 // PriceDist returns the analytic equilibrium spot-price distribution
@@ -241,11 +250,11 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 		}
 	}
 
-	par, err := c.ArrivalDist()
+	mix, comps, err := c.arrival()
 	if err != nil {
 		return nil, err
 	}
-	var proc arrivals.Process = arrivals.NewIID(par)
+	var proc arrivals.Process = arrivals.NewIID(mix)
 	if opt.DiurnalAmplitude > 0 {
 		proc, err = arrivals.NewDiurnal(proc, opt.DiurnalAmplitude, int(grid.SlotsPerHour())*24)
 		if err != nil {
@@ -254,35 +263,37 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 	}
 	r := rand.New(rand.NewSource(opt.Seed))
 
+	// The i.i.d. model draws, in this order: for each slot, the mixture
+	// component's uniform, then that component's Pareto uniform; then,
+	// under a dwell, one uniform per slot after the first to decide
+	// whether the slot keeps the previous level. The dwell pass keeps
+	// about 1 level in dwell, so the lazy path draws every uniform in
+	// that order but prices only the levels it keeps. The eager path
+	// prices every level as it draws it: at dwell 1 every level is
+	// kept, and the queue model and the diurnal modulation (used by
+	// the §4.3 stationarity check) are left as they were.
 	var prices []float64
 	var switches int64
-	if opt.FullDynamics {
+	switch {
+	case opt.FullDynamics:
 		sim := market.Simulator{Provider: c.Provider, Arrivals: proc, Warmup: 1000, Metrics: opt.Metrics}
 		res, err := sim.Run(n, r)
 		if err != nil {
 			return nil, err
 		}
 		prices = res.Prices
-	} else {
+	case dwell > 1 && !(opt.DiurnalAmplitude > 0):
+		prices, switches, err = c.lazyDwellPrices(mix, comps, n, dwell, r)
+		if err != nil {
+			return nil, err
+		}
+	default:
 		prices, err = market.EquilibriumPrices(c.Provider, proc, n, r)
 		if err != nil {
 			return nil, err
 		}
 		if dwell > 1 {
-			// Regime persistence: keep the previous level, switching
-			// to the next drawn level with probability 1/dwell. The
-			// drawn sequence is i.i.d. equilibrium, so the marginal
-			// is untouched; only the temporal grain changes.
-			switchP := 1 / float64(dwell)
-			cur := prices[0]
-			for i := 1; i < n; i++ {
-				if r.Float64() >= switchP {
-					prices[i] = cur
-				} else {
-					cur = prices[i]
-					switches++
-				}
-			}
+			switches = dwellPass(prices, dwell, r, func(i int) float64 { return prices[i] })
 		}
 	}
 	ent := memoEntry{prices: prices, switches: switches}
@@ -291,6 +302,56 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 		memoStore(key, ent)
 	}
 	return c.emitGenerated(opt, grid, ent, dwell)
+}
+
+// lazyDwellPrices is the i.i.d. dwell model with lazy levels: the
+// draws of market.EquilibriumPrices followed by dwellPass, bit for bit.
+// Each slot's Pareto uniform waits in the price slice and its
+// component index in a byte slice, and only the levels the dwell pass
+// keeps pay for the transform and H. It returns EquilibriumPrices's
+// errors for an invalid provider or a non-positive count.
+func (c Calibration) lazyDwellPrices(mix *dist.Mixture, comps [2]dist.Pareto, n, dwell int, r *rand.Rand) ([]float64, int64, error) {
+	prov := c.Provider
+	if err := prov.Validate(); err != nil {
+		return nil, 0, err
+	}
+	if n <= 0 {
+		return nil, 0, fmt.Errorf("trace: price count %d must be positive", n)
+	}
+	prices := make([]float64, n)
+	comp := make([]uint8, n)
+	for i := range prices {
+		comp[i] = uint8(mix.Pick(r.Float64()))
+		prices[i] = r.Float64()
+	}
+	switches := dwellPass(prices, dwell, r, func(i int) float64 {
+		return prov.H(comps[comp[i]].FromUniform(prices[i]))
+	})
+	return prices, switches, nil
+}
+
+// dwellPass applies regime persistence in place. Slot 0 takes its
+// drawn level; every later slot makes one dwell draw and keeps the
+// previous slot's price, switching to its own drawn level with
+// probability 1/dwell. The drawn levels are i.i.d. equilibrium, so the
+// marginal is untouched; only the temporal grain changes. level(i)
+// yields slot i's drawn level and is called only for the levels the
+// pass keeps. It returns the number of switches.
+func dwellPass(prices []float64, dwell int, r *rand.Rand, level func(int) float64) int64 {
+	switchP := 1 / float64(dwell)
+	cur := level(0)
+	prices[0] = cur
+	var switches int64
+	for i := 1; i < len(prices); i++ {
+		if r.Float64() >= switchP {
+			prices[i] = cur
+		} else {
+			cur = level(i)
+			prices[i] = cur
+			switches++
+		}
+	}
+	return switches
 }
 
 // emitGenerated performs the observable tail of a generation — the

@@ -1,10 +1,15 @@
 package trace
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
+	"repro/internal/arrivals"
 	"repro/internal/instances"
+	"repro/internal/market"
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -216,5 +221,100 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, err := Generate(instances.R3XLarge, GenOptions{DiurnalAmplitude: 2}); err == nil {
 		t.Error("amplitude 2 accepted")
+	}
+}
+
+// eagerDwellPrices is the i.i.d. dwell generator as it was before
+// levels became lazy, kept as the reference: every level priced by
+// market.EquilibriumPrices over the arrival mixture, then the dwell
+// pass over the priced levels.
+func eagerDwellPrices(c Calibration, days int, seed int64, dwell int) ([]float64, int64, error) {
+	par, err := c.ArrivalDist()
+	if err != nil {
+		return nil, 0, err
+	}
+	r := rand.New(rand.NewSource(seed))
+	prices, err := market.EquilibriumPrices(c.Provider, arrivals.NewIID(par), days*288, r)
+	if err != nil {
+		return nil, 0, err
+	}
+	var switches int64
+	switchP := 1 / float64(dwell)
+	cur := prices[0]
+	for i := 1; i < len(prices); i++ {
+		if r.Float64() >= switchP {
+			prices[i] = cur
+		} else {
+			cur = prices[i]
+			switches++
+		}
+	}
+	return prices, switches, nil
+}
+
+// TestLazyLevelsMatchEager: the lazy-level generator reproduces the
+// eager reference bit for bit, prices and trace.dwell_switches both,
+// for every calibration at seeds 1–10, dwells 2, 18 and 40, and 1, 61
+// and 63 days. The goldens cover only Table 3's types at a few seeds.
+func TestLazyLevelsMatchEager(t *testing.T) {
+	SetMemoCapacity(0)
+	t.Cleanup(func() { SetMemoCapacity(DefaultMemoCapacity) })
+	for _, spec := range instances.All() {
+		c, err := CalibrationFor(spec.Type)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(string(spec.Type), func(t *testing.T) {
+			t.Parallel()
+			for seed := int64(1); seed <= 10; seed++ {
+				for _, dwell := range []int{2, 18, 40} {
+					for _, days := range []int{1, 61, 63} {
+						name := fmt.Sprintf("seed %d, dwell %d, %d days", seed, dwell, days)
+						want, wantSwitches, err := eagerDwellPrices(c, days, seed, dwell)
+						if err != nil {
+							t.Fatal(err)
+						}
+						met := obs.New()
+						tr, err := c.Generate(GenOptions{Days: days, Seed: seed, DwellSlots: dwell, Metrics: met})
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						if len(tr.Prices) != len(want) {
+							t.Fatalf("%s: %d slots, want %d", name, len(tr.Prices), len(want))
+						}
+						for i, p := range tr.Prices {
+							if math.Float64bits(p) != math.Float64bits(want[i]) {
+								t.Fatalf("%s: slot %d is %v, eager reference %v", name, i, p, want[i])
+							}
+						}
+						if got := met.CounterValue("trace.dwell_switches"); got != wantSwitches {
+							t.Fatalf("%s: %d dwell switches, eager reference %d", name, got, wantSwitches)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLazyLevelsKeepEquilibriumErrors: an invalid provider fails the
+// lazy path with the error EquilibriumPrices returns on the eager one.
+func TestLazyLevelsKeepEquilibriumErrors(t *testing.T) {
+	SetMemoCapacity(0)
+	defer SetMemoCapacity(DefaultMemoCapacity)
+	c, err := CalibrationFor(instances.R3XLarge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Provider.Theta = 2 // outside (0, 1]; Λ_min stays positive
+	_, want := market.EquilibriumPrices(c.Provider, arrivals.Deterministic{Volume: 1}, 1, rand.New(rand.NewSource(1)))
+	if want == nil {
+		t.Fatal("EquilibriumPrices accepted θ = 2")
+	}
+	for _, dwell := range []int{1, 18} {
+		_, err := c.Generate(GenOptions{Days: 1, DwellSlots: dwell})
+		if err == nil || err.Error() != want.Error() {
+			t.Errorf("dwell %d: error %v, want %v", dwell, err, want)
+		}
 	}
 }

@@ -51,11 +51,12 @@ type memoEntry struct {
 }
 
 // ecdfCell lazily materializes the full-series empirical distribution
-// of one cached generation — the F_π estimate every strategy consumes
-// — exactly once, shared by all Trace headers aliasing that series.
-// The sort is the single most expensive derived computation over a
-// series (17.5k samples for the default window), so re-running it per
-// Table 3 / Figure 5–6 repetition dominated the macro budget; a hit
+// of one cached generation exactly once, shared by all Trace headers
+// aliasing that series. Its sort (17.5k samples for the default
+// window) is the most expensive computation derived from a series. In
+// the §7.1 sweep only Table 3 reads a cell, one per type, and a repeat
+// of Table 3 in the same process reuses it; Figures 5 and 6 fill their
+// own window at each cell's submit slot and never read one. A hit
 // returns the identical *Empirical (itself immutable), which is
 // indistinguishable from a fresh build because NewEmpirical is a pure
 // function of the (immutable) price slice. Sub-traces from
