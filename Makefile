@@ -1,11 +1,11 @@
-# Standard checks. `make check` is the pre-merge gate: vet + the full
+# Standard checks. `make check` is the pre-merge gate: gofmt + vet + the full
 # test suite under the race detector (the chaos loop and the parallel
 # experiment harness must stay race-clean) + a shuffled-order pass
 # (no test may lean on package-level state left by an earlier test).
 
 GO ?= go
 
-.PHONY: all build test vet race race-obs shuffle no-wallclock check fuzz bench bench-record bench-lanes perfgate resilcheck trace-demo serve-demo top-demo
+.PHONY: all build test fmt vet race race-obs shuffle no-wallclock check fuzz bench bench-record bench-lanes perfgate resilcheck trace-demo serve-demo top-demo
 
 all: check
 
@@ -14,6 +14,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# Formatting gate: fails, listing the files, when gofmt would rewrite
+# any Go file in the tree.
+fmt:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -42,15 +48,17 @@ shuffle:
 no-wallclock:
 	sh scripts/no_wallclock.sh
 
-check: vet no-wallclock race-obs race shuffle perfgate resilcheck
+check: fmt vet no-wallclock race-obs race shuffle perfgate resilcheck
 
 # Short fuzz pass over both history-parser targets, the
 # fault-schedule shrinker, the strategy deciders, the quote-request
 # decoder + serving path, the tsdb chunk decoder, the branch-free
-# order-statistic searches, and the windowed ECDF's run-length Fill.
+# order-statistic searches, and the windowed ECDF's run-length Fill
+# and batch Slide.
 fuzz:
 	$(GO) test -fuzz=FuzzSearchEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzFillEquivalence -fuzztime=30s ./internal/dist/
+	$(GO) test -fuzz=FuzzSlideEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzReadCSV$$ -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadCSVCorrupted -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=30s ./internal/invariant/

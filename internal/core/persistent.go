@@ -30,11 +30,16 @@ func (m Market) ExpectedRunningTime(p float64, job Job) (timeslot.Hours, error) 
 	if err := job.Validate(); err != nil {
 		return 0, err
 	}
-	f := mm.Price.CDF(p)
-	den := 1 - float64(job.Recovery)/float64(mm.Slot)*(1-f)
+	return runningTime(p, mm.Price.CDF(p), job, mm.Slot)
+}
+
+// runningTime is Eq. 13 at bid p with acceptance probability
+// f = F(p), for a validated job and a positive slot length t_k.
+func runningTime(p, f float64, job Job, slot timeslot.Hours) (timeslot.Hours, error) {
+	den := 1 - float64(job.Recovery)/float64(slot)*(1-f)
 	if den <= 0 {
 		return 0, fmt.Errorf("%w: recovery %v ≥ expected uninterrupted run %v at bid %v",
-			ErrInfeasible, job.Recovery, timeslot.Hours(float64(mm.Slot)/(1-f)), p)
+			ErrInfeasible, job.Recovery, timeslot.Hours(float64(slot)/(1-f)), p)
 	}
 	return timeslot.Hours(float64(job.Exec-job.Recovery) / den), nil
 }
@@ -43,6 +48,8 @@ func (m Market) ExpectedRunningTime(p float64, job Job) (timeslot.Hours, error) 
 // the Φ_sp objective of Eq. 15) for a persistent request at an
 // arbitrary bid price p. It errors when p is below the price support
 // (the job never runs) or violates the interruptibility constraint.
+// It normalizes the market, validates the job and hands both to
+// evalPersistent, which reads F(p) once.
 func (m Market) EvalPersistent(p float64, job Job) (Bid, error) {
 	mm, err := m.normalized()
 	if err != nil {
@@ -51,23 +58,32 @@ func (m Market) EvalPersistent(p float64, job Job) (Bid, error) {
 	if err := job.Validate(); err != nil {
 		return Bid{}, err
 	}
-	f := mm.Price.CDF(p)
+	return mm.evalPersistent(p, job)
+}
+
+// evalPersistent is EvalPersistent on a normalized market and a
+// validated job. It reads F(p) once and derives both Eq. 13's running
+// time and Eq. 9's E[π | π ≤ p] = PartialMean(p)/F(p) from it, the
+// arithmetic ExpectedRunningTime and dist.ConditionalMean perform, so
+// every field is bit for bit what composing those two returns.
+func (m Market) evalPersistent(p float64, job Job) (Bid, error) {
+	f := m.Price.CDF(p)
 	if f <= 0 {
 		return Bid{}, fmt.Errorf("%w: bid %v never beats the spot price", ErrInfeasible, p)
 	}
-	run, err := mm.ExpectedRunningTime(p, job)
+	run, err := runningTime(p, f, job, m.Slot)
 	if err != nil {
 		return Bid{}, err
 	}
-	espot := dist.ConditionalMean(mm.Price, p)
+	espot := dist.PartialMean(m.Price, p) / f
 	completion := timeslot.Hours(float64(run) / f)
 	// Recoveries: T·F(1−F)/t_k − 1 (the accounting behind Eq. 13).
-	inter := float64(completion)/float64(mm.Slot)*f*(1-f) - 1
+	inter := float64(completion)/float64(m.Slot)*f*(1-f) - 1
 	if inter < 0 {
 		inter = 0
 	}
 	cost := float64(run) * espot
-	odCost := float64(job.Exec) * mm.OnDemand
+	odCost := float64(job.Exec) * m.OnDemand
 	return Bid{
 		Price:                 p,
 		AcceptProb:            f,
@@ -93,13 +109,18 @@ func (m Market) Psi(p float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	f := mm.Price.CDF(p)
-	a := dist.PartialMean(mm.Price, p)
+	return mm.psi(p), nil
+}
+
+// psi is Psi on a normalized market.
+func (m Market) psi(p float64) float64 {
+	f := m.Price.CDF(p)
+	a := dist.PartialMean(m.Price, p)
 	b := p*f - a
 	if b <= 0 {
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
-	return f * (a/b - 1), nil
+	return f * (a/b - 1)
 }
 
 // PersistentBid computes the optimal persistent bid (Prop. 5): the
@@ -108,7 +129,9 @@ func (m Market) Psi(p float64) (float64, error) {
 // ψ(p) = t_k/t_r − 1; a dense-grid + golden-section minimization of
 // Φ_sp runs alongside as a safety net (they agree on smooth
 // distributions; the grid wins on step-function ECDFs where ψ is
-// noisy), and the cheaper candidate is returned.
+// noisy), and the cheaper candidate is returned. The market is
+// normalized and the job validated once; the ~450 cost evaluations
+// and ψ probes run on the normalized market, each reading F(p) once.
 //
 // A zero recovery time makes every interruption free; the optimum is
 // then the bid floor. It returns ErrInfeasible when Eq. 14 cannot be
@@ -141,7 +164,7 @@ func (m Market) PersistentBid(job Job) (Bid, error) {
 	}
 
 	cost := func(p float64) float64 {
-		b, err := mm.EvalPersistent(p, job)
+		b, err := mm.evalPersistent(p, job)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -153,7 +176,7 @@ func (m Market) PersistentBid(job Job) (Bid, error) {
 	if job.Recovery > 0 {
 		target := float64(mm.Slot)/float64(job.Recovery) - 1
 		g := func(p float64) float64 {
-			v, _ := mm.Psi(p)
+			v := mm.psi(p)
 			if math.IsInf(v, 1) {
 				return math.Inf(1)
 			}
@@ -174,7 +197,7 @@ func (m Market) PersistentBid(job Job) (Bid, error) {
 		if p < lo || p > hi || math.IsNaN(p) {
 			continue
 		}
-		b, err := mm.EvalPersistent(p, job)
+		b, err := mm.evalPersistent(p, job)
 		if err != nil {
 			continue
 		}

@@ -2,12 +2,15 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/dist"
+	"repro/internal/instances"
 	"repro/internal/timeslot"
+	"repro/internal/trace"
 )
 
 var (
@@ -219,6 +222,120 @@ func TestEvalPersistentBelowSupport(t *testing.T) {
 	m := analyticMarket(t)
 	if _, err := m.EvalPersistent(0.001, persist30); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("want ErrInfeasible, got %v", err)
+	}
+}
+
+// composedEvalPersistent is EvalPersistent composed from the public
+// calls, three CDF reads per bid: F(p) from CDF, Eq. 13 from
+// ExpectedRunningTime and E[π | π ≤ p] from dist.ConditionalMean.
+func composedEvalPersistent(m Market, p float64, job Job) (Bid, error) {
+	mm, err := m.normalized()
+	if err != nil {
+		return Bid{}, err
+	}
+	if err := job.Validate(); err != nil {
+		return Bid{}, err
+	}
+	f := mm.Price.CDF(p)
+	if f <= 0 {
+		return Bid{}, fmt.Errorf("%w: bid %v never beats the spot price", ErrInfeasible, p)
+	}
+	run, err := mm.ExpectedRunningTime(p, job)
+	if err != nil {
+		return Bid{}, err
+	}
+	espot := dist.ConditionalMean(mm.Price, p)
+	completion := timeslot.Hours(float64(run) / f)
+	inter := float64(completion)/float64(mm.Slot)*f*(1-f) - 1
+	if inter < 0 {
+		inter = 0
+	}
+	cost := float64(run) * espot
+	odCost := float64(job.Exec) * mm.OnDemand
+	return Bid{
+		Price:                 p,
+		AcceptProb:            f,
+		ExpectedSpot:          espot,
+		ExpectedRunTime:       run,
+		ExpectedCompletion:    completion,
+		ExpectedInterruptions: inter,
+		ExpectedCost:          cost,
+		OnDemandCost:          odCost,
+		BeatsOnDemand:         cost <= odCost,
+	}, nil
+}
+
+// TestEvalPersistentReadsCDFOnce pins the one-CDF evaluator to the
+// composition it replaced: on an Empirical, a WindowedECDF and a
+// uniform market with no PartialMean method (so the conditional mean
+// integrates the density), at bids from below the support to above π̄
+// and t_r ∈ {0, 10 s, 30 s, 1 h}, every field of EvalPersistent must
+// equal composedEvalPersistent's bit for bit, and the two must fail on
+// the same bids with the same error.
+func TestEvalPersistentReadsCDFOnce(t *testing.T) {
+	tr, err := trace.Generate(instances.R3XLarge, trace.GenOptions{Days: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	win, err := dist.NewWindowedECDF(2880, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lo := 0; lo < len(tr.Prices); lo += 500 {
+		if err := win.Slide(tr.Prices[lo:min(lo+500, len(tr.Prices))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	u, err := dist.NewUniform(0.03, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := any(u).(interface{ PartialMean(float64) float64 }); ok {
+		t.Fatal("the uniform market has a PartialMean method; the integral path would not run")
+	}
+	od := instances.MustLookup(instances.R3XLarge).OnDemand
+	markets := map[string]Market{
+		"empirical": empiricalMarket(t),
+		"windowed":  {Price: win, OnDemand: od},
+		"uniform":   {Price: u, OnDemand: 0.25},
+	}
+	for name, m := range markets {
+		sup := m.Price.Support()
+		bids := append(dist.Linspace(sup.Lo-0.01, m.OnDemand+0.05, 241), sup.Lo, sup.Hi, m.OnDemand)
+		for _, q := range []float64{0.05, 0.5, 0.9, 0.99} {
+			bids = append(bids, m.Price.Quantile(q))
+		}
+		var ok, infeasible int
+		for _, rec := range []timeslot.Hours{0, timeslot.Seconds(10), timeslot.Seconds(30), 1} {
+			job := Job{Exec: 2, Recovery: rec}
+			for _, p := range bids {
+				got, gerr := m.EvalPersistent(p, job)
+				want, werr := composedEvalPersistent(m, p, job)
+				if (gerr == nil) != (werr == nil) || errors.Is(gerr, ErrInfeasible) != errors.Is(werr, ErrInfeasible) ||
+					gerr != nil && gerr.Error() != werr.Error() {
+					t.Fatalf("%s t_r=%v bid %v: error %v, composed %v", name, float64(rec), p, gerr, werr)
+				}
+				if gerr != nil {
+					infeasible++
+					continue
+				}
+				ok++
+				bits := func(b Bid) [8]uint64 {
+					return [8]uint64{
+						math.Float64bits(b.Price), math.Float64bits(b.AcceptProb), math.Float64bits(b.ExpectedSpot),
+						math.Float64bits(float64(b.ExpectedRunTime)), math.Float64bits(float64(b.ExpectedCompletion)),
+						math.Float64bits(b.ExpectedInterruptions), math.Float64bits(b.ExpectedCost), math.Float64bits(b.OnDemandCost),
+					}
+				}
+				if bits(got) != bits(want) || got.BeatsOnDemand != want.BeatsOnDemand {
+					t.Fatalf("%s t_r=%v bid %v:\n  evaluator %+v\n  composed  %+v", name, float64(rec), p, got, want)
+				}
+			}
+		}
+		// Vacuity guard: both outcomes must occur on every market.
+		if ok == 0 || infeasible == 0 {
+			t.Fatalf("%s: %d feasible and %d infeasible evaluations — widen the bids", name, ok, infeasible)
+		}
 	}
 }
 

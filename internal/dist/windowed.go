@@ -27,10 +27,10 @@ import (
 // approximately equal) against NewEmpirical over the same window, so
 // seeded runs are bit-for-bit unchanged by the fast path.
 //
-// A WindowedECDF is not safe for concurrent use. Until the first Push
-// or Fill it holds no samples and the Dist methods panic; callers gate
-// on N() > 0 (the bidding client only consults the monitor after
-// ingesting at least one quote).
+// A WindowedECDF is not safe for concurrent use. Until the first Push,
+// Slide or Fill it holds no samples and the Dist methods panic;
+// callers gate on N() > 0 (the bidding client only consults the
+// monitor after ingesting at least one quote).
 type WindowedECDF struct {
 	capacity int
 	ring     []float64 // arrival-order storage, len == capacity
@@ -39,6 +39,15 @@ type WindowedECDF struct {
 
 	sorted []float64  // the n live samples, sorted ascending
 	runs   []valueRun // Fill's scratch, kept at its high-water size
+
+	// Slide's scratch, allocated on first use and kept: the buffer the
+	// merge writes the next sorted slice into (capacity-sized, swapped
+	// with sorted after each merge), the batch's and the evicted
+	// samples' sorted runs, and the values of a batch too short on runs
+	// to sort by run.
+	merged []float64
+	edits  []valueRun
+	values []float64
 
 	// Lazily rebuilt aggregates. Each family carries its own dirty
 	// flag (every mutation sets all three) so a quote path that only
@@ -122,6 +131,180 @@ func (w *WindowedECDF) Push(x float64) error {
 	w.n++
 	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
 	return nil
+}
+
+// Slide ingests a batch of observations, oldest first, and leaves the
+// window exactly as Pushing them one by one would: the same samples
+// oldest to newest, the same sorted slice bit for bit, and the lazy
+// aggregates dirty. It is the catch-up path for a reader that queries
+// the window once per batch, as the lanes quote grid does once per
+// quote epoch. k Pushes move 2k half-windows through memmove; Slide
+// sorts the batch and the values it evicts and rebuilds the sorted
+// slice in one merge pass, O(n + k log k).
+//
+// The whole batch is validated first, so a NaN or Inf leaves the
+// window unchanged. An empty batch changes nothing, a single value is
+// a Push, and a batch of at least Cap values is a Fill. A zero in the
+// batch or among the samples it evicts sends the batch through Push
+// one value at a time: −0 and +0 compare equal but differ in bits, and
+// the places Push gives them are the contract.
+func (w *WindowedECDF) Slide(xs []float64) error {
+	runs, zero := 0, false
+	prev := math.NaN()
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
+		}
+		if x != prev {
+			runs++
+			prev = x
+		}
+		if x == 0 {
+			zero = true
+		}
+	}
+	k := len(xs)
+	switch {
+	case k == 0:
+		return nil
+	case k == 1:
+		return w.Push(xs[0])
+	}
+	// The batch evicts the e oldest live samples, all of them when it
+	// fills the window by itself.
+	e := min(max(w.n+k-w.capacity, 0), w.n)
+	old, wrapped := w.oldest(e)
+	zero = zero || slices.Contains(old, 0) || slices.Contains(wrapped, 0)
+	if zero {
+		for _, x := range xs {
+			_ = w.Push(x) // validated above
+		}
+		return nil
+	}
+	if k >= w.capacity {
+		return w.Fill(xs)
+	}
+
+	// The evicted samples arrived as an earlier batch of the same
+	// stream, so the batch's runs decide how both are sorted.
+	byRun := runs*minRunLength <= k
+	if cap(w.edits) < 2*k {
+		w.edits = make([]valueRun, 2*k)
+	}
+	in := w.sortedRuns(w.edits[:0:k], byRun, xs)
+	gone := w.sortedRuns(w.edits[k:k:2*k], byRun, old, wrapped)
+
+	// The ring, as Push writes it: the batch lands after the newest
+	// sample, overwriting the e oldest.
+	tail := w.head + w.n
+	if tail >= w.capacity {
+		tail -= w.capacity
+	}
+	copy(w.ring, xs[copy(w.ring[tail:], xs):])
+	w.head += e
+	if w.head >= w.capacity {
+		w.head -= w.capacity
+	}
+	w.n += k - e
+
+	if w.merged == nil {
+		w.merged = make([]float64, 0, w.capacity)
+	}
+	w.sorted, w.merged = mergeWindow(w.merged[:0], w.sorted, gone, in), w.sorted[:0]
+	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
+	return nil
+}
+
+// oldest returns the e oldest live samples in arrival order, as the
+// ring segment from the head and the segment that wraps to the start.
+func (w *WindowedECDF) oldest(e int) (old, wrapped []float64) {
+	if end := w.head + e; end > w.capacity {
+		return w.ring[w.head:], w.ring[:end-w.capacity]
+	}
+	return w.ring[w.head : w.head+e], nil
+}
+
+// sortedRuns appends to rs the values of the segments as runs of equal
+// values sorted by value; one value may span adjacent runs. rs must
+// have room for every value. Dwell-model prices come in runs of equal
+// consecutive values, and with byRun it sorts those runs, as Fill does;
+// otherwise it sorts the values and counts the runs of the result.
+func (w *WindowedECDF) sortedRuns(rs []valueRun, byRun bool, segs ...[]float64) []valueRun {
+	if byRun {
+		for _, seg := range segs {
+			rs = appendRuns(rs, seg)
+		}
+		slices.SortFunc(rs, func(a, b valueRun) int {
+			switch {
+			case a.v < b.v:
+				return -1
+			case a.v > b.v:
+				return 1
+			}
+			return 0
+		})
+		return rs
+	}
+	if w.values == nil {
+		w.values = make([]float64, 0, w.capacity)
+	}
+	vs := w.values[:0]
+	for _, seg := range segs {
+		vs = append(vs, seg...)
+	}
+	slices.Sort(vs)
+	return appendRuns(rs, vs)
+}
+
+// appendRuns appends to rs the runs of equal consecutive values of xs.
+func appendRuns(rs []valueRun, xs []float64) []valueRun {
+	for i := 0; i < len(xs); {
+		j := i + 1
+		for j < len(xs) && xs[j] == xs[i] {
+			j++
+		}
+		rs = append(rs, valueRun{v: xs[i], n: j - i})
+		i = j
+	}
+	return rs
+}
+
+// mergeWindow appends to dst the sorted slice s with the runs of gone
+// removed and the runs of in inserted. gone and in are sorted by value
+// and hold no zero, and gone's values are a sub-multiset of s. The pass
+// copies s chunk by chunk between the edits, with one galloping search
+// per run; equal non-zero floats share their bits, so which copies of
+// a value are dropped, and where among its equals a new value lands,
+// cannot show.
+func mergeWindow(dst, s []float64, gone, in []valueRun) []float64 {
+	i := 0
+	for len(gone) > 0 || len(in) > 0 {
+		if len(in) == 0 || len(gone) > 0 && gone[0].v <= in[0].v {
+			j := gallopGE(s, i, gone[0].v)
+			dst = append(dst, s[i:j]...)
+			i, gone = j+gone[0].n, gone[1:]
+		} else {
+			j := gallopGE(s, i, in[0].v)
+			dst = append(dst, s[i:j]...)
+			for range in[0].n {
+				dst = append(dst, in[0].v)
+			}
+			i, in = j, in[1:]
+		}
+	}
+	return append(dst, s[i:]...)
+}
+
+// gallopGE is i + searchGE(xs[i:], x), found by doubling a bracket from
+// i before the binary search, so an answer d places on costs
+// O(log d) probes rather than O(log(len(xs) − i)).
+func gallopGE(xs []float64, i int, x float64) int {
+	bound := 1
+	for i+bound <= len(xs) && xs[i+bound-1] < x {
+		bound <<= 1
+	}
+	lo := i + bound>>1
+	return lo + searchGE(xs[lo:min(i+bound, len(xs))], x)
 }
 
 // Fill replaces the window contents with the trailing min(len(xs), Cap)

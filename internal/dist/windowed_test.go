@@ -1,9 +1,11 @@
 package dist
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -237,6 +239,271 @@ func FuzzFillEquivalence(f *testing.F) {
 			assertElementIdentical(t, w, windowOf(xs, capacity), 0)
 		}
 	})
+}
+
+// arrivals returns w's live samples, oldest first.
+func arrivals(w *WindowedECDF) []float64 {
+	out := make([]float64, w.n)
+	for i := range out {
+		out[i] = w.ring[(w.head+i)%w.capacity]
+	}
+	return out
+}
+
+// assertSameWindow demands that got holds what want holds: the same
+// samples oldest to newest and the same sorted slice, both bit for bit,
+// with the same lazy aggregates dirty.
+func assertSameWindow(t *testing.T, got, want *WindowedECDF) {
+	t.Helper()
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	if g, w := bits(arrivals(got)), bits(arrivals(want)); !slices.Equal(g, w) {
+		t.Fatalf("arrival order differs:\n  slid   %v\n  pushed %v", arrivals(got), arrivals(want))
+	}
+	if g, w := bits(got.Values()), bits(want.Values()); !slices.Equal(g, w) {
+		t.Fatalf("sorted window differs:\n  slid   %v\n  pushed %v", got.Values(), want.Values())
+	}
+	if got.dirtyPrefix != want.dirtyPrefix || got.dirtyMoments != want.dirtyMoments || got.dirtyHist != want.dirtyHist {
+		t.Fatalf("dirty flags: slid (%v, %v, %v), pushed (%v, %v, %v)",
+			got.dirtyPrefix, got.dirtyMoments, got.dirtyHist, want.dirtyPrefix, want.dirtyMoments, want.dirtyHist)
+	}
+}
+
+// slideTwins slides batch into slid and Pushes it value by value into
+// pushed, appends it to stream, and holds slid to pushed and, unless
+// the stream has held both +0 and −0, both to NewEmpirical over the
+// trailing window. Push evicts the first zero of the sorted slice
+// whatever its sign, so a stream that mixes the two can leave a sorted
+// slice whose zeros differ in sign from the ring's; Slide must match
+// Push there too, but NewEmpirical sees only the ring.
+func slideTwins(t *testing.T, slid, pushed *WindowedECDF, stream *[]float64, batch []float64) {
+	t.Helper()
+	if err := slid.Slide(batch); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range batch {
+		if err := pushed.Push(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	*stream = append(*stream, batch...)
+	assertSameWindow(t, slid, pushed)
+	if len(*stream) == 0 {
+		return
+	}
+	pos, neg := false, false
+	for _, x := range *stream {
+		if x == 0 {
+			pos, neg = pos || !math.Signbit(x), neg || math.Signbit(x)
+		}
+	}
+	if !(pos && neg) {
+		// Both twins answer the queries, so their lazy aggregates stay
+		// dirty alike for the next comparison.
+		for _, w := range []*WindowedECDF{slid, pushed} {
+			assertElementIdentical(t, w, windowOf(*stream, w.Cap()), 0)
+		}
+	}
+}
+
+// TestWindowedSlide holds Slide to Push, value by value, on the cases
+// its merge must get right: filling an empty window, the first
+// evictions, batches of Cap and more (the Fill branch), runs of equal
+// values on both sides of the merge, a value evicted and re-inserted in
+// one batch, negatives, zeros of either sign in the batch or among the
+// evicted samples (the Push fallback), a rejected batch, and batches
+// sorted by run and by value. Every case reuses one window across its
+// slides, as the quote grid does.
+func TestWindowedSlide(t *testing.T) {
+	const capacity = 16
+	negZero := math.Copysign(0, -1)
+	seq := func(lo, n int, f func(i int) float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = f(lo + i)
+		}
+		return xs
+	}
+	cases := []struct {
+		name    string
+		batches [][]float64
+	}{
+		{"window not yet full", [][]float64{
+			{0.5, 0.25, 0.75}, seq(0, 5, func(i int) float64 { return 1 + float64(i%3) }), {0.25, 0.25},
+		}},
+		{"first evictions", [][]float64{
+			seq(0, 14, func(i int) float64 { return float64(i) + 0.5 }), seq(0, 5, func(i int) float64 { return 20 - float64(i) }),
+			seq(0, 7, func(i int) float64 { return float64(i%2) + 0.125 }),
+		}},
+		{"batch of Cap and longer", [][]float64{
+			seq(0, 9, func(i int) float64 { return float64(i) }), seq(0, capacity, func(i int) float64 { return 3 - float64(i)/4 }),
+			seq(0, 3*capacity+5, func(i int) float64 { return float64(i%7) + 0.5 }), {2, 2, 2},
+		}},
+		{"runs straddling the merge", [][]float64{
+			{1, 1, 1, 1, 2, 2, 2, 3, 3, 3, 3, 3, 1, 1, 2, 2}, {1, 1, 1, 2, 2, 3, 3, 3},
+			{3, 3, 1, 1, 1, 1, 1, 2, 2, 2}, {2, 1, 3, 2, 1},
+		}},
+		{"evicted and re-inserted", [][]float64{
+			seq(0, capacity, func(i int) float64 { return float64(i) + 0.5 }), {0.5, 1.5, 2.5, 0.5}, {4.5, 9.5, 4.5},
+		}},
+		{"negatives", [][]float64{
+			seq(0, 12, func(i int) float64 { return -float64(i%5) - 0.5 }), {-7, 3, -7, -0.5, 2},
+			seq(0, 9, func(i int) float64 { return float64(i%3) - 1.25 }),
+		}},
+		{"zero in the batch", [][]float64{
+			seq(0, 12, func(i int) float64 { return float64(i) + 1 }), {2, 0, 5, 0}, {0, 1, 0},
+			seq(0, 10, func(i int) float64 { return float64(i%4) + 1 }),
+		}},
+		{"−0 among the evicted", [][]float64{
+			{negZero, negZero, 3, negZero, -2}, seq(0, 11, func(i int) float64 { return float64(i%3) - 1.5 }),
+			{4, 5, 6, 4}, {1, 2},
+		}},
+		{"mixed-sign zeros", [][]float64{
+			{0, negZero, 1, negZero, 0}, seq(0, 12, func(i int) float64 { return float64(i) }), {negZero, 7, 0},
+			seq(0, 14, func(i int) float64 { return float64(i%5) - 2 }), seq(0, 20, func(i int) float64 { return 1 }),
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			slid, _ := NewWindowedECDF(capacity, 0)
+			pushed, _ := NewWindowedECDF(capacity, 0)
+			var stream []float64
+			for _, b := range c.batches {
+				slideTwins(t, slid, pushed, &stream, b)
+			}
+		})
+	}
+
+	t.Run("rejected batch", func(t *testing.T) {
+		slid, _ := NewWindowedECDF(capacity, 0)
+		pushed, _ := NewWindowedECDF(capacity, 0)
+		var stream []float64
+		slideTwins(t, slid, pushed, &stream, seq(0, 20, func(i int) float64 { return float64(i % 6) }))
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			if err := slid.Slide([]float64{1, 2, bad, 3}); !errors.Is(err, ErrBadParam) {
+				t.Fatalf("Slide with %v: err %v, want ErrBadParam", bad, err)
+			}
+			assertSameWindow(t, slid, pushed)
+		}
+		slideTwins(t, slid, pushed, &stream, []float64{4, 4, 1})
+	})
+
+	// Batches alternate between runs of 1–6 equal values, which Slide
+	// sorts by run, and single values, which it sorts one by one.
+	t.Run("one window, varying lengths", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		slid, _ := NewWindowedECDF(capacity, 0)
+		pushed, _ := NewWindowedECDF(capacity, 0)
+		var stream []float64
+		byRun := 0
+		for i := 0; i < 200; i++ {
+			n := rng.Intn(capacity + 4)
+			if i%25 == 0 {
+				n = 2*capacity + rng.Intn(capacity)
+			}
+			level := func() float64 { return float64(rng.Intn(9)-4) + 0.5 }
+			batch := runStream(rng, n, 1+5*(i%2), level)
+			if n >= 2 && n < capacity && runCount(batch)*minRunLength <= n {
+				byRun++
+			}
+			slideTwins(t, slid, pushed, &stream, batch)
+		}
+		if byRun == 0 || slid.values == nil {
+			t.Fatalf("both sorts must run: %d batches sorted by run, value sort taken %v", byRun, slid.values != nil)
+		}
+	})
+}
+
+// FuzzSlideEquivalence decodes a capacity and a sequence of batches,
+// slides each batch into one window and Pushes it into another, and
+// requires the two to hold the same samples, oldest to newest and
+// sorted, bit for bit, and to match NewEmpirical over the trailing
+// window (see slideTwins for streams that mix the signs of zero). Byte
+// 0 sets the capacity (1–64); then each batch is a length byte (0–95)
+// followed by that many value bytes, one of 16 levels from −3.75 to
+// 3.75, except 0x08 for +0 and 0x88 for −0.
+func FuzzSlideEquivalence(f *testing.F) {
+	f.Add([]byte{15, 20, 0x10, 0x10, 0x20, 0x20, 0x20, 0xf0, 0xf0, 0x10, 0x30, 0x30, 0x30, 0x30, 0x40, 0x40, 0x10, 0x10, 0x20, 0x20, 0x50, 0x50, 5, 0x10, 0x20, 0x10, 0x60, 0x60})
+	f.Add([]byte{7, 3, 0x08, 0x10, 0x88, 12, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x10, 0x20, 0x30, 0x40, 0x50})
+	f.Add([]byte{3, 9, 0x90, 0xa0, 0xb0, 0x90, 0xa0, 0xb0, 0x90, 0xa0, 0xb0, 0, 2, 0x90, 0x90})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) < 2 {
+			t.Skip()
+		}
+		capacity := int(raw[0])%64 + 1
+		slid, _ := NewWindowedECDF(capacity, 0)
+		pushed, _ := NewWindowedECDF(capacity, 0)
+		var stream []float64
+		for i := 1; i < len(raw); {
+			n := int(raw[i]) % 96
+			i++
+			batch := make([]float64, 0, n)
+			for ; len(batch) < n && i < len(raw); i++ {
+				v := float64(int8(raw[i])>>4)/2 + 0.25
+				switch raw[i] {
+				case 0x08:
+					v = 0
+				case 0x88:
+					v = math.Copysign(0, -1)
+				}
+				batch = append(batch, v)
+			}
+			slideTwins(t, slid, pushed, &stream, batch)
+		}
+	})
+}
+
+// BenchmarkWindowedSlide times one quote epoch of the lanes fleet's
+// grid: 288 new prices into a full 2,880-slot window, as one Slide and
+// as 288 Pushes, on a stream in runs of 1–35 equal values (mean 18, the
+// calibrated dwell) and on an i.i.d. one.
+func BenchmarkWindowedSlide(b *testing.B) {
+	const capacity, batch = 2880, 288
+	for _, c := range []struct {
+		name   string
+		maxRun int
+	}{{"dwell18", 35}, {"iid", 1}} {
+		rng := rand.New(rand.NewSource(1))
+		stream := runStream(rng, capacity+100*batch, c.maxRun, func() float64 { return 0.03 + rng.Float64() })
+		for _, slide := range []bool{true, false} {
+			name := c.name + "/push"
+			if slide {
+				name = c.name + "/slide"
+			}
+			b.Run(name, func(b *testing.B) {
+				w, _ := NewWindowedECDF(capacity, 0)
+				next := len(stream)
+				for i := 0; i < b.N; i++ {
+					if next+batch > len(stream) {
+						b.StopTimer()
+						if err := w.Fill(stream[:capacity]); err != nil {
+							b.Fatal(err)
+						}
+						next = capacity
+						b.StartTimer()
+					}
+					xs := stream[next : next+batch]
+					next += batch
+					if slide {
+						if err := w.Slide(xs); err != nil {
+							b.Fatal(err)
+						}
+						continue
+					}
+					for _, x := range xs {
+						if err := w.Push(x); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
+		}
+	}
 }
 
 // TestWindowedRejectsBadSamples: NaN/Inf are rejected without

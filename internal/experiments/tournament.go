@@ -50,7 +50,7 @@ type TournamentCell struct {
 // the whole chaos grid.
 type TournamentRow struct {
 	// Rank is the 1-based league position.
-	Rank int
+	Rank     int
 	Strategy string
 	// Guarantees mirrors the registry's completion promise.
 	Guarantees bool

@@ -162,7 +162,7 @@ func TestCheckpointCheckerViolations(t *testing.T) {
 			[]event.Event{exportEvent(10, 0.6), importEvent(11, 0.4)},
 			"more progress than the last durable export"},
 		{"import-regresses",
-			[]event.Event{exportEvent(10, 0.6), importEvent(11, 0.6 + pen + 0.1)},
+			[]event.Event{exportEvent(10, 0.6), importEvent(11, 0.6+pen+0.1)},
 			"regressed past the last durable export"},
 		{"export-exceeds-allowance",
 			[]event.Event{exportEvent(10, 1.5)},

@@ -6,7 +6,10 @@
 // It exists for fleets where 10⁴–10⁶ simulated bidders are the
 // market, where the per-client slot loop — a monitored market fetch
 // per tenant per slot, tens of µs each (client.market in
-// BENCH.json) — is orders of magnitude too slow. The same engine runs
+// BENCH.json) — is orders of magnitude too slow. Lanes fetch no
+// markets: each market's Prop. 4/5 quotes are solved once per quote
+// epoch on a window that slides the epoch's slots in as one batch,
+// and a lane bids its submission epoch's quote. The same engine runs
 // the §7.1 experiments' arms (Figures 5 and 6), which price their own
 // bids and hand the engine explicit lanes through NewEngine.
 //
@@ -204,11 +207,11 @@ type Engine struct {
 }
 
 // New builds the fleet: one market per type (traces generated through
-// the memoized generator, quote grids computed from the live windowed
-// ECDF), then one lane per tenant, seeded lane by lane from the
-// lane-index RNG streams, and hands both to NewEngine. Markets build
-// in parallel — each owns its slot in the markets array, so the build
-// is deterministic.
+// the memoized generator, quote grids solved on a windowed ECDF that
+// slides one batch of slots in per quote epoch), then one lane per
+// tenant, seeded lane by lane from the lane-index RNG streams, and
+// hands both to NewEngine. Markets build in parallel — each owns its
+// slot in the markets array, so the build is deterministic.
 func New(cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -350,11 +353,14 @@ func laneParams(cfg Config, i, maxStagger, markets int) (market int, kind uint8,
 	return market, kind, start, bidF
 }
 
-// buildMarket generates market mi's price series and walks it once,
-// pushing every slot into the live windowed ECDF and computing the
-// Prop. 4/5 quote grid at each epoch boundary — the branch-free
-// quantile/expectation queries on the shared window replace one
-// O(n log n) snapshot per lane with two bid solves per epoch.
+// buildMarket generates market mi's price series and walks its quote
+// epochs: at each it slides the slots since the last epoch into the
+// live windowed ECDF as one batch and solves the Prop. 4/5 bids on the
+// window. The window then holds exactly what pushing every slot would
+// leave, at the cost of one merge per epoch instead of two memmoves per
+// slot, and the branch-free quantile/expectation queries on the shared
+// window replace one O(n log n) snapshot per lane with two bid solves
+// per epoch.
 func buildMarket(cfg Config, mi int, typ instances.Type, grid timeslot.Grid, horizon int) (Market, []quote, error) {
 	spec, err := instances.Lookup(typ)
 	if err != nil {
@@ -380,25 +386,24 @@ func buildMarket(cfg Config, mi int, typ instances.Type, grid timeslot.Grid, hor
 		return Market{}, nil, err
 	}
 	job := core.Job{Exec: cfg.Exec, Recovery: cfg.Recovery}
+	m := core.Market{Price: win, OnDemand: spec.OnDemand, Slot: grid.Slot}
 	quotes := make([]quote, (horizon-1)/cfg.QuoteEvery+1)
-	epoch := 0
-	for s := 0; s < horizon; s++ {
-		if err := win.Push(tr.Prices[s]); err != nil {
+	next := 0 // first slot not yet in the window
+	for epoch := range quotes {
+		s := epoch * cfg.QuoteEvery
+		if err := win.Slide(tr.Prices[next : s+1]); err != nil {
 			return Market{}, nil, err
 		}
-		if s == epoch*cfg.QuoteEvery {
-			m := core.Market{Price: win, OnDemand: spec.OnDemand, Slot: grid.Slot}
-			ot, err := m.OneTimeBid(job)
-			if err != nil {
-				return Market{}, nil, fmt.Errorf("lanes: one-time quote for %s at slot %d: %w", typ, s, err)
-			}
-			pb, err := m.PersistentBid(job)
-			if err != nil {
-				return Market{}, nil, fmt.Errorf("lanes: persistent quote for %s at slot %d: %w", typ, s, err)
-			}
-			quotes[epoch] = quote{oneTime: ot.Price, persistent: pb.Price}
-			epoch++
+		next = s + 1
+		ot, err := m.OneTimeBid(job)
+		if err != nil {
+			return Market{}, nil, fmt.Errorf("lanes: one-time quote for %s at slot %d: %w", typ, s, err)
 		}
+		pb, err := m.PersistentBid(job)
+		if err != nil {
+			return Market{}, nil, fmt.Errorf("lanes: persistent quote for %s at slot %d: %w", typ, s, err)
+		}
+		quotes[epoch] = quote{oneTime: ot.Price, persistent: pb.Price}
 	}
 	return Market{Type: typ, Prices: tr.Prices}, quotes, nil
 }

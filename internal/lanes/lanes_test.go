@@ -47,6 +47,7 @@ func TestLaneMatchesJobRun(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	auditLanes(t, e)
 	// The oracle replays each lane over its engine market's prices, so
 	// first pin those to the generator's series for the market's seed.
 	for mi, m := range e.markets {
@@ -124,6 +125,107 @@ func checkLaneOracle(t *testing.T, e *Engine, i int, exec, recovery timeslot.Hou
 	return got
 }
 
+// auditLanes checks every lane of a settled engine against identities
+// that follow from the lane kernel's transitions alone, with no second
+// simulation to compare against:
+//
+//   - Slot accounting. An open request launches when bid ≥ price and a
+//     running instance is out-bid when bid < price, so a lane's run
+//     slots are exactly its observed slots priced at or below its bid,
+//     and its idle slots the ones priced above it, less a failed lane's
+//     out-bid slot, which is neither. A lane observes the slots after
+//     its start up to its finish if it is done or failed, and up to the
+//     last settled slot if it is live.
+//   - Done. A done lane owes no work or recovery, holds no open
+//     instance bill, and finished after its start.
+//   - Failed. A failed lane is one-time, was interrupted exactly once,
+//     holds no open bill, and finished after its start.
+//   - Live. A live lane has finish −1 and still owes work; a live
+//     one-time lane was never interrupted. Its status agrees with its
+//     instance: pending never launched, running is up, idle launched
+//     and is down.
+//   - Recovery. Every interruption but a pending one was restored, and
+//     the recovery hours are t_r summed once per restore.
+//   - Billing. Each run slot bills its price for one slot, so the billed
+//     total (closed cost plus the open instance's bill) equals the slot
+//     hours times the prices of the run slots, to a relative 1e-9 for
+//     the summation order. That places it between the lowest price and
+//     the bid, times slot hours times run slots.
+func auditLanes(t testing.TB, e *Engine) {
+	t.Helper()
+	dt := e.slotHours
+	for i := 0; i < e.N(); i++ {
+		st, start, finish := e.status[i], int(e.start[i]), int(e.finish[i])
+		runSlots, idleSlots, intr := int(e.runSlots[i]), int(e.idleSlots[i]), int(e.intr[i])
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("lane %d (%s, status %d, start %d, finish %d, run %d, idle %d, interruptions %d): "+format,
+				append([]any{i, kindName(e.kind[i]), st, start, finish, runSlots, idleSlots, intr}, args...)...)
+		}
+
+		end, outBid := e.slot, 0
+		switch st {
+		case laneDone:
+			end = finish
+			if e.remaining[i] != 0 || e.pendingRec[i] != 0 || e.instCost[i] != 0 {
+				fail("done, but owes work %v and recovery %v, open bill %v", e.remaining[i], e.pendingRec[i], e.instCost[i])
+			}
+		case laneFailed:
+			end, outBid = finish, 1
+			if e.kind[i] != KindOneTime || intr != 1 || e.instCost[i] != 0 {
+				fail("failed, but not a once-interrupted one-time lane with no open bill (open bill %v)", e.instCost[i])
+			}
+		default:
+			if finish != -1 || !(e.remaining[i] > 1e-12) {
+				fail("live, but finished or owes no work (remaining %v)", e.remaining[i])
+			}
+			if e.kind[i] == KindOneTime && intr != 0 {
+				fail("a live one-time lane was interrupted")
+			}
+			if up, begun := e.active[i], e.begun[i]; st == lanePending && (up || begun) ||
+				st == laneRunning && !up || st == laneIdle && (up || !begun) {
+				fail("status disagrees with the instance (up %v, launched %v)", up, begun)
+			}
+		}
+		if finish != -1 && finish <= start {
+			fail("finished at or before its start")
+		}
+
+		var atOrBelow, above int
+		var billable float64
+		for _, p := range e.markets[e.market[i]].prices[min(start+1, end+1) : end+1] {
+			if e.bid[i] >= p {
+				atOrBelow++
+				billable += p * dt
+			} else {
+				above++
+			}
+		}
+		if runSlots != atOrBelow || idleSlots+outBid != above {
+			fail("observed %d slots at or below the bid and %d above", atOrBelow, above)
+		}
+		if e.begun[i] != (runSlots > 0) {
+			fail("launched %v with %d run slots", e.begun[i], runSlots)
+		}
+
+		restores := intr
+		if e.restore[i] {
+			restores--
+		}
+		var recovery float64
+		for r := 0; r < restores; r++ {
+			recovery += e.recovery[i]
+		}
+		if restores < 0 || e.recHours[i] != recovery {
+			fail("%d restores at t_r %v, but %v recovery hours", restores, e.recovery[i], e.recHours[i])
+		}
+
+		if billed := e.cost[i] + e.instCost[i]; math.Abs(billed-billable) > 1e-9*billable {
+			fail("billed %v, run slots priced %v", billed, billable)
+		}
+	}
+}
+
 // TestMixedRecoveryLanesMatchJobRun extends the oracle to lanes built
 // explicitly with NewEngine, where every lane carries its own recovery
 // and execution time. testConfig's fleet supplies the markets, bids and
@@ -160,6 +262,7 @@ func TestMixedRecoveryLanesMatchJobRun(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
+	auditLanes(t, e)
 	restored := map[timeslot.Hours]int{}
 	cohorts := map[[2]int]bool{}
 	for i, l := range ls {
@@ -240,6 +343,7 @@ func TestBidEqualToPrice(t *testing.T) {
 		} else if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
+		auditLanes(t, e)
 		var ties, running int
 		for i := 0; i < e.N(); i++ {
 			out := checkLaneOracle(t, e, i, cfg.Exec, cfg.Recovery)
@@ -298,6 +402,7 @@ func fleetBytes(t testing.TB, cfg Config, tick bool) (render string, jsonRep, js
 			t.Fatal(err)
 		}
 	}
+	auditLanes(t, e)
 	var buf bytes.Buffer
 	if err := e.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -430,14 +535,19 @@ func TestReferenceEquivalence(t *testing.T) {
 }
 
 // TestQuoteGridMatchesSnapshots proves the live-window quote grid
-// directly, on a fleet shaped like cmd/perfgate's fleetConfig: two
-// markets, 61 days, a 240-hour window and daily quotes. At every quote
-// epoch, the grid's one-time and persistent quotes must equal
-// OneTimeBid and PersistentBid on a fresh NewEmpirical of the window's
-// live samples at that slot, and every lane New builds must bid its
+// directly. The first shape is cmd/perfgate's fleetConfig: two markets,
+// 61 days, a 240-hour window and daily quotes. The others, with fewer
+// lanes, vary what buildMarket slides into its window per epoch:
+// i.i.d. prices (DwellSlots 1, so no runs), the default 61-day window
+// (capacity = horizon, never evicting), a stride that does not divide
+// the window (QuoteEvery 100), and epochs longer than a 4-hour window
+// (every batch replaces the window). At every quote epoch, the grid's
+// one-time and persistent quotes must equal OneTimeBid and
+// PersistentBid on a fresh NewEmpirical of the window's live samples at
+// that slot, bit for bit, and every lane New builds must bid its
 // epoch's snapshot quote times its spread.
 func TestQuoteGridMatchesSnapshots(t *testing.T) {
-	cfg := Config{
+	fleet := Config{
 		Types:      []instances.Type{instances.R3XLarge, instances.C34XL},
 		Lanes:      10_000,
 		Days:       61,
@@ -447,57 +557,81 @@ func TestQuoteGridMatchesSnapshots(t *testing.T) {
 		Window:     timeslot.Hours(240),
 		QuoteEvery: 288,
 	}
+	shapes := []struct {
+		name string
+		mod  func(c *Config)
+	}{
+		{"fleetConfig", func(c *Config) {}},
+		{"i.i.d. prices", func(c *Config) { c.DwellSlots = 1 }},
+		{"default 61-day window", func(c *Config) { c.Window = 0 }},
+		{"stride 100", func(c *Config) { c.QuoteEvery = 100 }},
+		{"epochs longer than the window", func(c *Config) { c.Window, c.QuoteEvery = 4, 96 }},
+	}
 	grid := timeslot.NewGrid(timeslot.DefaultSlot)
-	horizon := cfg.Days * int(grid.SlotsPerHour()) * 24
-	capacity := min(grid.CeilSlots(cfg.Window), horizon)
-	job := core.Job{Exec: cfg.Exec, Recovery: cfg.Recovery}
-	snapshots := make([][]quote, len(cfg.Types))
-	for mi, typ := range cfg.Types {
-		m, quotes, err := buildMarket(cfg, mi, typ, grid, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := (horizon-1)/cfg.QuoteEvery + 1; len(quotes) != want {
-			t.Fatalf("%s: %d quote epochs, want %d", typ, len(quotes), want)
-		}
-		for epoch, q := range quotes {
-			s := epoch * cfg.QuoteEvery
-			est, err := dist.NewEmpirical(m.Prices[max(s+1-capacity, 0):s+1], 0)
+	for i, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			cfg := fleet
+			if i > 0 {
+				cfg.Lanes = 500
+			}
+			sh.mod(&cfg)
+			cfg = cfg.withDefaults()
+			horizon := cfg.Days * int(grid.SlotsPerHour()) * 24
+			capacity := min(grid.CeilSlots(cfg.Window), horizon)
+			job := core.Job{Exec: cfg.Exec, Recovery: cfg.Recovery}
+			snapshots := make([][]quote, len(cfg.Types))
+			for mi, typ := range cfg.Types {
+				m, quotes, err := buildMarket(cfg, mi, typ, grid, horizon)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := (horizon-1)/cfg.QuoteEvery + 1; len(quotes) != want {
+					t.Fatalf("%s: %d quote epochs, want %d", typ, len(quotes), want)
+				}
+				for epoch, q := range quotes {
+					s := epoch * cfg.QuoteEvery
+					est, err := dist.NewEmpirical(m.Prices[max(s+1-capacity, 0):s+1], 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					mkt := core.Market{Price: est, OnDemand: instances.MustLookup(typ).OnDemand, Slot: grid.Slot}
+					ot, err := mkt.OneTimeBid(job)
+					if err != nil {
+						t.Fatal(err)
+					}
+					pb, err := mkt.PersistentBid(job)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := quote{oneTime: ot.Price, persistent: pb.Price}
+					if math.Float64bits(q.oneTime) != math.Float64bits(want.oneTime) ||
+						math.Float64bits(q.persistent) != math.Float64bits(want.persistent) {
+						t.Fatalf("%s epoch %d (slot %d): grid quotes %+v, snapshot %+v", typ, epoch, s, q, want)
+					}
+					snapshots[mi] = append(snapshots[mi], want)
+				}
+			}
+			e, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			mkt := core.Market{Price: est, OnDemand: instances.MustLookup(typ).OnDemand, Slot: grid.Slot}
-			ot, err := mkt.OneTimeBid(job)
-			if err != nil {
+			maxStagger := horizon/2 - cfg.QuoteEvery
+			for i := 0; i < e.N(); i++ {
+				mi, kind, start, bidF := laneParams(cfg, i, maxStagger, len(cfg.Types))
+				q := snapshots[mi][start/cfg.QuoteEvery]
+				base := q.oneTime
+				if kind == KindPersistent {
+					base = q.persistent
+				}
+				if want := base * bidF; math.Float64bits(e.bid[i]) != math.Float64bits(want) {
+					t.Fatalf("lane %d: bid %v, snapshot quote × spread %v", i, e.bid[i], want)
+				}
+			}
+			if _, err := e.Run(); err != nil {
 				t.Fatal(err)
 			}
-			pb, err := mkt.PersistentBid(job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := quote{oneTime: ot.Price, persistent: pb.Price}
-			if math.Float64bits(q.oneTime) != math.Float64bits(want.oneTime) ||
-				math.Float64bits(q.persistent) != math.Float64bits(want.persistent) {
-				t.Fatalf("%s epoch %d (slot %d): grid quotes %+v, snapshot %+v", typ, epoch, s, q, want)
-			}
-			snapshots[mi] = append(snapshots[mi], want)
-		}
-	}
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxStagger := horizon/2 - cfg.QuoteEvery
-	for i := 0; i < e.N(); i++ {
-		mi, kind, start, bidF := laneParams(cfg, i, maxStagger, len(cfg.Types))
-		q := snapshots[mi][start/cfg.QuoteEvery]
-		base := q.oneTime
-		if kind == KindPersistent {
-			base = q.persistent
-		}
-		if want := base * bidF; math.Float64bits(e.bid[i]) != math.Float64bits(want) {
-			t.Fatalf("lane %d: bid %v, snapshot quote × spread %v", i, e.bid[i], want)
-		}
+			auditLanes(t, e)
+		})
 	}
 }
 
