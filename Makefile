@@ -53,10 +53,11 @@ check: fmt vet no-wallclock race-obs race shuffle perfgate resilcheck
 # Short fuzz pass over both history-parser targets, the
 # fault-schedule shrinker, the strategy deciders, the quote-request
 # decoder + serving path, the tsdb chunk decoder, the branch-free
-# order-statistic searches, and the windowed ECDF's run-length Fill
-# and batch Slide.
+# order-statistic searches, the windowed ECDF's run-length Fill and
+# batch Slide, and the Pareto transform's exp∘log fast path.
 fuzz:
 	$(GO) test -fuzz=FuzzSearchEquivalence -fuzztime=30s ./internal/dist/
+	$(GO) test -fuzz=FuzzFromUniformMatchesPow -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzFillEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzSlideEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzReadCSV$$ -fuzztime=30s ./internal/trace/

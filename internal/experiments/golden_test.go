@@ -10,15 +10,18 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/event"
+	"repro/internal/obs/tsdb"
 	"repro/internal/trace"
 )
 
 // The batched-core equivalence goldens: the rendered bytes of the
 // Table 3 and Figure 5/6 macros (plus Table 3's merged metrics
-// snapshot), captured from the legacy per-slot path before the
-// struct-of-arrays / pooled-quote refactor landed. The refactor's
-// contract is that the fast path changes no observable byte — these
-// tests pin it. Regenerate with
+// snapshot and flight-recorder JSONL), captured from the legacy
+// per-slot path before the struct-of-arrays / pooled-quote refactor
+// landed, and Table 3's TSDB dump, captured from the serial Table 3
+// before its types moved onto sched.Ordered. The contract is that the
+// fast paths change no observable byte — these tests pin it.
+// Regenerate with
 //
 //	go test ./internal/experiments -run TestBatchedCore -update-golden
 //
@@ -66,9 +69,11 @@ func renderGoldens(t *testing.T) map[string][]byte {
 
 	met := obs.New()
 	rec := event.NewRecorder(event.Config{Unbounded: true})
+	db := tsdb.New(tsdb.Config{})
 	o := goldenOpts()
 	o.Metrics = met
 	o.Trace = rec
+	o.TSDB = db
 	t3, err := Table3(o)
 	if err != nil {
 		t.Fatal(err)
@@ -84,6 +89,7 @@ func renderGoldens(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	out["table3_trace"] = jsonl.Bytes()
+	out["table3_tsdb"] = db.DumpJSONL()
 
 	f5, err := Figure5(goldenOpts())
 	if err != nil {
@@ -108,16 +114,17 @@ func TestBatchedCoreGoldens(t *testing.T) {
 }
 
 // TestBatchedCoreGoldensProcMatrix re-runs the macro goldens — the
-// rendered reports, the merged metrics JSON, and the flight-recorder
-// JSONL — at GOMAXPROCS 1, 2, and NumCPU: worker-pool sizing and
-// shard boundaries both move with the proc count, so any leak of
-// scheduling into an observable byte fails here.
+// rendered reports, the merged metrics JSON, the flight-recorder
+// JSONL and the TSDB dump — at GOMAXPROCS 1, 2, NumCPU and 8:
+// worker-pool sizing and shard boundaries both move with the proc
+// count, so any leak of scheduling into an observable byte fails
+// here. 8 runs more workers than a small machine has cores.
 func TestBatchedCoreGoldensProcMatrix(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are written by TestBatchedCoreGoldens")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, p := range []int{1, 2, runtime.NumCPU()} {
+	for _, p := range []int{1, 2, runtime.NumCPU(), 8} {
 		runtime.GOMAXPROCS(p)
 		for name, got := range renderGoldens(t) {
 			checkGolden(t, name, got)

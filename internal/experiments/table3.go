@@ -4,6 +4,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/instances"
 	"repro/internal/obs/tsdb"
+	"repro/internal/sched"
 	"repro/internal/timeslot"
 	"repro/internal/trace"
 )
@@ -37,42 +38,36 @@ type Table3Result struct {
 
 // Table3 computes the optimal bid prices of Table 3 from two-month
 // synthetic histories for the five experiment types.
+//
+// The types are independent markets, so they run on sched.Ordered:
+// each type's history is generated in type order (its metrics and
+// PriceSet emission stay in that order, inside trace.Generate), and
+// its ECDF and bids are solved on another core while the next type
+// generates. The per-type counter and TSDB samples are recorded after
+// the solves finish, in type order, so the schedule is the same with
+// or without instrumentation and, when Table3 succeeds, every output
+// byte is independent of GOMAXPROCS. When a solve fails, later types
+// may already have generated into o.Metrics and o.Trace.
 func Table3(o Opts) (Table3Result, error) {
 	o = o.withDefaults()
 	res := Table3Result{Exec: 1}
-	for i, typ := range instances.Table3Types() {
+	types := instances.Table3Types()
+	traces := make([]*trace.Trace, len(types))
+	rows := make([]Table3Row, len(types))
+	err := sched.Ordered(len(types), func(i int) (err error) {
 		// DwellSlots 1: the table's bids depend only on the price
 		// marginal; independent draws give the cleanest two-month
 		// ECDF.
-		tr, err := trace.Generate(typ, trace.GenOptions{Days: 61, Seed: o.Seed + int64(i)*211, DwellSlots: 1, Metrics: o.Metrics, Trace: o.Trace})
-		if err != nil {
-			return Table3Result{}, err
-		}
-		ecdf, err := tr.ECDF(0)
-		if err != nil {
-			return Table3Result{}, err
-		}
-		m := core.Market{Price: ecdf, OnDemand: instances.MustLookup(typ).OnDemand}
-		oneTime, err := m.OneTimeBid(core.Job{Exec: res.Exec})
-		if err != nil {
-			return Table3Result{}, err
-		}
-		p10, err := m.PersistentBid(core.Job{Exec: res.Exec, Recovery: timeslot.Seconds(10)})
-		if err != nil {
-			return Table3Result{}, err
-		}
-		p30, err := m.PersistentBid(core.Job{Exec: res.Exec, Recovery: timeslot.Seconds(30)})
-		if err != nil {
-			return Table3Result{}, err
-		}
-		hist, err := tr.LastHours(timeslot.Hours(10))
-		if err != nil {
-			return Table3Result{}, err
-		}
-		best, err := hist.BestOfflinePrice(res.Exec)
-		if err != nil {
-			return Table3Result{}, err
-		}
+		traces[i], err = trace.Generate(types[i], trace.GenOptions{Days: 61, Seed: o.Seed + int64(i)*211, DwellSlots: 1, Metrics: o.Metrics, Trace: o.Trace})
+		return err
+	}, func(i int) (err error) {
+		rows[i], err = table3Row(types[i], traces[i], res.Exec)
+		return err
+	})
+	if err != nil {
+		return Table3Result{}, err
+	}
+	for i, row := range rows {
 		o.Metrics.Counter("experiments.table3.types").Inc()
 		if o.TSDB != nil {
 			// Table 3 has no slot loop — it is pure computation over a
@@ -80,25 +75,57 @@ func Table3(o Opts) (Table3Result, error) {
 			// one sample each at the history's final slot, labelled by
 			// market. This is the cross-type comparison series, not a
 			// time walk.
-			ls := tsdb.L("type", string(typ))
-			slot := tr.Len() - 1
-			o.TSDB.Append("table3.on_demand", ls, slot, m.OnDemand)
-			o.TSDB.Append("table3.one_time_bid", ls, slot, oneTime.Price)
-			o.TSDB.Append("table3.persistent_bid_10s", ls, slot, p10.Price)
-			o.TSDB.Append("table3.persistent_bid_30s", ls, slot, p30.Price)
-			o.TSDB.Append("table3.best_offline", ls, slot, best)
+			ls := tsdb.L("type", string(row.Type))
+			slot := traces[i].Len() - 1
+			o.TSDB.Append("table3.on_demand", ls, slot, row.OnDemand)
+			o.TSDB.Append("table3.one_time_bid", ls, slot, row.OneTime)
+			o.TSDB.Append("table3.persistent_bid_10s", ls, slot, row.Persistent10)
+			o.TSDB.Append("table3.persistent_bid_30s", ls, slot, row.Persistent30)
+			o.TSDB.Append("table3.best_offline", ls, slot, row.BestOffline)
 		}
-		res.Rows = append(res.Rows, Table3Row{
-			Type:                 typ,
-			OnDemand:             m.OnDemand,
-			OneTime:              oneTime.Price,
-			Persistent10:         p10.Price,
-			Persistent30:         p30.Price,
-			BestOffline:          best,
-			BestOfflineUnderbids: best < oneTime.Price,
-		})
 	}
+	res.Rows = rows
 	return res, nil
+}
+
+// table3Row solves one type's row from its generated history: the
+// Prop. 4 and Prop. 5 bids on the history's ECDF, and p̂ over its last
+// 10 hours.
+func table3Row(typ instances.Type, tr *trace.Trace, exec timeslot.Hours) (Table3Row, error) {
+	ecdf, err := tr.ECDF(0)
+	if err != nil {
+		return Table3Row{}, err
+	}
+	m := core.Market{Price: ecdf, OnDemand: instances.MustLookup(typ).OnDemand}
+	oneTime, err := m.OneTimeBid(core.Job{Exec: exec})
+	if err != nil {
+		return Table3Row{}, err
+	}
+	p10, err := m.PersistentBid(core.Job{Exec: exec, Recovery: timeslot.Seconds(10)})
+	if err != nil {
+		return Table3Row{}, err
+	}
+	p30, err := m.PersistentBid(core.Job{Exec: exec, Recovery: timeslot.Seconds(30)})
+	if err != nil {
+		return Table3Row{}, err
+	}
+	hist, err := tr.LastHours(timeslot.Hours(10))
+	if err != nil {
+		return Table3Row{}, err
+	}
+	best, err := hist.BestOfflinePrice(exec)
+	if err != nil {
+		return Table3Row{}, err
+	}
+	return Table3Row{
+		Type:                 typ,
+		OnDemand:             m.OnDemand,
+		OneTime:              oneTime.Price,
+		Persistent10:         p10.Price,
+		Persistent30:         p30.Price,
+		BestOffline:          best,
+		BestOfflineUnderbids: best < oneTime.Price,
+	}, nil
 }
 
 // Render returns the result as an aligned text table.

@@ -146,11 +146,13 @@ func checkLaneOracle(t *testing.T, e *Engine, i int, exec, recovery timeslot.Hou
 //     and is down.
 //   - Recovery. Every interruption but a pending one was restored, and
 //     the recovery hours are t_r summed once per restore.
-//   - Billing. Each run slot bills its price for one slot, so the billed
-//     total (closed cost plus the open instance's bill) equals the slot
-//     hours times the prices of the run slots, to a relative 1e-9 for
-//     the summation order. That places it between the lowest price and
-//     the bid, times slot hours times run slots.
+//   - Billing, exactly. Each maximal run of observed slots at or below
+//     the bid is one instance, billed its prices times slot hours,
+//     summed from zero in slot order; the instance's bill folds into
+//     the lane's cost when the run closes, in launch order. So a live
+//     lane's cost is bit for bit its closed runs folded in order and
+//     its open bill is the open run; a done or failed lane's cost is
+//     all of its runs folded in order and its open bill is 0.
 func auditLanes(t testing.TB, e *Engine) {
 	t.Helper()
 	dt := e.slotHours
@@ -192,13 +194,14 @@ func auditLanes(t testing.TB, e *Engine) {
 		}
 
 		var atOrBelow, above int
-		var billable float64
+		var closed, open float64 // runs folded in launch order; the open run's bill
 		for _, p := range e.markets[e.market[i]].prices[min(start+1, end+1) : end+1] {
 			if e.bid[i] >= p {
 				atOrBelow++
-				billable += p * dt
+				open += p * dt
 			} else {
 				above++
+				closed, open = closed+open, 0 // a run closes; adding 0 is exact
 			}
 		}
 		if runSlots != atOrBelow || idleSlots+outBid != above {
@@ -220,8 +223,11 @@ func auditLanes(t testing.TB, e *Engine) {
 			fail("%d restores at t_r %v, but %v recovery hours", restores, e.recovery[i], e.recHours[i])
 		}
 
-		if billed := e.cost[i] + e.instCost[i]; math.Abs(billed-billable) > 1e-9*billable {
-			fail("billed %v, run slots priced %v", billed, billable)
+		if st == laneDone || st == laneFailed {
+			closed, open = closed+open, 0
+		}
+		if math.Float64bits(e.cost[i]) != math.Float64bits(closed) || math.Float64bits(e.instCost[i]) != math.Float64bits(open) {
+			fail("billed %v closed and %v open, run slots priced %v closed and %v open", e.cost[i], e.instCost[i], closed, open)
 		}
 	}
 }
@@ -637,13 +643,14 @@ func TestQuoteGridMatchesSnapshots(t *testing.T) {
 
 // TestDeterminismMatrix is the GOMAXPROCS sweep of the acceptance
 // criteria: every observable byte stream must be identical at 1, 2,
-// and NumCPU workers, in both traversal orders. Shard boundaries move
-// with the worker count, so this catches any leak of schedule into
-// state — a shared RNG, a racy reduction, an order-dependent append.
+// NumCPU and 8 workers, in both traversal orders. Shard boundaries
+// move with the worker count, so this catches any leak of schedule
+// into state — a shared RNG, a racy reduction, an order-dependent
+// append. 8 oversubscribes a small machine, where NumCPU may be 2.
 func TestDeterminismMatrix(t *testing.T) {
 	cfg := testConfig()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	procs := []int{1, 2, runtime.NumCPU()}
+	procs := []int{1, 2, runtime.NumCPU(), 8}
 	var baseR string
 	var baseJ, baseL []byte
 	for _, p := range procs {

@@ -1,16 +1,20 @@
 // Package sched provides the deterministic bounded-parallelism
 // primitives shared by the experiment sweeps (internal/experiments)
 // and the struct-of-arrays batch engine (internal/lanes): a cell×run
-// grid pool with an ordered traced-run chain, and contiguous index
-// shards for data-parallel array kernels.
+// grid pool with an ordered traced-run chain, contiguous index shards
+// for data-parallel array kernels, and an ordered stage that runs a
+// serial first step per index ahead of a parallel second step.
 //
-// Both primitives carry the same determinism contract: the worker
-// callback writes its outcome into a pre-allocated per-index slot and
-// never touches shared state, so the caller can reduce the slots
-// serially in index order after the pool drains. Under that contract
-// every observable byte is independent of GOMAXPROCS and of the OS
+// All three primitives carry the same determinism contract: the
+// worker callback writes its outcome into a pre-allocated per-index
+// slot and never touches shared state, so the caller can reduce the
+// slots serially in index order after the pool drains. (Ordered's
+// first step is the one exception: it runs one index at a time, in
+// index order, so it may.) Under that contract every observable byte
+// of a call that succeeds is independent of GOMAXPROCS and of the OS
 // scheduler — parallelism changes only the wall-clock, never the
-// result.
+// result. After an error, what else already ran (and, for Grid, which
+// error is returned) may depend on the schedule.
 package sched
 
 import (
@@ -148,6 +152,54 @@ func Shards(n int, fn func(lo, hi int) error) error {
 			defer wg.Done()
 			errs[w] = fn(lo, hi)
 		}(w, lo, hi)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Ordered runs first(i) and then then(i) for every i ∈ [0, n). The
+// first calls run on the calling goroutine, one at a time, in index
+// order, so first may touch shared state (a metrics registry, a flight
+// recorder) and its effects land in the serial order. then(i) runs on
+// its own goroutine once first(i) returns, and may overlap first(j)
+// for j > i and any other then; like Grid's callback it must write
+// only to its own slot. At most GOMAXPROCS calls run at once: the
+// caller takes a token before first(i) and then(i) hands it back, so
+// at GOMAXPROCS 1 the calls run first(0), then(0), first(1), then(1),
+// …, the plain serial loop.
+//
+// On an error no new first starts; Ordered waits for the then calls
+// in flight and returns the error of the lowest failing index. An
+// index whose first returned nil always runs its then, so every index
+// below the lowest failure runs both steps and the returned error
+// does not depend on the schedule. What else ran may: when then(k)
+// fails, first may already have run for indices above k.
+func Ordered(n int, first, then func(i int) error) error {
+	errs := make([]error, n)
+	tokens := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		tokens <- struct{}{}
+		if stop.Load() {
+			break
+		}
+		if errs[i] = first(i); errs[i] != nil {
+			break
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if errs[i] = then(i); errs[i] != nil {
+				stop.Store(true)
+			}
+			<-tokens
+		}(i)
 	}
 	wg.Wait()
 	for _, err := range errs {

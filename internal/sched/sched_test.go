@@ -2,9 +2,12 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestShardsCoverage proves the contiguous split is a partition of
@@ -74,5 +77,154 @@ func TestRunsStopsAfterError(t *testing.T) {
 	}
 	if n := ran.Load(); int(n) >= 100 {
 		t.Fatalf("dispatch did not stop: all %d runs executed", n)
+	}
+}
+
+// spin yields a pseudo-random number of times, derived from seed, so
+// that concurrent calls interleave differently from index to index.
+func spin(seed uint64) {
+	seed = seed*0x9e3779b97f4a7c15 + 1
+	for k := uint64(0); k < seed>>58; k++ {
+		runtime.Gosched()
+	}
+}
+
+// TestOrderedFirstRunsInIndexOrder: the first calls run one at a time
+// in index order at any worker count, under jittered work on both
+// stages; every index runs each stage exactly once. The order slice is
+// appended without a lock, so -race also checks that consecutive first
+// calls are ordered by happens-before, not just by luck.
+func TestOrderedFirstRunsInIndexOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n = 64
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		var order []int
+		var inFirst atomic.Int32
+		thens := make([]int32, n)
+		err := Ordered(n, func(i int) error {
+			if inFirst.Add(1) != 1 {
+				t.Errorf("procs=%d: first(%d) overlaps another first", procs, i)
+			}
+			spin(uint64(i))
+			order = append(order, i)
+			inFirst.Add(-1)
+			return nil
+		}, func(i int) error {
+			spin(uint64(i) + n)
+			atomic.AddInt32(&thens[i], 1)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("procs=%d: first call %d ran index %d; order %v", procs, i, got, order)
+			}
+		}
+		if len(order) != n {
+			t.Fatalf("procs=%d: %d first calls, want %d", procs, len(order), n)
+		}
+		for i, c := range thens {
+			if c != 1 {
+				t.Fatalf("procs=%d: then(%d) ran %d times", procs, i, c)
+			}
+		}
+	}
+}
+
+// TestOrderedThenStartsAfterFirst: then(i) never starts before
+// first(i) has returned, and at GOMAXPROCS 1 the calls alternate
+// exactly as the serial loop would make them.
+func TestOrderedThenStartsAfterFirst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n = 48
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		returned := make([]atomic.Bool, n)
+		var mu sync.Mutex
+		var calls []int // first(i) logs i, then(i) logs −i−1
+		err := Ordered(n, func(i int) error {
+			mu.Lock()
+			calls = append(calls, i)
+			mu.Unlock()
+			spin(uint64(i))
+			returned[i].Store(true)
+			return nil
+		}, func(i int) error {
+			if !returned[i].Load() {
+				t.Errorf("procs=%d: then(%d) started before first(%d) returned", procs, i, i)
+			}
+			mu.Lock()
+			calls = append(calls, -i-1)
+			mu.Unlock()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		if procs == 1 {
+			for k, c := range calls {
+				want := k / 2
+				if k%2 == 1 {
+					want = -want - 1
+				}
+				if c != want {
+					t.Fatalf("procs=1: call %d was %d, want %d (the serial order); calls %v", k, c, want, calls)
+				}
+			}
+		}
+	}
+}
+
+// TestOrderedLowestFailingIndex: errors land in either stage at two
+// indices, under jittered work at GOMAXPROCS 1, 2 and 8; in a quarter
+// of the runs the lower failure is made the slower one, so the higher
+// lands first. Ordered must return the lower index's error after
+// running both steps of every index below it and no then of an index
+// whose first failed; at GOMAXPROCS 1, as in the serial loop, nothing
+// above the failure runs.
+func TestOrderedLowestFailingIndex(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n, runs = 16, 400
+	errAt := make([]error, n)
+	for i := range errAt {
+		errAt[i] = fmt.Errorf("index %d", i)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for run := 0; run < runs; run++ {
+			k, k2 := run%n, (run+5)%n
+			low := min(k, k2)
+			failStage := run % 2 // 0: first fails, 1: then fails
+			var ran [2][n]atomic.Bool
+			step := func(stage int) func(int) error {
+				return func(i int) error {
+					spin(uint64(run*n + i + stage))
+					if stage == failStage && i == low && run%4 < 2 {
+						time.Sleep(time.Millisecond)
+					}
+					ran[stage][i].Store(true)
+					if stage == failStage && (i == k || i == k2) {
+						return errAt[i]
+					}
+					return nil
+				}
+			}
+			if err := Ordered(n, step(0), step(1)); err != errAt[low] {
+				t.Fatalf("procs=%d run %d: got %v, want %v", procs, run, err, errAt[low])
+			}
+			for i := 0; i < n; i++ {
+				first, then := ran[0][i].Load(), ran[1][i].Load()
+				switch {
+				case i < low && !(first && then),
+					i == low && !(first && then == (failStage == 1)),
+					i > low && procs == 1 && (first || then):
+					t.Fatalf("procs=%d run %d, failure at %d: index %d ran first %v, then %v",
+						procs, run, low, i, first, then)
+				}
+			}
+		}
 	}
 }
