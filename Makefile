@@ -54,7 +54,8 @@ check: fmt vet no-wallclock race-obs race shuffle perfgate resilcheck
 # fault-schedule shrinker, the strategy deciders, the quote-request
 # decoder + serving path, the tsdb chunk decoder, the branch-free
 # order-statistic searches, the windowed ECDF's run-length Fill and
-# batch Slide, and the Pareto transform's exp∘log fast path.
+# batch Slide, the Pareto transform's exp∘log fast path, and the lane
+# kernel's bulk-loop bound.
 fuzz:
 	$(GO) test -fuzz=FuzzSearchEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzFromUniformMatchesPow -fuzztime=30s ./internal/dist/
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStrategyDecision -fuzztime=30s ./internal/strategy/
 	$(GO) test -fuzz=FuzzQuoteRequest -fuzztime=30s ./internal/serve/
 	$(GO) test -fuzz=FuzzTSDBDecode -fuzztime=30s ./internal/obs/tsdb/
+	$(GO) test -fuzz=FuzzBulkSlots -fuzztime=30s ./internal/lanes/
 
 # Resilience smoke campaign (deterministic seed): the full default
 # fault-schedule grid plus random schedules under all five invariant
@@ -85,11 +87,12 @@ bench:
 bench-record:
 	$(GO) run ./cmd/perfgate -out BENCH.json
 
-# Struct-of-arrays fleet engine benchmarks (in-package: SoA run vs the
-# array-of-structs reference twin, allocs reported). The committed
-# fleet-scale numbers live in BENCH.json (lanes.fleet_tick and the
-# lanes.fleet speedup) and are enforced by `make check` through
-# perfgate's ratio + min-speedup gates.
+# Struct-of-arrays fleet engine benchmarks (in-package: SoA run, the
+# same fleet ticked slot by slot, and the array-of-structs reference
+# twin, allocs reported). The committed fleet-scale numbers live in
+# BENCH.json (lanes.fleet_tick and the lanes.fleet speedup) and are
+# enforced by `make check` through perfgate's ratio + min-speedup
+# gates.
 bench-lanes:
 	$(GO) test -bench 'BenchmarkFleet' -benchmem ./internal/lanes/
 

@@ -38,6 +38,7 @@ package lanes
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -119,14 +120,19 @@ func (c Config) validate() error {
 	if c.Lanes < 1 {
 		return fmt.Errorf("lanes: lane count %d < 1", c.Lanes)
 	}
-	if !(c.Exec > 0) {
-		return fmt.Errorf("lanes: execution time %v must be positive", float64(c.Exec))
+	// The NaN-rejecting comparisons and the infinity tests keep a
+	// non-finite duration from reaching a quote solve or a slot count.
+	if !(c.Exec > 0) || math.IsInf(float64(c.Exec), 0) {
+		return fmt.Errorf("lanes: Exec (execution time) %v must be positive and finite", float64(c.Exec))
 	}
-	if c.Recovery < 0 {
-		return fmt.Errorf("lanes: negative recovery time %v", float64(c.Recovery))
+	if !(c.Recovery >= 0) || math.IsInf(float64(c.Recovery), 0) {
+		return fmt.Errorf("lanes: Recovery (recovery time) %v must be non-negative and finite", float64(c.Recovery))
 	}
-	if c.Days < 1 || c.QuoteEvery < 1 || c.Window <= 0 {
-		return fmt.Errorf("lanes: bad grid (days %d, quote stride %d, window %v)", c.Days, c.QuoteEvery, float64(c.Window))
+	if !(c.Window > 0) || math.IsInf(float64(c.Window), 0) {
+		return fmt.Errorf("lanes: Window (quote window) %v must be positive and finite", float64(c.Window))
+	}
+	if c.Days < 1 || c.QuoteEvery < 1 {
+		return fmt.Errorf("lanes: bad grid (days %d, quote stride %d)", c.Days, c.QuoteEvery)
 	}
 	return nil
 }
@@ -374,12 +380,11 @@ func buildMarket(cfg Config, mi int, typ instances.Type, grid timeslot.Grid, hor
 	if err != nil {
 		return Market{}, nil, err
 	}
-	capacity := grid.CeilSlots(cfg.Window)
-	if capacity > horizon {
-		capacity = horizon
-	}
-	if capacity < 1 {
-		capacity = 1
+	// Compared in slots before the int conversion, so a window longer
+	// than any int holds still covers the whole horizon.
+	capacity := horizon
+	if grid.Slots(cfg.Window) < float64(horizon) {
+		capacity = grid.CeilSlots(cfg.Window)
 	}
 	win, err := dist.NewWindowedECDF(capacity, 0)
 	if err != nil {
@@ -431,9 +436,15 @@ func (e *Engine) Slot() int { return e.slot }
 // lane's life is a sequence of waiting stretches (request open, bid
 // below the price) and running stretches (instance up, bid ≥ price),
 // each an inner loop. A running stretch bills and consumes work slot
-// by slot — the same float operations in the same order as one slot at
-// a time, nothing reassociated or fused — and leaves only on out-bid,
-// completion or the end of the range.
+// by slot — the float operations of one slot at a time, in the same
+// order and written the same way, nothing reassociated — and leaves
+// only on out-bid, completion or the end of the range. Its slots that
+// owe no recovery and that bulkSlots proves cannot complete the job
+// run in a bulk loop that only bills, subtracts a slot of work and
+// tests the next price, and adds the run slots once, on exit. The
+// per-slot body is the only general path: recovery-owed slots, the
+// last few slots before completion and Tick's one-slot ranges go
+// through it, and it alone tests for completion.
 func (e *Engine) advance(i, from, to int) {
 	st := e.status[i]
 	if st == laneDone || st == laneFailed {
@@ -509,6 +520,7 @@ slots:
 		}
 		begun = true
 		st = laneRunning
+		bulk := true // the stretch has not yet tried the bulk loop
 		for {
 			// Region phase 3: per-slot billing of the running instance,
 			// then the tracker's recovery-first work consumption.
@@ -539,6 +551,36 @@ slots:
 			}
 			s++
 			price = prices[s]
+			// The bulk loop, tried once per stretch: at the first slot
+			// after the stretch's first that owes no recovery (a
+			// one-slot range, such as Tick's, has left the loop above).
+			// It settles the slots that bulkSlots proves cannot complete
+			// the job: each bills, works and tests the next price — the
+			// per-slot body's float operations with avail == dt — and
+			// the run slots are added once, on exit. At its bound the
+			// per-slot body carries on at the current slot, whose price
+			// has passed the bid test.
+			if bulk && pendingRec == 0 {
+				bulk = false
+				if k := bulkSlots(remaining, dt, len(prices)-1-s); k > 0 {
+					n := 0
+					for _, next := range prices[s+1 : s+1+k] {
+						instCost += price * dt
+						remaining -= dt
+						n++
+						price = next
+						if bid < price {
+							break
+						}
+					}
+					s += n
+					runSlots += int32(n)
+					if bid < price {
+						s-- // the outer loop settles the out-bid slot
+						break
+					}
+				}
+			}
 		}
 	}
 
@@ -547,6 +589,44 @@ slots:
 	e.remaining[i], e.pendingRec[i] = remaining, pendingRec
 	e.instCost[i], e.cost[i], e.recHours[i] = instCost, cost, recHours
 	e.runSlots[i], e.idleSlots[i], e.intr[i], e.finish[i] = runSlots, idleSlots, intr, finish
+}
+
+// bulkMinSlots is the fewest slots left in a range for which advance
+// computes the bulk bound. Closer to the end of the range the bulk
+// could save the per-slot bookkeeping of only a few slots, so advance
+// skips the bound's float division and settles them slot by slot.
+const bulkMinSlots = 8
+
+// bulkSlots bounds the bulk loop of advance: from a running slot that
+// owes no recovery, with remaining work R hours and left slots after
+// the current one in the range, it returns how many slots K the bulk
+// may settle without testing for completion — 0 when left is below
+// bulkMinSlots.
+//
+// dt is the slot length the kernel subtracts. Each remaining -= dt
+// rounds to nearest and never raises remaining, so while remaining
+// stays above dt it falls by at most dt + 2⁻⁵³·R per slot. After k
+// slots remaining ≥ R − k·(dt + 2⁻⁵³·R), which is above 1e-12 + dt
+// (and so above the 1e-12 completion epsilon) for every
+// k ≤ q = (R − 1e-12 − dt) / (dt + 2⁻⁵³·R). The bulk runs
+// K = ⌊q⌋ − 1 slots; the −1 covers the rounding in computing q. K is
+// computed only when q ≥ 2, which is false for a NaN or infinite R and
+// for R under about three slots, and a q of left + 1 or more gives
+// K = left before any conversion, so K ≤ left and a huge R is safe.
+// For R up to 10⁴ hours K is 3 or 4 slots short of the first slot that
+// completes, which the per-slot body settles.
+func bulkSlots(remaining, dt float64, left int) int {
+	if left < bulkMinSlots {
+		return 0
+	}
+	q := (remaining - 1e-12 - dt) / (dt + remaining*0x1p-53)
+	if !(q >= 2) {
+		return 0
+	}
+	if q >= float64(left)+1 {
+		return left
+	}
+	return int(q) - 1
 }
 
 // Tick settles the next slot for every lane — the slot-major batch
@@ -570,8 +650,9 @@ func (e *Engine) Tick() error {
 // each shard hands its lanes, one after another, to the same kernel
 // Tick uses, over every slot after the last settled one. The kernel
 // keeps a lane's state in locals across that whole range, so a running
-// stretch costs a price compare, a bill update and a work subtraction
-// per slot. The resulting arrays are bit-identical to ticking
+// stretch that owes no recovery costs a bill update, a work
+// subtraction and a price compare per slot until its last few slots
+// before completion. The resulting arrays are bit-identical to ticking
 // slot-major to the end — the per-lane op sequence is the same, only
 // the traversal order differs — which TestTickEquivalentToRun pins,
 // also for a Run that resumes after some Ticks.

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cloud"
@@ -238,7 +240,11 @@ func auditLanes(t testing.TB, e *Engine) {
 // start slots; the kind is re-derived from i/2 so both kinds run in
 // both markets, and five recoveries (none up to three hours) alternate
 // across neighbouring lanes of one engine, so a kernel that read
-// recovery from anywhere but its own lane would diverge.
+// recovery from anywhere but its own lane would diverge. Seven
+// execution times alternate too: whole numbers of slots; 7 seconds past
+// and 7 seconds short of a slot boundary, so the last slot's work is a
+// sliver or nearly a whole slot; and 200 and 1,000 hours, past the
+// 120-hour horizon, so the bulk loop runs to the end of the range.
 func TestMixedRecoveryLanesMatchJobRun(t *testing.T) {
 	cfg := testConfig()
 	fleet, err := New(cfg)
@@ -246,6 +252,8 @@ func TestMixedRecoveryLanesMatchJobRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	recoveries := []timeslot.Hours{0, timeslot.Seconds(10), timeslot.Seconds(30), 1, 3}
+	execs := []timeslot.Hours{cfg.Exec, cfg.Exec + 1, cfg.Exec + 2,
+		cfg.Exec + timeslot.Seconds(7), cfg.Exec + 1 + timeslot.Seconds(293), 200, 1000}
 	markets := make([]Market, len(fleet.markets))
 	for mi, m := range fleet.markets {
 		markets[mi] = Market{Type: m.typ, Prices: m.prices}
@@ -257,7 +265,7 @@ func TestMixedRecoveryLanesMatchJobRun(t *testing.T) {
 			Kind:     uint8(i / 2 % 2),
 			Bid:      fleet.bid[i],
 			Start:    int(fleet.start[i]),
-			Exec:     cfg.Exec + timeslot.Hours(i%3),
+			Exec:     execs[i%len(execs)],
 			Recovery: recoveries[i%len(recoveries)],
 		}
 	}
@@ -271,19 +279,129 @@ func TestMixedRecoveryLanesMatchJobRun(t *testing.T) {
 	auditLanes(t, e)
 	restored := map[timeslot.Hours]int{}
 	cohorts := map[[2]int]bool{}
+	done := map[timeslot.Hours]int{}
+	running := 0
 	for i, l := range ls {
 		out := checkLaneOracle(t, e, i, l.Exec, l.Recovery)
 		cohorts[[2]int{l.Market, int(l.Kind)}] = true
 		if out.RecoveryTime > 0 {
 			restored[l.Recovery]++
 		}
+		if out.Completed {
+			done[l.Exec]++
+		}
+		if e.status[i] == laneRunning {
+			running++
+		}
 	}
-	// Vacuity guard: every (market, kind) cohort must be present, and
-	// lanes with at least three distinct non-zero recoveries must have
-	// paid a restore.
-	if len(cohorts) != 2*len(markets) || len(restored) < 3 {
-		t.Fatalf("degenerate mixed fleet: cohorts %v, restores by recovery %v — tune the lane derivation", cohorts, restored)
+	t.Logf("completed by t_s %v; %d lanes running at the horizon", done, running)
+	// Vacuity guard: every (market, kind) cohort must be present, lanes
+	// with at least three distinct non-zero recoveries must have paid a
+	// restore, each of the five t_s shorter than the horizon must have
+	// completed on some lane, and some lane must still be running at the
+	// horizon.
+	if len(cohorts) != 2*len(markets) || len(restored) < 3 || len(done) != 5 || running == 0 {
+		t.Fatalf("degenerate mixed fleet: cohorts %v, restores by recovery %v, completions by t_s %v, %d running at the horizon — tune the lane derivation",
+			cohorts, restored, done, running)
 	}
+}
+
+// firstDone returns the first slot at which the kernel's work chain —
+// remaining -= dt, then the 1e-12 completion test — completes a job
+// that owes r hours and no recovery.
+func firstDone(r, dt float64) int {
+	for k := 1; ; k++ {
+		if r -= dt; r <= 1e-12 {
+			return k
+		}
+	}
+}
+
+// TestBulkSlotsBound pins bulkSlots against the arithmetic it bounds.
+// For every input the bulk must stop before the first slot that
+// completes the job, so the per-slot body always settles completion;
+// and a non-zero bound must be at most four slots short of it, so the
+// bulk covers all but a stretch's last few slots. Inputs: whole numbers
+// of slots up to 200 hours with four float neighbours on each side and
+// a picosecond off, 10⁵ log-uniform works in [10⁻¹², 10⁴] hours from a
+// fixed seed, and the t_s of the tests and benchmarks. Then the range
+// handling: no bound below bulkMinSlots slots left, none for a NaN,
+// infinite or non-positive work, and every slot left for a work no
+// such short range can finish, however large.
+func TestBulkSlotsBound(t *testing.T) {
+	dt := float64(timeslot.DefaultSlot)
+	const noClamp = 1 << 30 // slots left: more than any input needs
+	var inputs []float64
+	for m := 1; m <= 2400; m++ {
+		r := float64(m) * dt
+		inputs = append(inputs, r, r-1e-12, r+1e-12)
+		lo, hi := r, r
+		for j := 0; j < 4; j++ {
+			lo, hi = math.Nextafter(lo, 0), math.Nextafter(hi, math.Inf(1))
+			inputs = append(inputs, lo, hi)
+		}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for j := 0; j < 100_000; j++ {
+		inputs = append(inputs, math.Exp(math.Log(1e-12)+rng.Float64()*math.Log(1e16)))
+	}
+	inputs = append(inputs, 1, 20, 24, 200, 8760)
+
+	short := map[int]int{} // first done − bound → inputs, non-zero bounds
+	for _, r := range inputs {
+		k, done := bulkSlots(r, dt, noClamp), firstDone(r, dt)
+		if k < 0 || k >= done || k > 0 && k < done-4 {
+			t.Fatalf("work %v (%x): bound %d, first done at slot %d", r, math.Float64bits(r), k, done)
+		}
+		if k > 0 {
+			short[done-k]++
+		}
+	}
+	t.Logf("%d inputs; first done − bound over the non-zero bounds: %v", len(inputs), short)
+	if len(short) == 0 {
+		t.Fatal("no input had a non-zero bound")
+	}
+
+	for _, r := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1e15, 1e300, 200, 0, -1} {
+		for left := -1; left <= bulkMinSlots+4; left++ {
+			want := left
+			if left < bulkMinSlots || math.IsNaN(r) || math.IsInf(r, 0) || r <= 0 {
+				want = 0
+			}
+			if k := bulkSlots(r, dt, left); k != want {
+				t.Errorf("work %v, %d slots left: bound %d, want %d", r, left, k, want)
+			}
+		}
+	}
+}
+
+// FuzzBulkSlots runs bulkSlots on raw bit patterns of the work and the
+// slots left: the bound must never panic, stay within [0, left], be 0
+// for a non-finite work, and never reach a completing slot of the
+// kernel's work chain.
+func FuzzBulkSlots(f *testing.F) {
+	for _, seed := range []struct {
+		r    float64
+		left int64
+	}{{200, 20_000}, {1, 100}, {20 + 7.0/3600, 1 << 20}, {1e300, 9}, {math.Inf(1), 1 << 40}, {0.25, 8}} {
+		f.Add(math.Float64bits(seed.r), seed.left)
+	}
+	dt := float64(timeslot.DefaultSlot)
+	f.Fuzz(func(t *testing.T, bits uint64, left64 int64) {
+		r, left := math.Float64frombits(bits), int(left64)
+		k := bulkSlots(r, dt, left)
+		if k < 0 || k > max(left, 0) || k > 0 && (math.IsNaN(r) || math.IsInf(r, 0)) {
+			t.Fatalf("work %v, %d slots left: bound %d", r, left, k)
+		}
+		if k > 1<<16 {
+			return // too long to walk; TestBulkSlotsBound walks long stretches
+		}
+		for j := 1; j <= k; j++ {
+			if r -= dt; r <= 1e-12 {
+				t.Fatalf("work %v, %d slots left: bound %d, but slot %d completes", math.Float64frombits(bits), left, k, j)
+			}
+		}
+	})
 }
 
 // TestNewEngineValidation covers the explicit constructor's rejection
@@ -668,7 +786,11 @@ func TestDeterminismMatrix(t *testing.T) {
 	}
 }
 
-// TestConfigValidation covers the rejection paths.
+// TestConfigValidation covers the rejection paths. A non-finite t_s,
+// t_r or window must be rejected with an error naming the field: an
+// infinite or NaN window used to reach the slot-count conversion and
+// silently become a one-slot window, and a NaN t_r a misleading quote
+// error.
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
 		{},                                    // no types
@@ -681,6 +803,40 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d: New accepted invalid config %+v", i, cfg)
 		}
+	}
+
+	nonFinite := []struct {
+		field string
+		mod   func(c *Config, v timeslot.Hours)
+	}{
+		{"Exec", func(c *Config, v timeslot.Hours) { c.Exec = v }},
+		{"Recovery", func(c *Config, v timeslot.Hours) { c.Recovery = v }},
+		{"Window", func(c *Config, v timeslot.Hours) { c.Window = v }},
+	}
+	for _, f := range nonFinite {
+		for _, v := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+			cfg := testConfig()
+			f.mod(&cfg, timeslot.Hours(v))
+			_, err := New(cfg)
+			if err == nil || !strings.Contains(err.Error(), f.field) {
+				t.Errorf("%s = %v: New returned %v, want an error naming %s", f.field, v, err, f.field)
+			}
+		}
+	}
+
+	// A finite window longer than the horizon reads the whole horizon,
+	// however far it is past an int's range in slots.
+	bids := func(window timeslot.Hours) []float64 {
+		cfg := testConfig()
+		cfg.Window = window
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.bid
+	}
+	if whole := bids(5 * 24); !reflect.DeepEqual(bids(1e9), whole) || !reflect.DeepEqual(bids(1e300), whole) {
+		t.Error("a window past the horizon did not quote as a whole-horizon window")
 	}
 }
 
@@ -709,6 +865,23 @@ func BenchmarkFleetRun(b *testing.B) {
 		if _, err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFleetTick is BenchmarkFleetRun driven slot-major: New, then
+// one Tick per slot to the end of the trace, so every lane-slot goes
+// through the kernel as a one-slot range.
+func BenchmarkFleetTick(b *testing.B) {
+	cfg := benchConfig(512)
+	trace.ResetMemo()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tickToEnd(b, e)
 	}
 }
 
