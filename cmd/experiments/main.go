@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -37,6 +38,10 @@ func main() {
 		scrapeEvery = flag.Int("scrape-every", 0, "tsdb scrape cadence in slots (0 = per-experiment default)")
 	)
 	flag.Parse()
+	export, err := event.Exporter(*traceFormat)
+	if err != nil {
+		fatalf("-trace-format: %v", err)
+	}
 	opts := experiments.Opts{Seed: *seed, Runs: *runs, ScrapeEvery: *scrapeEvery}
 	if *metrics || *metricsJSON {
 		opts.Metrics = obs.New()
@@ -169,7 +174,7 @@ func main() {
 		}
 	}
 	if opts.Trace != nil {
-		if err := exportTrace(opts.Trace, *traceOut, *traceFormat); err != nil {
+		if err := exportTrace(opts.Trace, *traceOut, *traceFormat, export); err != nil {
 			fatalf("exporting trace: %v", err)
 		}
 	}
@@ -194,9 +199,9 @@ func exportTSDB(db *tsdb.DB, out string) error {
 	return db.WriteJSONL(f)
 }
 
-// exportTrace writes the recorded trace in the chosen format, to the
-// named file or stdout.
-func exportTrace(rec *event.Recorder, out, format string) error {
+// exportTrace writes the recorded trace with the format's exporter, to
+// the named file or stdout.
+func exportTrace(rec *event.Recorder, out, format string, export func(*event.Recorder, io.Writer) error) error {
 	w := os.Stdout
 	if out != "" {
 		f, err := os.Create(out)
@@ -208,16 +213,7 @@ func exportTrace(rec *event.Recorder, out, format string) error {
 	} else {
 		fmt.Printf("== Trace (%s, %d events)\n\n", format, rec.Len())
 	}
-	switch format {
-	case "jsonl":
-		return rec.WriteJSONL(w)
-	case "chrome":
-		return rec.WriteChromeTrace(w)
-	case "timeline":
-		return rec.WriteTimeline(w)
-	default:
-		return fmt.Errorf("unknown trace format %q (want jsonl, chrome, or timeline)", format)
-	}
+	return export(rec, w)
 }
 
 // isFlagSet reports whether the named flag was given explicitly.

@@ -38,6 +38,10 @@ func main() {
 		traceFormat = flag.String("trace-format", "jsonl", "event-trace format: jsonl, chrome, or timeline")
 	)
 	flag.Parse()
+	export, err := event.Exporter(*traceFormat)
+	if err != nil {
+		fatalf("-trace-format: %v", err)
+	}
 
 	if *list {
 		fmt.Println("type          vCPU  mem(GiB)  SSD      on-demand($/h)")
@@ -87,18 +91,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		var err error
-		switch *traceFormat {
-		case "jsonl":
-			err = opts.Trace.WriteJSONL(w)
-		case "chrome":
-			err = opts.Trace.WriteChromeTrace(w)
-		case "timeline":
-			err = opts.Trace.WriteTimeline(w)
-		default:
-			fatalf("unknown -trace-format %q (want jsonl, chrome, or timeline)", *traceFormat)
-		}
-		if err != nil {
+		if err := export(opts.Trace, w); err != nil {
 			fatalf("writing trace: %v", err)
 		}
 	}

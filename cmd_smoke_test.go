@@ -93,6 +93,26 @@ func TestSpotsimCLI(t *testing.T) {
 	if err := exec.Command(bin, "-dynamics", "nope").Run(); err == nil {
 		t.Error("unknown dynamics should fail")
 	}
+	rejectsTraceFormat(t, bin, "-type", "c3.large", "-days", "1")
+}
+
+// rejectsTraceFormat runs bin with a bogus -trace-format and requires
+// it to fail before producing any output: the flag is checked before
+// anything runs, not at export.
+func rejectsTraceFormat(t *testing.T, bin string, args ...string) {
+	t.Helper()
+	cmd := exec.Command(bin, append(args, "-trace-format", "bogus")...)
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Errorf("%s -trace-format bogus exited 0", filepath.Base(bin))
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("%s -trace-format bogus ran before failing; stdout:\n%s", filepath.Base(bin), stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "-trace-format") {
+		t.Errorf("%s -trace-format bogus: stderr does not name the flag:\n%s", filepath.Base(bin), stderr.String())
+	}
 }
 
 func TestBidcalcCLI(t *testing.T) {
@@ -168,6 +188,7 @@ func TestExperimentsCLI(t *testing.T) {
 	if strings.Contains(out, "DIVERGED") {
 		t.Errorf("tournament replay diverged:\n%s", out)
 	}
+	rejectsTraceFormat(t, bin, "-only", "table3", "-runs", "1")
 }
 
 func TestSpotbiddCLI(t *testing.T) {

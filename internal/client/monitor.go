@@ -10,8 +10,9 @@ import (
 
 // priceMonitor is the incremental price-monitor state for one instance
 // type: a windowed ECDF tracking exactly the slots the legacy path
-// would hand to dist.NewEmpirical, advanced by one push per slot tick
-// instead of a full O(n log n) rebuild of the two-month window.
+// would hand to dist.NewEmpirical, advanced by the slots since the last
+// fetch (one per tick in the run loops) instead of a full O(n log n)
+// rebuild of the two-month window.
 //
 // The monitor is a pure cache. Its window contents are, by invariant,
 // the trailing min(ingested, capacity) slots of the region's backing
@@ -31,12 +32,6 @@ type priceMonitor struct {
 	nextSlot int            // first backing-trace slot not yet ingested
 	win      *dist.WindowedECDF
 }
-
-// monitorRebuildGap is the slot gap beyond which catching up by
-// per-slot pushes (an O(n) memmove each) loses to one bulk Fill
-// (copy + sort); both produce identical windows, so the threshold is
-// purely a performance knob.
-const monitorRebuildGap = 256
 
 // monitorECDF serves the clean-path F_π estimate from the incremental
 // monitor. Callers guarantee hist is the undegraded zero-copy window
@@ -71,21 +66,19 @@ func (c *Client) monitorECDF(t instances.Type, window timeslot.Hours, hist *trac
 		mon = &priceMonitor{region: c.Region, window: window, win: win}
 		c.monitors[t] = mon
 	}
-	switch delta := now + 1 - mon.nextSlot; {
-	case mon.win.N() == 0, delta < 0, mon.nextSlot < start, delta > monitorRebuildGap:
-		// Cold start, clock regression, or a gap past (or not worth)
-		// incremental catch-up: bulk-load the whole window.
-		if err := mon.win.Fill(hist.Prices); err != nil {
-			return nil, err
-		}
-	default:
-		// Steady state: ingest only the slots since the last fetch —
-		// one per tick in the run loops.
-		for _, p := range hist.Prices[mon.nextSlot-start:] {
-			if err := mon.win.Push(p); err != nil {
-				return nil, err
-			}
-		}
+	// A cold start, a clock regression, or a gap the history no longer
+	// covers bulk-loads the whole window. Otherwise one Slide ingests
+	// only the slots since the last fetch: it leaves the window as
+	// per-slot Pushes would, and takes one slot (a tick of the run
+	// loops) as a Push and a whole window as a Fill.
+	var err error
+	if mon.win.N() == 0 || mon.nextSlot > now+1 || mon.nextSlot < start {
+		err = mon.win.Fill(hist.Prices)
+	} else {
+		err = mon.win.Slide(hist.Prices[mon.nextSlot-start:])
+	}
+	if err != nil {
+		return nil, err
 	}
 	mon.nextSlot = now + 1
 	return mon, nil

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -70,9 +71,10 @@ func TestMonitorMatchesLegacyRebuild(t *testing.T) {
 }
 
 // TestMonitorCatchUpPaths exercises the non-steady-state transitions:
-// a gap small enough for incremental catch-up, a gap past the rebuild
-// threshold, and a window-size change — each must still match the
-// legacy rebuild exactly.
+// a gap a Slide merges, a gap of one whole window, which Slide takes as
+// a Fill, a gap past the window, which refills it, a window-size
+// change, and an infinite window — each must still match the legacy
+// rebuild exactly.
 func TestMonitorCatchUpPaths(t *testing.T) {
 	c := newClient(t, 13)
 	c.HistoryWindow = timeslot.Hours(48) // 576 slots
@@ -87,20 +89,32 @@ func TestMonitorCatchUpPaths(t *testing.T) {
 		}
 	}
 	check() // cold start: bulk fill
-	for i := 0; i < monitorRebuildGap/2; i++ {
+	for i := 0; i < 128; i++ {
 		if err := c.Region.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check() // small gap: incremental catch-up
-	for i := 0; i < monitorRebuildGap+10; i++ {
+	check() // a gap inside the window: one merge
+	for i := 0; i < 576; i++ {
 		if err := c.Region.Tick(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check() // large gap: bulk refill
+	check() // a gap of exactly the window: one Slide that fills it
+	for i := 0; i < 576+10; i++ {
+		if err := c.Region.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check() // a gap past the window: refilled
 	c.HistoryWindow = timeslot.Hours(24)
 	check() // window change: monitor rebuilt at the new capacity
+	c.HistoryWindow = timeslot.Hours(math.Inf(1))
+	check() // an infinite window: every slot so far
+	if err := c.Region.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	check()
 }
 
 // TestMonitorBypassedUnderInjector: any armed injector — even with all

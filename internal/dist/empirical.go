@@ -41,31 +41,11 @@ func NewEmpirical(xs []float64, nbins int) (*Empirical, error) {
 	return newEmpiricalOwned(s, nbins), nil
 }
 
-// NewEmpiricalFromSorted builds an empirical distribution from a sample
-// that is already sorted ascending, skipping the O(n log n) sort. The
-// slice is copied; it must be finite and non-decreasing (verified in
-// one pass). This is the fast constructor behind WindowedECDF.Snapshot.
-func NewEmpiricalFromSorted(sorted []float64, nbins int) (*Empirical, error) {
-	if len(sorted) == 0 {
-		return nil, fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
-	}
-	for i, x := range sorted {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
-		}
-		if i > 0 && x < sorted[i-1] {
-			return nil, fmt.Errorf("%w: sample is not sorted at index %d", ErrBadParam, i)
-		}
-	}
-	s := make([]float64, len(sorted))
-	copy(s, sorted)
-	return newEmpiricalOwned(s, nbins), nil
-}
-
 // newEmpiricalOwned finishes construction from a sorted, validated
 // sample the Empirical takes ownership of: prefix sums, cached moments,
-// histogram. Both constructors funnel here so their results are
-// element-identical for identical window contents.
+// histogram. NewEmpirical and WindowedECDF.Snapshot both funnel here
+// so their results are element-identical for identical window
+// contents.
 func newEmpiricalOwned(s []float64, nbins int) *Empirical {
 	e := &Empirical{xs: s, prefix: make([]float64, len(s)+1)}
 	for i, x := range s {

@@ -149,19 +149,9 @@ func (w *WindowedECDF) Push(x float64) error {
 // one value at a time: −0 and +0 compare equal but differ in bits, and
 // the places Push gives them are the contract.
 func (w *WindowedECDF) Slide(xs []float64) error {
-	runs, zero := 0, false
-	prev := math.NaN()
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
-		}
-		if x != prev {
-			runs++
-			prev = x
-		}
-		if x == 0 {
-			zero = true
-		}
+	runs, zero, err := scan(xs)
+	if err != nil {
+		return err
 	}
 	k := len(xs)
 	switch {
@@ -213,6 +203,25 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 	w.sorted, w.merged = mergeWindow(w.merged[:0], w.sorted, gone, in), w.sorted[:0]
 	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
 	return nil
+}
+
+// scan validates a batch of samples and counts its runs of equal
+// consecutive values, and reports whether it holds a zero.
+func scan(xs []float64) (runs int, zero bool, err error) {
+	prev := math.NaN()
+	for _, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0, false, fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
+		}
+		if x != prev {
+			runs++
+			prev = x
+		}
+		if x == 0 {
+			zero = true
+		}
+	}
+	return runs, zero, nil
 }
 
 // oldest returns the e oldest live samples in arrival order, as the
@@ -327,19 +336,9 @@ func (w *WindowedECDF) Fill(xs []float64) error {
 	if len(xs) > w.capacity {
 		xs = xs[len(xs)-w.capacity:]
 	}
-	runs, zero := 0, false
-	prev := math.NaN()
-	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
-		}
-		if x != prev {
-			runs++
-			prev = x
-		}
-		if x == 0 {
-			zero = true
-		}
+	runs, zero, err := scan(xs)
+	if err != nil {
+		return err
 	}
 	w.n = copy(w.ring, xs)
 	w.head = 0
@@ -348,7 +347,18 @@ func (w *WindowedECDF) Fill(xs []float64) error {
 		copy(w.sorted, xs)
 		sort.Float64s(w.sorted)
 	} else {
-		w.sortRuns(xs, runs)
+		// Runs of one value land next to each other in any order,
+		// since their values are bit-identical.
+		if cap(w.runs) < runs {
+			w.runs = make([]valueRun, 0, runs)
+		}
+		w.runs = w.sortedRuns(w.runs[:0], true, xs)
+		k := 0
+		for _, r := range w.runs {
+			for end := k + r.n; k < end; k++ {
+				w.sorted[k] = r.v
+			}
+		}
 	}
 	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
 	return nil
@@ -360,44 +370,10 @@ func (w *WindowedECDF) Fill(xs []float64) error {
 // below 2, as on an i.i.d. trace, the run pass is pure overhead.
 const minRunLength = 2
 
-// valueRun is one run of equal consecutive values in a Fill stream.
+// valueRun is one run of equal consecutive values in a stream.
 type valueRun struct {
 	v float64
 	n int
-}
-
-// sortRuns writes the sorted expansion of xs's runs (runs of them, no
-// zero among them) into w.sorted. Runs of one value land next to each
-// other in any order, since their values are bit-identical.
-func (w *WindowedECDF) sortRuns(xs []float64, runs int) {
-	if cap(w.runs) < runs {
-		w.runs = make([]valueRun, 0, runs)
-	}
-	rs := w.runs[:0]
-	for i := 0; i < len(xs); {
-		j := i + 1
-		for j < len(xs) && xs[j] == xs[i] {
-			j++
-		}
-		rs = append(rs, valueRun{v: xs[i], n: j - i})
-		i = j
-	}
-	slices.SortFunc(rs, func(a, b valueRun) int {
-		switch {
-		case a.v < b.v:
-			return -1
-		case a.v > b.v:
-			return 1
-		}
-		return 0
-	})
-	k := 0
-	for _, r := range rs {
-		for end := k + r.n; k < end; k++ {
-			w.sorted[k] = r.v
-		}
-	}
-	w.runs = rs
 }
 
 func (w *WindowedECDF) mustSample() {

@@ -560,32 +560,6 @@ func TestWindowedSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestNewEmpiricalFromSorted: same result as NewEmpirical, and unsorted
-// input is rejected.
-func TestNewEmpiricalFromSorted(t *testing.T) {
-	xs := []float64{0.3, 0.1, 0.2, 0.1}
-	ref, err := NewEmpirical(xs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewEmpiricalFromSorted(ref.Values(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, ref) {
-		t.Fatal("NewEmpiricalFromSorted differs from NewEmpirical")
-	}
-	if _, err := NewEmpiricalFromSorted([]float64{2, 1}, 0); err == nil {
-		t.Fatal("unsorted input accepted")
-	}
-	if _, err := NewEmpiricalFromSorted(nil, 0); err == nil {
-		t.Fatal("empty input accepted")
-	}
-	if _, err := NewEmpiricalFromSorted([]float64{1, math.NaN()}, 0); err == nil {
-		t.Fatal("NaN accepted")
-	}
-}
-
 // TestEmpiricalMomentsCached: the satellite contract — Mean/Var are
 // fixed at construction and exactly equal to MeanVar over the sorted
 // sample.

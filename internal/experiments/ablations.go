@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/client"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/instances"
-	"repro/internal/job"
 	"repro/internal/market"
 	"repro/internal/timeslot"
 	"repro/internal/trace"
@@ -180,34 +178,29 @@ type DwellSweepResult struct{ Rows []DwellRow }
 // DESIGN.md observation that the paper's zero-interruption §7.1
 // result depends on price stickiness — under i.i.d. slot prices
 // (dwell 1) the Prop. 4 bid fails a 1-hour job roughly two times in
-// three.
+// three. Each run is one §7.1 cell at the end of the two-month history
+// whose one-time and persistent-30 arms run as lanes on the identical
+// trace.
 func AblationDwell(o Opts) (DwellSweepResult, error) {
 	o = o.withDefaults()
 	var res DwellSweepResult
-	for _, dwell := range []int{1, 3, 9, 18, 36} {
+	for _, dwell := range dwellSweep {
 		row := DwellRow{DwellSlots: dwell, Runs: o.Runs}
 		var interSum float64
 		for run := 0; run < o.Runs; run++ {
-			seed := o.Seed + int64(run)*7919 + int64(dwell)*17
-			tr, err := trace.Generate(instances.R3XLarge,
-				trace.GenOptions{Days: o.Days, Seed: seed, DwellSlots: dwell})
+			c, err := dwellCell(o, dwell, run)
 			if err != nil {
 				return DwellSweepResult{}, err
 			}
-			// One-time arm.
-			rep, err := runOnTrace(tr, "one-time")
+			reps, err := c.run(oneTime, persistent30)
+			c.release()
 			if err != nil {
 				return DwellSweepResult{}, err
 			}
-			if !rep.Outcome.Completed {
+			if !reps[0].Outcome.Completed {
 				row.OneTimeFailures++
 			}
-			// Persistent arm on the identical trace.
-			rep, err = runOnTrace(tr, "persistent-30")
-			if err != nil {
-				return DwellSweepResult{}, err
-			}
-			interSum += float64(rep.Outcome.Interruptions)
+			interSum += float64(reps[1].Outcome.Interruptions)
 		}
 		row.MeanInterruptions = interSum / float64(o.Runs)
 		res.Rows = append(res.Rows, row)
@@ -215,30 +208,14 @@ func AblationDwell(o Opts) (DwellSweepResult, error) {
 	return res, nil
 }
 
-// runOnTrace runs a single 1-hour job on a fresh region built from a
-// pre-generated trace.
-func runOnTrace(tr *trace.Trace, strategy string) (client.Report, error) {
-	region, err := cloudRegion(tr)
-	if err != nil {
-		return client.Report{}, err
-	}
-	cl, err := client.New(region)
-	if err != nil {
-		return client.Report{}, err
-	}
-	if err := cl.Skip(historySlots); err != nil {
-		return client.Report{}, err
-	}
-	spec := job.Spec{ID: "ablate", Type: tr.Type, Exec: 1}
-	switch strategy {
-	case "one-time":
-		return cl.RunOneTime(spec)
-	case "persistent-30":
-		spec.Recovery = timeslot.Seconds(30)
-		return cl.RunPersistent(spec)
-	default:
-		return client.Report{}, fmt.Errorf("experiments: unknown strategy %q", strategy)
-	}
+// dwellSweep is the price dwells AblationDwell sweeps, in slots.
+var dwellSweep = []int{1, 3, 9, 18, 36}
+
+// dwellCell is AblationDwell's cell for one run at one dwell: its own
+// r3.xlarge trace, submitted at the end of the two-month history.
+func dwellCell(o Opts, dwell, run int) (*cell, error) {
+	seed := o.Seed + int64(run)*7919 + int64(dwell)*17
+	return newCell(instances.R3XLarge, trace.GenOptions{Days: o.Days, Seed: seed, DwellSlots: dwell}, historySlots)
 }
 
 // Render returns the sweep as an aligned text table.

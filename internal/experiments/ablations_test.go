@@ -1,8 +1,14 @@
 package experiments
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/cloud"
+	"repro/internal/instances"
+	"repro/internal/trace"
 )
 
 func TestAblationBeta(t *testing.T) {
@@ -180,8 +186,15 @@ func TestForecastEval(t *testing.T) {
 	}
 }
 
+// TestAblationBilling checks what the hourly meter does to a bill.
+// On-demand partial hours round up, so on-demand never bills less
+// hourly. A spot hour is billed at its first slot's price: at seed 1
+// and six runs, rises within the billed hours outweigh the falls and
+// both spot rows bill more hourly than per slot. On the same runs'
+// traces made flat within each billed hour, the meters agree.
 func TestAblationBilling(t *testing.T) {
-	res, err := AblationBilling(Opts{Seed: 1, Runs: 4, Days: 63})
+	o := Opts{Seed: 1, Runs: 6, Days: 63}
+	res, err := AblationBilling(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,17 +202,12 @@ func TestAblationBilling(t *testing.T) {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
 	for _, row := range res.Rows {
-		switch row.Strategy {
-		case "one-time", "persistent-30":
-			// The refund rule only forgives: hourly ≤ per-slot.
-			if row.Ratio > 1.0+1e-9 {
-				t.Errorf("%s: hourly/per-slot = %v > 1", row.Strategy, row.Ratio)
-			}
-		case "on-demand":
-			// User-terminated partial hours round UP: hourly ≥ per-slot.
+		if row.Strategy == "on-demand" {
 			if row.Ratio < 1.0-1e-9 {
 				t.Errorf("on-demand: hourly/per-slot = %v < 1", row.Ratio)
 			}
+		} else if !(row.Ratio > 1) {
+			t.Errorf("%s: hourly/per-slot = %v, want > 1 at seed 1, six runs", row.Strategy, row.Ratio)
 		}
 		if row.PerSlotCost <= 0 || row.HourlyCost <= 0 {
 			t.Errorf("%s: non-positive costs %v / %v", row.Strategy, row.PerSlotCost, row.HourlyCost)
@@ -207,5 +215,48 @@ func TestAblationBilling(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "hourly/per-slot") {
 		t.Error("render missing columns")
+	}
+
+	// Flatten each billed hour from the job's first billed slot, the
+	// slot after submission, to that slot's price. The history, and so
+	// every bid, is unchanged. A relaunch starts its billed hour
+	// mid-hour, so only uninterrupted jobs count.
+	start := historySlots + 1
+	checked := 0
+	for run := 0; run < o.Runs; run++ {
+		tr, err := trace.Generate(instances.R3XLarge, trace.GenOptions{Days: o.Days, Seed: o.Seed + int64(run)*7919})
+		if err != nil {
+			t.Fatal(err)
+		}
+		perHour := int(tr.Grid.SlotsPerHour())
+		prices := slices.Clone(tr.Prices)
+		for i := start; i < len(prices); i++ {
+			prices[i] = prices[i-(i-start)%perHour]
+		}
+		flat, err := trace.New(tr.Type, tr.Grid, prices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range []arm{oneTime, persistent30} {
+			s, err := runBilled(flat, a, cloud.PerSlot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := runBilled(flat, a, cloud.Hourly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s.Outcome.Completed || s.Outcome.Interruptions > 0 {
+				continue
+			}
+			checked++
+			if r := h.Outcome.Cost / s.Outcome.Cost; math.Abs(r-1) > 1e-9 {
+				t.Errorf("run %d %s on an hour-flat trace: hourly/per-slot = %v, want 1", run, a.name, r)
+			}
+		}
+	}
+	t.Logf("%d uninterrupted spot jobs billed alike on the hour-flat traces", checked)
+	if checked == 0 {
+		t.Fatal("no spot job ran uninterrupted on the hour-flat traces")
 	}
 }

@@ -6,8 +6,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/cloud"
 	"repro/internal/instances"
-	"repro/internal/job"
-	"repro/internal/timeslot"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
@@ -29,12 +28,17 @@ type BillingResult struct{ Rows []BillingRow }
 // AblationBilling quantifies how far the paper's per-slot cost model
 // (the continuous limit behind Eq. 9/13) sits from Amazon's actual
 // 2014 billing: identical traces, identical bids, different meters.
-// The refund rule can only lower spot bills, so hourly/per-slot ≤ 1
-// for spot strategies (exactly 1 on interruption-free whole hours).
+// The per-slot bill does not bound the hourly one for spot strategies.
+// Each hour is billed at its first slot's price, which costs more than
+// per-slot when the price rises within the hour and less when it
+// falls; the refund rule forgives a partial hour the provider ends.
+// The two meters agree on a spot job only where the price is flat
+// within each billed hour. On-demand partial hours round up, so there
+// hourly/per-slot ≥ 1.
 func AblationBilling(o Opts) (BillingResult, error) {
 	o = o.withDefaults()
 	var res BillingResult
-	for _, strategy := range []string{"one-time", "persistent-30", "on-demand"} {
+	for _, a := range []arm{oneTime, persistent30, {name: "on-demand", strat: strategy.OnDemand{}}} {
 		var perSlot, hourly float64
 		var n int
 		for run := 0; run < o.Runs; run++ {
@@ -43,26 +47,26 @@ func AblationBilling(o Opts) (BillingResult, error) {
 			if err != nil {
 				return BillingResult{}, err
 			}
-			a, err := runBilled(tr, strategy, cloud.PerSlot)
+			s, err := runBilled(tr, a, cloud.PerSlot)
 			if err != nil {
 				return BillingResult{}, err
 			}
-			b, err := runBilled(tr, strategy, cloud.Hourly)
+			h, err := runBilled(tr, a, cloud.Hourly)
 			if err != nil {
 				return BillingResult{}, err
 			}
-			if !a.Outcome.Completed || !b.Outcome.Completed {
+			if !s.Outcome.Completed || !h.Outcome.Completed {
 				continue // identical traces: both or neither, typically
 			}
-			perSlot += a.Outcome.Cost
-			hourly += b.Outcome.Cost
+			perSlot += s.Outcome.Cost
+			hourly += h.Outcome.Cost
 			n++
 		}
 		if n == 0 {
-			return BillingResult{}, fmt.Errorf("experiments: no completed billing pairs for %s", strategy)
+			return BillingResult{}, fmt.Errorf("experiments: no completed billing pairs for %s", a.name)
 		}
 		row := BillingRow{
-			Strategy:    strategy,
+			Strategy:    a.name,
 			PerSlotCost: perSlot / float64(n),
 			HourlyCost:  hourly / float64(n),
 			Runs:        n,
@@ -75,10 +79,11 @@ func AblationBilling(o Opts) (BillingResult, error) {
 	return res, nil
 }
 
-// runBilled runs one 1-hour job on a fresh region with the given
-// billing mode.
-func runBilled(tr *trace.Trace, strategy string, mode cloud.BillingMode) (client.Report, error) {
-	region, err := cloudRegion(tr)
+// runBilled runs the arm's job on a fresh region over the trace with
+// the given billing mode, submitting at the end of the two-month
+// history.
+func runBilled(tr *trace.Trace, a arm, mode cloud.BillingMode) (client.Report, error) {
+	region, err := cloud.NewRegion(tr)
 	if err != nil {
 		return client.Report{}, err
 	}
@@ -92,18 +97,7 @@ func runBilled(tr *trace.Trace, strategy string, mode cloud.BillingMode) (client
 	if err := cl.Skip(historySlots); err != nil {
 		return client.Report{}, err
 	}
-	spec := job.Spec{ID: "bill", Type: tr.Type, Exec: 1}
-	switch strategy {
-	case "one-time":
-		return cl.RunOneTime(spec)
-	case "persistent-30":
-		spec.Recovery = timeslot.Seconds(30)
-		return cl.RunPersistent(spec)
-	case "on-demand":
-		return cl.RunOnDemand(spec)
-	default:
-		return client.Report{}, fmt.Errorf("experiments: unknown strategy %q", strategy)
-	}
+	return cl.RunStrategy(a.spec("bill", tr.Type), a.strat)
 }
 
 // Render returns the ablation as an aligned text table.

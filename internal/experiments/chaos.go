@@ -5,11 +5,13 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
-	"repro/internal/cloud"
 	"repro/internal/instances"
+	"repro/internal/invariant"
 	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/obs/event"
+	"repro/internal/sched"
+	"repro/internal/strategy"
 	"repro/internal/timeslot"
 )
 
@@ -17,8 +19,13 @@ import (
 // fault-free to a very bad day on EC2.
 var chaosRates = []float64{0, 0.02, 0.05, 0.10}
 
-// chaosStrategies are the bidding strategies stressed by the sweep.
-var chaosStrategies = []string{"one-time", "persistent-30", "percentile-90"}
+// chaosArms are the bidding strategies stressed by the sweep. Every
+// arm's job takes t_r = 30 s, the one-time arm's included.
+var chaosArms = []arm{
+	{name: "one-time", strat: strategy.OneTime{}, recovery: timeslot.Seconds(30)},
+	persistent30,
+	percentile90,
+}
 
 // ChaosRow is one (strategy, fault-rate) cell: how much of the
 // paper's ≈90% saving survives a degraded market interface.
@@ -47,17 +54,18 @@ type ChaosRow struct {
 // ChaosResult is the degradation table of the chaos experiment.
 type ChaosResult struct{ Rows []ChaosRow }
 
-// chaosRun executes one job under one strategy on a fresh chaos-armed
-// region. Runs are deterministic per seed: region trace, submission
-// offset, and the entire fault sequence all derive from it.
-func chaosRun(typ instances.Type, strategy string, rate float64, seed int64, offset, days int, met *obs.Registry, rec *event.Recorder) (client.Report, chaos.Stats, error) {
-	region, err := regionFor([]instances.Type{typ}, seed, days)
+// runChaos runs the job under one strategy on a fresh chaos-armed
+// region and hands back the run's member state for the tournament's
+// invariant audit. Runs are deterministic per seed: region trace,
+// submission offset, and the entire fault sequence all derive from it.
+func runChaos(spec job.Spec, strat strategy.Strategy, rate float64, seed int64, offset, days int, met *obs.Registry, rec *event.Recorder) (client.Report, chaos.Stats, *invariant.MemberState, error) {
+	region, err := regionFor([]instances.Type{spec.Type}, seed, days)
 	if err != nil {
-		return client.Report{}, chaos.Stats{}, err
+		return client.Report{}, chaos.Stats{}, nil, err
 	}
 	cl, err := client.New(region)
 	if err != nil {
-		return client.Report{}, chaos.Stats{}, err
+		return client.Report{}, chaos.Stats{}, nil, err
 	}
 	if met != nil {
 		cl.SetMetrics(met)
@@ -67,27 +75,94 @@ func chaosRun(typ instances.Type, strategy string, rate float64, seed int64, off
 	}
 	inj, err := chaos.New(chaos.Uniform(rate, seed*31+1))
 	if err != nil {
-		return client.Report{}, chaos.Stats{}, err
+		return client.Report{}, chaos.Stats{}, nil, err
 	}
 	if err := inj.Arm(region, cl.Volume); err != nil {
-		return client.Report{}, chaos.Stats{}, err
+		return client.Report{}, chaos.Stats{}, nil, err
 	}
 	if err := cl.Skip(historySlots + offset); err != nil {
-		return client.Report{}, chaos.Stats{}, err
+		return client.Report{}, chaos.Stats{}, nil, err
 	}
-	spec := job.Spec{ID: "chaos-job", Type: typ, Exec: 1, Recovery: timeslot.Seconds(30)}
-	var rep client.Report
-	switch strategy {
-	case "one-time":
-		rep, err = cl.RunOneTime(spec)
-	case "persistent-30":
-		rep, err = cl.RunPersistent(spec)
-	case "percentile-90":
-		rep, err = cl.RunPercentile(spec, 90, cloud.Persistent)
-	default:
-		return client.Report{}, chaos.Stats{}, fmt.Errorf("experiments: unknown chaos strategy %q", strategy)
+	member := &invariant.MemberState{ID: region.ID(), Region: region, Volume: cl.Volume, Metrics: cl.Metrics}
+	rep, err := cl.RunStrategy(spec, strat)
+	return rep, inj.Stats(), member, err
+}
+
+// chaosCell is one (strategy, fault rate) cell of a chaos grid. A run's
+// trace seed and submit offset derive from the strategy index si and
+// the run alone, so every strategy faces the same traces and offsets at
+// every rate: the rate knob is isolated.
+type chaosCell struct {
+	si   int
+	rate float64
+}
+
+// gridRun is one run of a chaos grid cell. err is set when the client
+// could not run the job at all: a data point, not an experiment
+// failure.
+type gridRun struct {
+	rep    client.Report
+	faults chaos.Stats
+	err    error
+}
+
+// runChaosGrid runs o.Runs seeded runs of every cell through runChaos,
+// every (cell, run) pair in one worker pool; jobFor returns the job and
+// a strategy for one run of a cell. Run 0 of every cell feeds o.Trace,
+// serialized in cell order by the scheduler (see Opts.Trace), and
+// audit, when non-nil, runs right after it in the same worker. Each run
+// records into its own registry, and the registries merge into
+// o.Metrics in cell-major run order once the pool drains, so the
+// aggregate does not depend on worker scheduling.
+func runChaosGrid(o Opts, cells []chaosCell, jobFor func(chaosCell) (job.Spec, strategy.Strategy, error), audit func(ci int, seed int64, offset int)) ([][]gridRun, error) {
+	results := make([][]gridRun, len(cells))
+	regs := make([][]*obs.Registry, len(cells))
+	offs := make([][]int, len(cells))
+	for ci, c := range cells {
+		results[ci] = make([]gridRun, o.Runs)
+		regs[ci] = make([]*obs.Registry, o.Runs)
+		offs[ci] = offsets(o.Runs, o.Seed+int64(c.si))
 	}
-	return rep, inj.Stats(), err
+	var traced func(int) bool
+	if o.Trace != nil {
+		traced = func(int) bool { return true }
+	}
+	err := sched.Grid(len(cells), o.Runs, traced, func(ci, run int) error {
+		c := cells[ci]
+		spec, strat, err := jobFor(c)
+		if err != nil {
+			return err
+		}
+		var met *obs.Registry
+		if o.Metrics != nil {
+			met = obs.New()
+			regs[ci][run] = met
+		}
+		var rec *event.Recorder
+		if run == 0 {
+			rec = o.Trace
+		}
+		seed := o.Seed + int64(c.si)*2003 + int64(run)*7919
+		rep, st, _, err := runChaos(spec, strat, c.rate, seed, offs[ci][run], o.Days, met, rec)
+		results[ci][run] = gridRun{rep: rep, faults: st, err: err}
+		if run == 0 && audit != nil {
+			audit(ci, seed, offs[ci][0])
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if o.Metrics != nil {
+		for _, cellRegs := range regs {
+			for _, reg := range cellRegs {
+				if err := o.Metrics.Merge(reg.Snapshot()); err != nil {
+					return nil, fmt.Errorf("experiments: merging chaos run metrics: %w", err)
+				}
+			}
+		}
+	}
+	return results, nil
 }
 
 // ChaosSweep reruns the §7.1 single-job experiment under injected
@@ -100,66 +175,16 @@ func ChaosSweep(o Opts) (ChaosResult, error) {
 	o = o.withDefaults()
 	typ := instances.R3XLarge
 
-	// Flatten the rate×strategy grid so every (cell, run) pair shares
-	// one worker pool instead of a barrier per cell.
-	type chaosCell struct {
-		rate     float64
-		si       int
-		strategy string
-	}
 	var cells []chaosCell
 	for _, rate := range chaosRates {
-		for si, strategy := range chaosStrategies {
-			cells = append(cells, chaosCell{rate: rate, si: si, strategy: strategy})
+		for si := range chaosArms {
+			cells = append(cells, chaosCell{si: si, rate: rate})
 		}
 	}
-	type runResult struct {
-		rep    client.Report
-		faults chaos.Stats
-		err    error
-	}
-	results := make([][]runResult, len(cells))
-	// Each parallel repetition records into its own registry; the
-	// snapshots merge into o.Metrics in cell-major run order below,
-	// keeping the aggregate independent of worker scheduling.
-	var regs [][]*obs.Registry
-	if o.Metrics != nil {
-		regs = make([][]*obs.Registry, len(cells))
-	}
-	cellOffs := make([][]int, len(cells))
-	for ci, cell := range cells {
-		results[ci] = make([]runResult, o.Runs)
-		cellOffs[ci] = offsets(o.Runs, o.Seed+int64(cell.si))
-		if regs != nil {
-			regs[ci] = make([]*obs.Registry, o.Runs)
-			for run := range regs[ci] {
-				regs[ci][run] = obs.New()
-			}
-		}
-	}
-	// Run 0 of every cell feeds the shared recorder, serialized in
-	// cell order by the scheduler — see Opts.Trace's determinism note.
-	var traced func(int) bool
-	if o.Trace != nil {
-		traced = func(int) bool { return true }
-	}
-	err := forEachCellRun(len(cells), o.Runs, traced, func(ci, run int) error {
-		cell := cells[ci]
-		seed := o.Seed + int64(cell.si)*2003 + int64(run)*7919
-		var met *obs.Registry
-		if regs != nil {
-			met = regs[ci][run]
-		}
-		var rec *event.Recorder
-		if run == 0 {
-			rec = o.Trace
-		}
-		rep, st, err := chaosRun(typ, cell.strategy, cell.rate, seed, cellOffs[ci][run], o.Days, met, rec)
-		// A client that cannot start its job at all is a data
-		// point, not an experiment failure.
-		results[ci][run] = runResult{rep: rep, faults: st, err: err}
-		return nil
-	})
+	results, err := runChaosGrid(o, cells, func(c chaosCell) (job.Spec, strategy.Strategy, error) {
+		a := chaosArms[c.si]
+		return a.spec("chaos-job", typ), a.strat, nil
+	}, nil)
 	if err != nil {
 		return ChaosResult{}, err
 	}
@@ -167,14 +192,7 @@ func ChaosSweep(o Opts) (ChaosResult, error) {
 	var res ChaosResult
 	baseline := map[string]ChaosRow{} // strategy → rate-0 row
 	for ci, cell := range cells {
-		row := ChaosRow{Strategy: cell.strategy, Rate: cell.rate, Runs: o.Runs}
-		if regs != nil {
-			for _, reg := range regs[ci] {
-				if err := o.Metrics.Merge(reg.Snapshot()); err != nil {
-					return ChaosResult{}, fmt.Errorf("experiments: merging chaos run metrics: %w", err)
-				}
-			}
-		}
+		row := ChaosRow{Strategy: chaosArms[cell.si].name, Rate: cell.rate, Runs: o.Runs}
 		var cost, compl float64
 		for _, r := range results[ci] {
 			row.Faults += r.faults.Total()
@@ -206,10 +224,10 @@ func ChaosSweep(o Opts) (ChaosResult, error) {
 		o.Metrics.Counter("experiments.chaos.errored").Add(int64(row.Errored))
 		if cell.rate == 0 {
 			if row.Completed == 0 {
-				return ChaosResult{}, fmt.Errorf("experiments: fault-free %s baseline never completed", cell.strategy)
+				return ChaosResult{}, fmt.Errorf("experiments: fault-free %s baseline never completed", row.Strategy)
 			}
-			baseline[cell.strategy] = row
-		} else if base, ok := baseline[cell.strategy]; ok && row.Completed > 0 {
+			baseline[row.Strategy] = row
+		} else if base, ok := baseline[row.Strategy]; ok && row.Completed > 0 {
 			row.CostDegradation = row.MeanCost/base.MeanCost - 1
 			row.CompletionDegradation = float64(row.MeanCompletion)/float64(base.MeanCompletion) - 1
 		}

@@ -12,22 +12,22 @@ func TestChaosSweepDegradationTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(chaosRates) * len(chaosStrategies); len(res.Rows) != want {
+	if want := len(chaosRates) * len(chaosArms); len(res.Rows) != want {
 		t.Fatalf("rows = %d, want %d", len(res.Rows), want)
 	}
-	for _, strategy := range chaosStrategies {
-		base, ok := res.Row(strategy, 0)
+	for _, a := range chaosArms {
+		base, ok := res.Row(a.name, 0)
 		if !ok {
-			t.Fatalf("missing fault-free row for %s", strategy)
+			t.Fatalf("missing fault-free row for %s", a.name)
 		}
 		if base.Completed == 0 {
-			t.Errorf("%s: fault-free runs never completed", strategy)
+			t.Errorf("%s: fault-free runs never completed", a.name)
 		}
 		if base.Faults != 0 {
-			t.Errorf("%s: fault-free sweep injected %d faults", strategy, base.Faults)
+			t.Errorf("%s: fault-free sweep injected %d faults", a.name, base.Faults)
 		}
 		if base.CostDegradation != 0 || base.CompletionDegradation != 0 {
-			t.Errorf("%s: baseline row reports degradation vs itself", strategy)
+			t.Errorf("%s: baseline row reports degradation vs itself", a.name)
 		}
 	}
 	// The highest fault rate must actually inject faults.

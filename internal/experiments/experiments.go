@@ -104,11 +104,6 @@ func regionFor(types []instances.Type, seed int64, days int) (*cloud.Region, err
 	return cloud.NewRegion(traces...)
 }
 
-// cloudRegion wraps a single pre-generated trace in a region.
-func cloudRegion(tr *trace.Trace) (*cloud.Region, error) {
-	return cloud.NewRegion(tr)
-}
-
 // offsets returns n deterministic submission offsets within one day
 // (in slots) — the paper submits "at random times of the day" (§7.1).
 func offsets(n int, seed int64) []int {

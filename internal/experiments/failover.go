@@ -5,12 +5,14 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/client"
+	"repro/internal/cloud"
 	"repro/internal/fleet"
 	"repro/internal/instances"
 	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/obs/event"
 	"repro/internal/obs/tsdb"
+	"repro/internal/sched"
 	"repro/internal/timeslot"
 	"repro/internal/trace"
 )
@@ -81,7 +83,7 @@ func failoverRun(n int, rate float64, seed int64, offset, days int, met *obs.Reg
 		if err != nil {
 			return fleet.Report{}, 0, err
 		}
-		region, err := cloudRegion(tr)
+		region, err := cloud.NewRegion(tr)
 		if err != nil {
 			return fleet.Report{}, 0, err
 		}
@@ -141,7 +143,7 @@ func failoverRun(n int, rate float64, seed int64, offset, days int, met *obs.Reg
 	if err != nil {
 		return fleet.Report{}, 0, err
 	}
-	baseRegion, err := cloudRegion(baseTr)
+	baseRegion, err := cloud.NewRegion(baseTr)
 	if err != nil {
 		return fleet.Report{}, 0, err
 	}
@@ -200,7 +202,7 @@ func FailoverSweep(o Opts) (FailoverResult, error) {
 		// serialized in cell order to stay deterministic.
 		traced = func(int) bool { return true }
 	}
-	err := forEachCellRun(len(cells), o.Runs, traced, func(ci, run int) error {
+	err := sched.Grid(len(cells), o.Runs, traced, func(ci, run int) error {
 		cell := cells[ci]
 		seed := o.Seed + int64(cell.ni)*2003 + int64(run)*7919
 		met := obs.New()

@@ -137,10 +137,3 @@ func (r Fig4Result) Render() string {
 	b.WriteString(Table([]string{"slots", "state", "max price", ""}, rows))
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

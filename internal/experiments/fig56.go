@@ -10,7 +10,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/instances"
+	"repro/internal/job"
 	"repro/internal/lanes"
+	"repro/internal/sched"
 	"repro/internal/strategy"
 	"repro/internal/timeslot"
 	"repro/internal/trace"
@@ -23,14 +25,17 @@ import (
 // there with the decider the client would call, and runs the arms as
 // lanes of one engine from the submit slot. The client path stays the
 // oracle: TestCellArmsMatchClient replays every arm through client.New
-// + Skip + Run* and requires identical reports.
+// + Skip + RunStrategy and requires identical reports.
 
 // execHours is t_s of every §7.1 job: one hour.
 const execHours = timeslot.Hours(1)
 
-// arm is one strategy run on a cell.
+// arm is one strategy under test on a one-hour job: the package's one
+// name for a strategy. Clean-path arms run as lanes through cell.run;
+// arms that need the object graph (faults, billing modes) run through
+// client.RunStrategy.
 type arm struct {
-	// name labels the arm's Figure 6 row.
+	// name labels the arm's row.
 	name string
 	// strat is the decider the client calls to price the arm.
 	strat strategy.Strategy
@@ -38,15 +43,26 @@ type arm struct {
 	recovery timeslot.Hours
 }
 
-// oneTime is the Prop. 4 arm: Figure 5's measured bar and Figure 6's
-// baseline.
-var oneTime = arm{name: "one-time", strat: strategy.OneTime{}}
+// spec is the arm's job as the client runs it.
+func (a arm) spec(id string, typ instances.Type) job.Spec {
+	return job.Spec{ID: id, Type: typ, Exec: execHours, Recovery: a.recovery}
+}
+
+var (
+	// oneTime is the Prop. 4 arm: Figure 5's measured bar and Figure
+	// 6's baseline.
+	oneTime = arm{name: "one-time", strat: strategy.OneTime{}}
+	// persistent30 and percentile90 are Figure 6 arms that the
+	// ablations and the chaos sweep run too.
+	persistent30 = arm{name: "persistent-30", strat: strategy.Persistent{}, recovery: timeslot.Seconds(30)}
+	percentile90 = arm{name: "percentile-90", strat: strategy.Percentile{Q: 90, Kind: cloud.Persistent}, recovery: timeslot.Seconds(30)}
+)
 
 // fig6Arms are the Fig. 6 comparison arms, in row order.
 var fig6Arms = []arm{
 	{name: "persistent-10", strat: strategy.Persistent{}, recovery: timeslot.Seconds(10)},
-	{name: "persistent-30", strat: strategy.Persistent{}, recovery: timeslot.Seconds(30)},
-	{name: "percentile-90", strat: strategy.Percentile{Q: 90, Kind: cloud.Persistent}, recovery: timeslot.Seconds(30)},
+	persistent30,
+	percentile90,
 }
 
 // cell is one (type, run) cell of the §7.1 sweep, set up at its submit
@@ -79,9 +95,9 @@ func sweepCells(o Opts, step func(ti, run int, c *cell) error) error {
 	for ti := range types {
 		cellOffs[ti] = offsets(o.Runs, o.Seed+int64(ti))
 	}
-	return forEachCellRun(len(types), o.Runs, nil, func(ti, run int) error {
+	return sched.Grid(len(types), o.Runs, nil, func(ti, run int) error {
 		seed := o.Seed + int64(ti)*1013 + int64(run)*7919
-		c, err := newCell(types[ti], seed, historySlots+cellOffs[ti][run], o.Days)
+		c, err := newCell(types[ti], trace.GenOptions{Days: o.Days, Seed: seed}, historySlots+cellOffs[ti][run])
 		if err != nil {
 			return err
 		}
@@ -90,17 +106,17 @@ func sweepCells(o Opts, step func(ti, run int, c *cell) error) error {
 	})
 }
 
-// newCell takes the memoized trace and builds the client's clean-path
-// F_π estimate at the submit slot: the two-month window
-// Region.PriceHistory returns there, Filled into a windowed ECDF sized
-// as the price monitor sizes it. The window comes from cellWindows
-// when one of that size is free.
-func newCell(typ instances.Type, seed int64, submit, days int) (*cell, error) {
+// newCell takes the memoized trace the generator options describe and
+// builds the client's clean-path F_π estimate at the submit slot: the
+// two-month window Region.PriceHistory returns there, Filled into a
+// windowed ECDF sized as the price monitor sizes it. The window comes
+// from cellWindows when one of that size is free.
+func newCell(typ instances.Type, gen trace.GenOptions, submit int) (*cell, error) {
 	spec, err := instances.Lookup(typ)
 	if err != nil {
 		return nil, err
 	}
-	tr, err := trace.Generate(typ, trace.GenOptions{Days: days, Seed: seed})
+	tr, err := trace.Generate(typ, gen)
 	if err != nil {
 		return nil, err
 	}

@@ -8,19 +8,16 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/cloud"
-	"repro/internal/instances"
-	"repro/internal/job"
-	"repro/internal/timeslot"
+	"repro/internal/strategy"
 	"repro/internal/trace"
 )
 
 // clientArm runs one §7.1 arm the way Figures 5 and 6 ran it before
 // they moved to lanes, and the way the paper's client runs a job: a
 // fresh region over the cell's trace, a client warmed through the
-// history window and the submit offset, then one Run* call. Its
-// best-offline bid comes from the region's own price history.
-func clientArm(typ instances.Type, seed int64, submit, days int, name string) (client.Report, error) {
-	region, err := regionFor([]instances.Type{typ}, seed, days)
+// history window and the submit offset, then one RunStrategy call.
+func clientArm(tr *trace.Trace, submit int, a arm) (client.Report, error) {
+	region, err := cloud.NewRegion(tr)
 	if err != nil {
 		return client.Report{}, err
 	}
@@ -31,31 +28,7 @@ func clientArm(typ instances.Type, seed int64, submit, days int, name string) (c
 	if err := cl.Skip(submit); err != nil {
 		return client.Report{}, err
 	}
-	spec := job.Spec{ID: "exp-job", Type: typ, Exec: 1}
-	switch name {
-	case "one-time":
-		return cl.RunOneTime(spec)
-	case "best-offline":
-		hist, err := region.PriceHistory(typ, timeslot.Hours(10))
-		if err != nil {
-			return client.Report{}, err
-		}
-		best, err := hist.BestOfflinePrice(1)
-		if err != nil {
-			return client.Report{}, err
-		}
-		return cl.RunFixedBid("best-offline", spec, best, cloud.OneTime)
-	case "persistent-10":
-		spec.Recovery = timeslot.Seconds(10)
-		return cl.RunPersistent(spec)
-	case "persistent-30":
-		spec.Recovery = timeslot.Seconds(30)
-		return cl.RunPersistent(spec)
-	case "percentile-90":
-		spec.Recovery = timeslot.Seconds(30)
-		return cl.RunPercentile(spec, 90, cloud.Persistent)
-	}
-	return client.Report{}, fmt.Errorf("unknown arm %q", name)
+	return cl.RunStrategy(a.spec("exp-job", tr.Type), a.strat)
 }
 
 // TestCellArmsMatchClient is the lane path's oracle: for seeds 1 and 5
@@ -79,9 +52,11 @@ func TestCellArmsMatchClient(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			traceSeed := o.Seed + int64(ti)*1013 + int64(run)*7919
-			for i, a := range all {
-				want, err := clientArm(c.typ, traceSeed, c.submit, o.Days, a.name)
+			// The client prices best-offline from its region's own
+			// price history.
+			oracle := append([]arm{oneTime, {name: "best-offline", strat: strategy.BestOffline{}}}, fig6Arms...)
+			for i, a := range oracle {
+				want, err := clientArm(c.tr, c.submit, a)
 				if err != nil {
 					return err
 				}
@@ -113,6 +88,47 @@ func TestCellArmsMatchClient(t *testing.T) {
 	// arms the figure itself never prices.
 	if unfinished == 0 || failedBases == 0 {
 		t.Fatalf("degenerate sweep: %d unfinished arms, %d failed bases — pick other seeds", unfinished, failedBases)
+	}
+}
+
+// TestDwellArmsMatchClient extends the oracle to AblationDwell: at
+// every dwell, each run's one-time and persistent-30 lane reports must
+// be reflect.DeepEqual to the client's.
+func TestDwellArmsMatchClient(t *testing.T) {
+	o := Opts{Seed: 1, Runs: 10}.withDefaults()
+	arms := []arm{oneTime, persistent30}
+	var failed, interrupted int
+	for _, dwell := range dwellSweep {
+		for run := 0; run < o.Runs; run++ {
+			c, err := dwellCell(o, dwell, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.run(arms...)
+			c.release()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, a := range arms {
+				want, err := clientArm(c.tr, c.submit, a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("dwell %d run %d %s: lane report diverged from the client\nlane:   %+v\nclient: %+v",
+						dwell, run, a.name, got[i], want)
+				}
+			}
+			if !got[0].Outcome.Completed {
+				failed++
+			}
+			interrupted += got[1].Outcome.Interruptions
+		}
+	}
+	// Vacuity guard: the sweep must cover out-bid one-time arms and
+	// interrupted persistent ones.
+	if failed == 0 || interrupted == 0 {
+		t.Fatalf("degenerate sweep: %d failed one-time arms, %d persistent interruptions", failed, interrupted)
 	}
 }
 

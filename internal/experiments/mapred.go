@@ -6,6 +6,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/instances"
 	"repro/internal/mapreduce"
+	"repro/internal/sched"
 	"repro/internal/timeslot"
 )
 
@@ -110,7 +111,7 @@ func MapReduceEval(o Opts) (Table4Result, Fig7Result, error) {
 	// Both arms of each repetition run on private regions: every
 	// (setting, run) pair schedules freely through one shared pool,
 	// deterministic by seed; aggregation follows in setting order.
-	err := forEachCellRun(len(settings), o.Runs, nil, func(si, run int) error {
+	err := sched.Grid(len(settings), o.Runs, nil, func(si, run int) error {
 		setting := settings[si]
 		seed := o.Seed + int64(si)*2003 + int64(run)*7919
 		spec, err := mrSpec(setting, seed)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/instances"
 	"repro/internal/obs"
+	"repro/internal/sched"
 )
 
 // runInstrumented executes one zero-fault-rate chaos run (the injector
@@ -14,9 +15,9 @@ import (
 // with the given registry installed.
 func runInstrumented(t *testing.T, met *obs.Registry) client.Report {
 	t.Helper()
-	rep, faults, err := chaosRun(instances.R3XLarge, "persistent-30", 0, 42, 17, 63, met, nil)
+	rep, faults, _, err := runChaos(persistent30.spec("chaos-job", instances.R3XLarge), persistent30.strat, 0, 42, 17, 63, met, nil)
 	if err != nil {
-		t.Fatalf("chaosRun: %v", err)
+		t.Fatalf("runChaos: %v", err)
 	}
 	if faults.Total() != 0 {
 		t.Fatalf("zero-rate injector recorded %d faults", faults.Total())
@@ -87,7 +88,7 @@ func TestMetricsAreObservationOnly(t *testing.T) {
 func TestRegistrySharedAcrossRunner(t *testing.T) {
 	reg := obs.New()
 	const runs, perRun = 64, 1000
-	err := forEachRun(runs, func(run int) error {
+	err := sched.Runs(runs, func(run int) error {
 		c := reg.Counter("hammer.count")
 		g := reg.Gauge("hammer.level")
 		h := reg.Histogram("hammer.obs", obs.SlotBuckets)
@@ -99,7 +100,7 @@ func TestRegistrySharedAcrossRunner(t *testing.T) {
 		return nil
 	})
 	if err != nil {
-		t.Fatalf("forEachRun: %v", err)
+		t.Fatalf("sched.Runs: %v", err)
 	}
 	const want = int64(runs * perRun)
 	if got := reg.Counter("hammer.count").Value(); got != want {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"repro/internal/invariant"
+	"repro/internal/sched"
 )
 
 // ResilienceOpts configures a fault-schedule campaign: the scenario
@@ -67,7 +68,7 @@ func ResilienceCampaign(o ResilienceOpts) (invariant.CampaignReport, error) {
 		scheds = append(scheds, o.Grid.Random(o.Random, o.RandomMaxFaults, base, o.RandomWindow)...)
 	}
 	results := make([]invariant.ScheduleResult, len(scheds))
-	err := forEachCellRun(len(scheds), 1, nil, func(ci, _ int) error {
+	err := sched.Grid(len(scheds), 1, nil, func(ci, _ int) error {
 		results[ci] = invariant.RunSchedule(o.Scenario, ci, scheds[ci], o.Replay)
 		return nil
 	})

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/chaos"
-	"repro/internal/client"
 	"repro/internal/fleet"
 	"repro/internal/instances"
 	"repro/internal/invariant"
@@ -89,55 +87,20 @@ func tournamentSpec(typ instances.Type) job.Spec {
 	return job.Spec{ID: "tourney-job", Type: typ, Exec: 1, Recovery: timeslot.Seconds(30)}
 }
 
-// tournamentRun executes one job under one registered strategy on a
-// fresh chaos-armed region — the tournament's counterpart of chaosRun,
-// routed through the strategy engine. It hands back the substrate so
-// the audit can inspect the final simulator state.
-func tournamentRun(typ instances.Type, name string, rate float64, seed int64, offset, days int, met *obs.Registry, rec *event.Recorder) (client.Report, chaos.Stats, *invariant.MemberState, error) {
-	region, err := regionFor([]instances.Type{typ}, seed, days)
-	if err != nil {
-		return client.Report{}, chaos.Stats{}, nil, err
-	}
-	cl, err := client.New(region)
-	if err != nil {
-		return client.Report{}, chaos.Stats{}, nil, err
-	}
-	if met != nil {
-		cl.SetMetrics(met)
-	}
-	if rec != nil {
-		cl.SetTrace(rec)
-	}
-	inj, err := chaos.New(chaos.Uniform(rate, seed*31+1))
-	if err != nil {
-		return client.Report{}, chaos.Stats{}, nil, err
-	}
-	if err := inj.Arm(region, cl.Volume); err != nil {
-		return client.Report{}, chaos.Stats{}, nil, err
-	}
-	if err := cl.Skip(historySlots + offset); err != nil {
-		return client.Report{}, chaos.Stats{}, nil, err
-	}
-	strat, err := strategy.New(name)
-	if err != nil {
-		return client.Report{}, chaos.Stats{}, nil, err
-	}
-	member := &invariant.MemberState{ID: region.ID(), Region: region, Volume: cl.Volume, Metrics: cl.Metrics}
-	rep, err := cl.RunStrategy(tournamentSpec(typ), strat)
-	return rep, inj.Stats(), member, err
-}
-
 // tournamentAudit runs a cell's seed-0 configuration once more on a
 // private unbounded recorder, verifies the run against the invariant
 // suite, and returns its determinism fingerprint.
-func tournamentAudit(typ instances.Type, name string, rate float64, seed int64, offset, days int) (*invariant.RunResult, error) {
-	rec := event.NewRecorder(event.Config{Unbounded: true})
-	met := obs.New()
-	rep, _, member, err := tournamentRun(typ, name, rate, seed, offset, days, met, rec)
+func tournamentAudit(spec job.Spec, name string, rate float64, seed int64, offset, days int) (*invariant.RunResult, error) {
+	strat, err := strategy.New(name)
 	if err != nil {
 		return nil, err
 	}
-	spec := tournamentSpec(typ)
+	rec := event.NewRecorder(event.Config{Unbounded: true})
+	met := obs.New()
+	rep, _, member, err := runChaos(spec, strat, rate, seed, offset, days, met, rec)
+	if err != nil {
+		return nil, err
+	}
 	st := &invariant.RunState{
 		Spec: spec,
 		Params: invariant.Params{
@@ -201,88 +164,40 @@ func Tournament(o Opts) (TournamentResult, error) {
 	}
 	odCost := ispec.OnDemand * float64(spec.Exec)
 
-	// Flatten the strategy×rate grid; the seed depends on the strategy
-	// index and run only, so every strategy faces the same traces and
-	// submission offsets at every rate — the rate knob is isolated.
-	type cell struct {
-		si   int
-		name string
-		rate float64
-	}
-	var cells []cell
-	for si, name := range names {
+	var cells []chaosCell
+	for si := range names {
 		for _, rate := range tournamentRates {
-			cells = append(cells, cell{si: si, name: name, rate: rate})
+			cells = append(cells, chaosCell{si: si, rate: rate})
 		}
-	}
-	type runResult struct {
-		rep    client.Report
-		faults chaos.Stats
-		err    error
 	}
 	type auditResult struct {
 		violations []invariant.Violation
 		replayOK   bool
 		err        error
 	}
-	results := make([][]runResult, len(cells))
 	audits := make([]auditResult, len(cells))
-	var regs [][]*obs.Registry
-	if o.Metrics != nil {
-		regs = make([][]*obs.Registry, len(cells))
-	}
-	cellOffs := make([][]int, len(cells))
-	for ci, c := range cells {
-		results[ci] = make([]runResult, o.Runs)
-		cellOffs[ci] = offsets(o.Runs, o.Seed+int64(c.si))
-		if regs != nil {
-			regs[ci] = make([]*obs.Registry, o.Runs)
-			for run := range regs[ci] {
-				regs[ci][run] = obs.New()
-			}
-		}
-	}
-	var traced func(int) bool
-	if o.Trace != nil {
-		traced = func(int) bool { return true }
-	}
-	err = forEachCellRun(len(cells), o.Runs, traced, func(ci, run int) error {
-		c := cells[ci]
-		seed := o.Seed + int64(c.si)*2003 + int64(run)*7919
-		var met *obs.Registry
-		if regs != nil {
-			met = regs[ci][run]
-		}
-		var rec *event.Recorder
-		if run == 0 {
-			rec = o.Trace
-		}
-		rep, st, _, err := tournamentRun(typ, c.name, c.rate, seed, cellOffs[ci][run], o.Days, met, rec)
-		// A client that cannot start its job at all is a data point,
-		// not an experiment failure.
-		results[ci][run] = runResult{rep: rep, faults: st, err: err}
-		if run != 0 {
-			return nil
-		}
+	results, err := runChaosGrid(o, cells, func(c chaosCell) (job.Spec, strategy.Strategy, error) {
+		strat, err := strategy.New(names[c.si])
+		return spec, strat, err
+	}, func(ci int, seed int64, offset int) {
 		// Audit + replay: two more private-recorder runs of the same
 		// seed. Their violations and fingerprints are deterministic, so
 		// running them inside the worker is scheduling-independent.
-		a, aerr := tournamentAudit(typ, c.name, c.rate, seed, cellOffs[ci][0], o.Days)
-		if aerr != nil {
-			audits[ci] = auditResult{err: aerr}
-			return nil
+		name, rate := names[cells[ci].si], cells[ci].rate
+		a, err := tournamentAudit(spec, name, rate, seed, offset, o.Days)
+		if err != nil {
+			audits[ci] = auditResult{err: err}
+			return
 		}
-		b, berr := tournamentAudit(typ, c.name, c.rate, seed, cellOffs[ci][0], o.Days)
-		if berr != nil {
-			audits[ci] = auditResult{err: berr}
-			return nil
+		b, err := tournamentAudit(spec, name, rate, seed, offset, o.Days)
+		if err != nil {
+			audits[ci] = auditResult{err: err}
+			return
 		}
-		vs := auditViolations(c.name, a)
 		audits[ci] = auditResult{
-			violations: vs,
+			violations: auditViolations(name, a),
 			replayOK:   len(invariant.CompareReplay(a, b)) == 0,
 		}
-		return nil
 	})
 	if err != nil {
 		return TournamentResult{}, err
@@ -294,14 +209,8 @@ func Tournament(o Opts) (TournamentResult, error) {
 		rows[name] = &TournamentRow{Strategy: name, Guarantees: info.GuaranteesCompletion, ReplayOK: true}
 	}
 	for ci, c := range cells {
-		if regs != nil {
-			for _, reg := range regs[ci] {
-				if err := o.Metrics.Merge(reg.Snapshot()); err != nil {
-					return TournamentResult{}, fmt.Errorf("experiments: merging tournament run metrics: %w", err)
-				}
-			}
-		}
-		cellRow := TournamentCell{Strategy: c.name, Rate: c.rate, Runs: o.Runs}
+		name := names[c.si]
+		cellRow := TournamentCell{Strategy: name, Rate: c.rate, Runs: o.Runs}
 		var cost, compl, savings float64
 		for _, r := range results[ci] {
 			cellRow.Faults += r.faults.Total()
@@ -340,7 +249,7 @@ func Tournament(o Opts) (TournamentResult, error) {
 		o.Metrics.Counter("experiments.tournament.completed").Add(int64(cellRow.Completed))
 		o.Metrics.Counter("experiments.tournament.violations").Add(int64(len(cellRow.Violations)))
 
-		row := rows[c.name]
+		row := rows[name]
 		row.Cells = append(row.Cells, cellRow)
 		row.Errored += cellRow.Errored
 		row.Interruptions += cellRow.Interruptions

@@ -380,13 +380,7 @@ func buildMarket(cfg Config, mi int, typ instances.Type, grid timeslot.Grid, hor
 	if err != nil {
 		return Market{}, nil, err
 	}
-	// Compared in slots before the int conversion, so a window longer
-	// than any int holds still covers the whole horizon.
-	capacity := horizon
-	if grid.Slots(cfg.Window) < float64(horizon) {
-		capacity = grid.CeilSlots(cfg.Window)
-	}
-	win, err := dist.NewWindowedECDF(capacity, 0)
+	win, err := dist.NewWindowedECDF(min(grid.CeilSlots(cfg.Window), horizon), 0)
 	if err != nil {
 		return Market{}, nil, err
 	}

@@ -642,19 +642,24 @@ func resumePoints(t *testing.T, cfg Config) map[string]int {
 // TestReferenceEquivalence pins the SoA engine against its
 // array-of-structs twin: same config, byte-identical report. The twin
 // recomputes every quote from a fresh ECDF snapshot, so this also
-// re-proves the live-window quote grid equals the legacy rebuild.
+// re-proves the live-window quote grid equals the legacy rebuild. It
+// runs at the test window and at a 1e300-hour window, more slots than
+// an int holds, which both engines must read as the whole horizon.
 func TestReferenceEquivalence(t *testing.T) {
-	cfg := testConfig()
-	render, jsonRep, _ := fleetBytes(t, cfg, false)
-	ref, err := RunReference(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ref.Render(); got != render {
-		t.Errorf("reference Render diverged:\n%s\nvs\n%s", got, render)
-	}
-	if got := ref.JSON(); !bytes.Equal(got, jsonRep) {
-		t.Errorf("reference JSON diverged:\n%s\nvs\n%s", got, jsonRep)
+	for _, window := range []timeslot.Hours{testConfig().Window, 1e300} {
+		cfg := testConfig()
+		cfg.Window = window
+		render, jsonRep, _ := fleetBytes(t, cfg, false)
+		ref, err := RunReference(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ref.Render(); got != render {
+			t.Errorf("window %v h: reference Render diverged:\n%s\nvs\n%s", float64(window), got, render)
+		}
+		if got := ref.JSON(); !bytes.Equal(got, jsonRep) {
+			t.Errorf("window %v h: reference JSON diverged:\n%s\nvs\n%s", float64(window), got, jsonRep)
+		}
 	}
 }
 

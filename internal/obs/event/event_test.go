@@ -3,6 +3,7 @@ package event
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"unsafe"
@@ -251,9 +252,9 @@ func populate(r *Recorder) {
 	r.EndSpan(root, 140)
 }
 
-// TestExportDeterminism: the same trace exported twice (and a second
-// identically built recorder) yields byte-identical output in every
-// format.
+// TestExportDeterminism: the same trace exported twice, once through
+// the format's Exporter (and a second identically built recorder),
+// yields byte-identical output in every format.
 func TestExportDeterminism(t *testing.T) {
 	r1 := NewRecorder(Config{Unbounded: true})
 	r2 := NewRecorder(Config{Unbounded: true})
@@ -261,24 +262,28 @@ func TestExportDeterminism(t *testing.T) {
 	populate(r2)
 	for _, f := range []struct {
 		name  string
-		write func(*Recorder, *bytes.Buffer) error
+		write func(*Recorder, io.Writer) error
 	}{
-		{"jsonl", func(r *Recorder, b *bytes.Buffer) error { return r.WriteJSONL(b) }},
-		{"chrome", func(r *Recorder, b *bytes.Buffer) error { return r.WriteChromeTrace(b) }},
-		{"timeline", func(r *Recorder, b *bytes.Buffer) error { return r.WriteTimeline(b) }},
+		{"jsonl", (*Recorder).WriteJSONL},
+		{"chrome", (*Recorder).WriteChromeTrace},
+		{"timeline", (*Recorder).WriteTimeline},
 	} {
+		export, err := Exporter(f.name)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
 		var a, b, c bytes.Buffer
 		if err := f.write(r1, &a); err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
-		if err := f.write(r1, &b); err != nil {
+		if err := export(r1, &b); err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
 		if err := f.write(r2, &c); err != nil {
 			t.Fatalf("%s: %v", f.name, err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatalf("%s: re-export differs", f.name)
+			t.Fatalf("%s: re-export through Exporter differs", f.name)
 		}
 		if !bytes.Equal(a.Bytes(), c.Bytes()) {
 			t.Fatalf("%s: identical run differs", f.name)
@@ -286,6 +291,9 @@ func TestExportDeterminism(t *testing.T) {
 		if a.Len() == 0 {
 			t.Fatalf("%s: empty export", f.name)
 		}
+	}
+	if _, err := Exporter("bogus"); err == nil {
+		t.Error("Exporter accepted an unknown format")
 	}
 }
 

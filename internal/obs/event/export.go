@@ -14,6 +14,21 @@ import (
 // encoding/json, which sorts keys. One seed → one byte sequence per
 // format.
 
+// Exporter returns the export method for a format name: "jsonl",
+// "chrome" or "timeline". A command resolves its format flag here
+// before it records anything, so a bad name fails before the run.
+func Exporter(format string) (func(*Recorder, io.Writer) error, error) {
+	switch format {
+	case "jsonl":
+		return (*Recorder).WriteJSONL, nil
+	case "chrome":
+		return (*Recorder).WriteChromeTrace, nil
+	case "timeline":
+		return (*Recorder).WriteTimeline, nil
+	}
+	return nil, fmt.Errorf("unknown trace format %q (want jsonl, chrome, or timeline)", format)
+}
+
 // jsonlSpan is the JSONL wire form of a Span.
 type jsonlSpan struct {
 	T      string `json:"t"` // "span"

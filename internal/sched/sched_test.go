@@ -80,6 +80,125 @@ func TestRunsStopsAfterError(t *testing.T) {
 	}
 }
 
+// TestRunsStopsFeedingAfterError: the same cutoff with every core
+// working. Runs already in flight may finish, but the tail of the
+// schedule never starts: every run but run 0 waits for run 0's
+// failure, so only the runs in flight when the error lands can run.
+func TestRunsStopsFeedingAfterError(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(runtime.NumCPU()))
+	const runs = 1000
+	boom := errors.New("boom")
+	var started atomic.Int64
+	run0done := make(chan struct{})
+	err := Runs(runs, func(run int) error {
+		started.Add(1)
+		if run == 0 {
+			defer close(run0done)
+			return boom
+		}
+		<-run0done
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("got %v, want boom", err)
+	}
+	if n := started.Load(); n >= runs {
+		t.Fatalf("dispatch did not stop: all %d runs started", n)
+	}
+}
+
+// TestRunsFirstError: the returned error is the one run that failed,
+// and a clean schedule returns nil.
+func TestRunsFirstError(t *testing.T) {
+	boom := errors.New("boom-7")
+	err := Runs(20, func(run int) error {
+		if run == 7 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+	if err := Runs(20, func(int) error { return nil }); err != nil {
+		t.Fatalf("clean schedule returned %v", err)
+	}
+}
+
+// TestGridCoversEveryPair: every (cell, run) pair executes exactly
+// once, so results can be aggregated per pre-allocated slot.
+func TestGridCoversEveryPair(t *testing.T) {
+	const cells, runs = 7, 11
+	var counts [cells][runs]atomic.Int64
+	err := Grid(cells, runs, nil, func(cell, run int) error {
+		counts[cell][run].Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < cells; c++ {
+		for r := 0; r < runs; r++ {
+			if n := counts[c][r].Load(); n != 1 {
+				t.Fatalf("pair (%d,%d) ran %d times", c, r, n)
+			}
+		}
+	}
+}
+
+// TestGridTracedChain: traced run-0 repetitions execute serially in
+// cell order — the invariant that keeps a shared flight recorder's
+// byte stream identical to a sequential per-cell loop.
+func TestGridTracedChain(t *testing.T) {
+	const cells, runs = 9, 5
+	var mu sync.Mutex
+	var order []int
+	var concurrent, maxConcurrent atomic.Int64
+	err := Grid(cells, runs, func(int) bool { return true }, func(cell, run int) error {
+		if run != 0 {
+			return nil
+		}
+		if c := concurrent.Add(1); c > maxConcurrent.Load() {
+			maxConcurrent.Store(c)
+		}
+		mu.Lock()
+		order = append(order, cell)
+		mu.Unlock()
+		concurrent.Add(-1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := maxConcurrent.Load(); n > 1 {
+		t.Fatalf("%d traced runs overlapped", n)
+	}
+	if len(order) != cells {
+		t.Fatalf("traced %d cells, want %d", len(order), cells)
+	}
+	for i, c := range order {
+		if c != i {
+			t.Fatalf("traced order %v is not cell order", order)
+		}
+	}
+}
+
+// TestGridTracedChainSurvivesError: an error in an untraced repetition
+// must not deadlock the traced chain — done gates close even when work
+// is skipped.
+func TestGridTracedChainSurvivesError(t *testing.T) {
+	boom := errors.New("boom")
+	err := Grid(6, 4, func(int) bool { return true }, func(cell, run int) error {
+		if cell == 0 && run == 1 {
+			return boom
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want %v", err, boom)
+	}
+}
+
 // spin yields a pseudo-random number of times, derived from seed, so
 // that concurrent calls interleave differently from index to index.
 func spin(seed uint64) {

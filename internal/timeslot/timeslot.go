@@ -12,6 +12,7 @@ package timeslot
 
 import (
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -101,13 +102,20 @@ func (g Grid) Slots(h Hours) float64 { return float64(h) / float64(g.Slot) }
 
 // CeilSlots converts a duration in hours to the number of whole slots
 // needed to cover it. A 1-hour job on a 5-minute grid needs 12 slots.
+// A duration of more slots than an int holds, +Inf included, saturates
+// at math.MaxInt (and one of fewer than math.MinInt at math.MinInt), so
+// "longer than any trace" stays longer than any trace; NaN gives 0.
 func (g Grid) CeilSlots(h Hours) int {
-	n := g.Slots(h)
-	i := int(n)
-	if float64(i) < n {
-		i++
+	n := math.Ceil(g.Slots(h))
+	switch {
+	case math.IsNaN(n):
+		return 0
+	case n >= float64(math.MaxInt):
+		return math.MaxInt
+	case n <= float64(math.MinInt):
+		return math.MinInt
 	}
-	return i
+	return int(n)
 }
 
 // HoursOfSlots converts a whole number of slots back into hours.

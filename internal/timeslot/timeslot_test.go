@@ -116,6 +116,44 @@ func TestCeilSlotsProperty(t *testing.T) {
 	}
 }
 
+// TestCeilSlotsSaturates covers durations whose slot count is near or
+// past what an int holds. On a one-hour grid the slot count is the
+// duration itself, so the table can name the floats around 2⁶³ exactly.
+func TestCeilSlotsSaturates(t *testing.T) {
+	two63 := math.Ldexp(1, 63)
+	hourly := NewGrid(1)
+	for _, c := range []struct {
+		h    float64
+		want int
+	}{
+		{0, 0},
+		{0.5, 1},
+		{1, 1},
+		{-0.5, 0},
+		{-1.5, -1},
+		{math.Nextafter(two63, 0), 1<<63 - 1024},
+		{two63, math.MaxInt},
+		{math.Nextafter(two63, math.Inf(1)), math.MaxInt},
+		{1e300, math.MaxInt},
+		{math.Inf(1), math.MaxInt},
+		{math.Nextafter(-two63, 0), -1<<63 + 1024},
+		{-two63, math.MinInt},
+		{-1e300, math.MinInt},
+		{math.Inf(-1), math.MinInt},
+		{math.NaN(), 0},
+	} {
+		if got := hourly.CeilSlots(Hours(c.h)); got != c.want {
+			t.Errorf("CeilSlots(%v h) on a 1-hour grid = %d, want %d", c.h, got, c.want)
+		}
+	}
+	g := NewGrid(DefaultSlot)
+	for _, h := range []float64{1e300, math.Inf(1)} {
+		if got := g.CeilSlots(Hours(h)); got != math.MaxInt {
+			t.Errorf("CeilSlots(%v h) on the 5-minute grid = %d, want math.MaxInt", h, got)
+		}
+	}
+}
+
 func TestClock(t *testing.T) {
 	c := NewClock(NewGrid(DefaultSlot))
 	if c.Now() != 0 {

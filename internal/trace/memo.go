@@ -10,10 +10,11 @@ import (
 // Trace generation is deterministic: the price series is a pure
 // function of (calibration, seed, days, dynamics model, diurnal
 // modulation, dwell grain). Every figure/table experiment and every
-// forEachRun repetition that shares a region configuration therefore
-// regenerates byte-identical prices — the single most expensive step
-// of a run (arrival draws + equilibrium inversion per slot). The memo
-// below caches the generated series under exactly that key.
+// sched.Runs or sched.Grid repetition that shares a region
+// configuration therefore regenerates byte-identical prices — the
+// single most expensive step of a run (arrival draws + equilibrium
+// inversion per slot). The memo below caches the generated series
+// under exactly that key.
 //
 // Determinism is preserved, not merely approximated: a cache hit
 // replays the same observable effects a miss produces — the

@@ -91,13 +91,16 @@ func TestLastHours(t *testing.T) {
 	if w.Len() != 12 || w.At(0) != 24 {
 		t.Errorf("LastHours(1): len=%d first=%v", w.Len(), w.At(0))
 	}
-	// Longer than the trace: whole trace.
-	w, err = tr.LastHours(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Len() != 36 {
-		t.Errorf("LastHours(100) len = %d", w.Len())
+	// Longer than the trace, past an int's worth of slots too: whole
+	// trace.
+	for _, h := range []float64{100, 1e300, math.Inf(1)} {
+		w, err = tr.LastHours(timeslot.Hours(h))
+		if err != nil {
+			t.Fatalf("LastHours(%v): %v", h, err)
+		}
+		if w.Len() != 36 {
+			t.Errorf("LastHours(%v) len = %d", h, w.Len())
+		}
 	}
 }
 
