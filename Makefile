@@ -1,11 +1,12 @@
-# Standard checks. `make check` is the pre-merge gate: gofmt + vet + the full
-# test suite under the race detector (the chaos loop and the parallel
-# experiment harness must stay race-clean) + a shuffled-order pass
-# (no test may lean on package-level state left by an earlier test).
+# Standard checks. `make check` is the pre-merge gate: gofmt + vet (the root
+# module and the perfbench module) + the full test suite under the race
+# detector (the chaos loop and the parallel experiment harness must stay
+# race-clean) + a shuffled-order pass (no test may lean on package-level
+# state left by an earlier test).
 
 GO ?= go
 
-.PHONY: all build test fmt vet race race-obs shuffle no-wallclock check fuzz bench bench-record bench-lanes perfgate resilcheck trace-demo serve-demo top-demo
+.PHONY: all build test fmt vet perfbench-vet race race-obs shuffle no-wallclock check fuzz bench bench-record bench-lanes perfgate resilcheck trace-demo serve-demo top-demo
 
 all: check
 
@@ -23,6 +24,12 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is its own module, so `./...` never compiles it; vet it
+# against this checkout so an API change cannot break the benchmark
+# while `make check` stays green.
+perfbench-vet:
+	GOFLAGS= GOPROXY=off $(GO) -C perfbench vet ./...
 
 race:
 	$(GO) test -race ./...
@@ -48,7 +55,7 @@ shuffle:
 no-wallclock:
 	sh scripts/no_wallclock.sh
 
-check: fmt vet no-wallclock race-obs race shuffle perfgate resilcheck
+check: fmt vet perfbench-vet no-wallclock race-obs race shuffle perfgate resilcheck
 
 # Short fuzz pass over both history-parser targets, the
 # fault-schedule shrinker, the strategy deciders, the quote-request

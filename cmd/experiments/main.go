@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -24,11 +25,15 @@ import (
 	"repro/internal/obs/tsdb"
 )
 
+// sectionKeys are the -only keys, in run order.
+var sectionKeys = []string{"fig3", "table3", "fig4", "fig5", "fig6", "mapreduce", "stability",
+	"forecast", "chaos", "tournament", "failover", "serve", "ablations"}
+
 func main() {
 	var (
 		seed        = flag.Int64("seed", 1, "experiment seed")
 		runs        = flag.Int("runs", 10, "repetitions per configuration (the paper uses 10)")
-		only        = flag.String("only", "", "comma-separated subset: fig3,table3,fig4,fig5,fig6,mapreduce,stability,forecast,chaos,tournament,failover,serve,ablations")
+		only        = flag.String("only", "", "comma-separated subset: "+strings.Join(sectionKeys, ","))
 		metrics     = flag.Bool("metrics", false, "print an aggregated metrics snapshot after the experiments")
 		metricsJSON = flag.Bool("metrics-json", false, "print the metrics snapshot as JSON instead of a table (implies -metrics)")
 		traceOn     = flag.Bool("trace", false, "record a flight-recorder event trace of run 0 of each sweep cell")
@@ -41,6 +46,16 @@ func main() {
 	export, err := event.Exporter(*traceFormat)
 	if err != nil {
 		fatalf("-trace-format: %v", err)
+	}
+	want := map[string]bool{}
+	if *only != "" {
+		for _, k := range strings.Split(*only, ",") {
+			k = strings.TrimSpace(k)
+			if !slices.Contains(sectionKeys, k) {
+				fatalf("-only: unknown section %q (known: %s)", k, strings.Join(sectionKeys, ","))
+			}
+			want[k] = true
+		}
 	}
 	opts := experiments.Opts{Seed: *seed, Runs: *runs, ScrapeEvery: *scrapeEvery}
 	if *metrics || *metricsJSON {
@@ -69,12 +84,6 @@ func main() {
 		}()
 	}
 
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
 	sel := func(k string) bool { return len(want) == 0 || want[k] }
 
 	if sel("fig3") {

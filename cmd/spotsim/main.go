@@ -35,7 +35,7 @@ func main() {
 
 		traceOn     = flag.Bool("trace", false, "record a PriceSet event trace of the generation (stderr unless -trace-out)")
 		traceOut    = flag.String("trace-out", "", "write the event trace to this file (implies -trace)")
-		traceFormat = flag.String("trace-format", "jsonl", "event-trace format: jsonl, chrome, or timeline")
+		traceFormat = flag.String("trace-format", "jsonl", "event-trace format: jsonl, chrome, or timeline (implies -trace)")
 	)
 	flag.Parse()
 	export, err := event.Exporter(*traceFormat)
@@ -61,7 +61,9 @@ func main() {
 	if *metrics {
 		opts.Metrics = obs.New()
 	}
-	if *traceOn || *traceOut != "" {
+	traceFormatSet := false
+	flag.Visit(func(f *flag.Flag) { traceFormatSet = traceFormatSet || f.Name == "trace-format" })
+	if *traceOn || *traceOut != "" || traceFormatSet {
 		opts.Trace = event.NewRecorder(event.Config{Unbounded: true})
 	}
 	if *dynamics != "full" && *dynamics != "equilibrium" {

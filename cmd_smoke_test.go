@@ -94,6 +94,18 @@ func TestSpotsimCLI(t *testing.T) {
 		t.Error("unknown dynamics should fail")
 	}
 	rejectsTraceFormat(t, bin, "-type", "c3.large", "-days", "1")
+
+	// -trace-format implies -trace: the trace goes to stderr.
+	cmd = exec.Command(bin, "-type", "c3.large", "-days", "1", "-trace-format", "chrome")
+	stdout.Reset()
+	stderr.Reset()
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("spotsim -trace-format chrome: %v\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `"traceEvents"`) {
+		t.Errorf("-trace-format chrome wrote no Chrome trace to stderr:\n%s", stderr.String())
+	}
 }
 
 // rejectsTraceFormat runs bin with a bogus -trace-format and requires
@@ -189,6 +201,21 @@ func TestExperimentsCLI(t *testing.T) {
 		t.Errorf("tournament replay diverged:\n%s", out)
 	}
 	rejectsTraceFormat(t, bin, "-only", "table3", "-runs", "1")
+
+	// A misspelt -only key fails before anything runs and lists the
+	// known keys.
+	cmd := exec.Command(bin, "-only", "tabel3", "-runs", "1")
+	var stdout, stderr strings.Builder
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Error("-only tabel3 exited 0")
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("-only tabel3 ran before failing; stdout:\n%s", stdout.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, `"tabel3"`) || !strings.Contains(msg, "table3") {
+		t.Errorf("-only tabel3: stderr names neither the key nor the known keys:\n%s", msg)
+	}
 }
 
 func TestSpotbiddCLI(t *testing.T) {

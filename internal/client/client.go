@@ -39,16 +39,6 @@ type Client struct {
 	// HistoryWindow bounds how much price history the price monitor
 	// uses (default: two months).
 	HistoryWindow timeslot.Hours
-	// Retry is the API fault-handling policy (zero value: the
-	// retry.Default budget of 4 attempts with capped exponential
-	// backoff and deterministic jitter).
-	Retry retry.Policy
-	// StallSlots bounds how long a spot job priced from *degraded*
-	// telemetry may sit without progress before the client distrusts
-	// the bid, cancels the request, and finishes on-demand (default
-	// DefaultStallSlots). Jobs priced from clean telemetry are never
-	// watched: legitimate idling is part of the persistent strategy.
-	StallSlots int
 	// Metrics, when non-nil, receives the client runtime's telemetry
 	// (client.* metrics; see DESIGN.md §7). Prefer SetMetrics, which
 	// also wires the region, the checkpoint volume, and the retry
@@ -73,11 +63,13 @@ type Client struct {
 
 	// lastGood caches the most recent successfully fetched F_π
 	// estimate per type: the price monitor's degraded-mode fallback
-	// when live history fetches exhaust their retry budget.
+	// when live history fetches exhaust their retry budget. It is kept
+	// apart from monitors because it must outlive a monitor swap on a
+	// window or region change.
 	mu       sync.Mutex
 	lastGood map[instances.Type]cachedECDF
-	// monitors holds the per-type incremental windowed ECDFs serving
-	// the clean (undegraded) price-monitor path; see monitor.go.
+	// monitors holds the per-type windowed ECDFs every successful
+	// history fetch loads; see monitor.go.
 	monitors map[instances.Type]*priceMonitor
 	// active is the spot tracker of the run in flight (nil outside
 	// runs and for on-demand runs). A controller that aborted a run
@@ -121,17 +113,16 @@ type FallbackDelegate interface {
 // recoverable through Active and the checkpoint volume.
 var ErrFallbackVetoed = errors.New("client: on-demand fallback vetoed by delegate")
 
-// cachedECDF is the last good F_π estimate for one type: either an
-// already-materialized snapshot (the filtered and injector-armed
-// paths build an Empirical anyway) or a reference to the live monitor
-// the estimate came from. The monitor's window mutates only on clean
-// fetches — never between a failed fetch and the stale serve that
+// cachedECDF is the last good F_π estimate for one type: the monitor
+// the last successful fetch loaded, snapshotted on first stale use. The
+// monitor's window mutates only on a successful fetch, which replaces
+// this entry — never between a failed fetch and the stale serve that
 // follows it — so deferring the snapshot to first degraded use is
 // observably identical to eagerly copying on every success, and the
-// clean path stays allocation-free.
+// fetch path stays allocation-free.
 type cachedECDF struct {
-	ecdf *dist.Empirical // materialized estimate, nil when mon backs it
-	mon  *priceMonitor   // live monitor of the last clean fetch
+	ecdf *dist.Empirical // snapshot of mon's window, nil until first stale use
+	mon  *priceMonitor   // monitor of the last successful fetch
 	slot int
 }
 
@@ -185,15 +176,13 @@ func (c *Client) SetTrace(rec *event.Recorder) {
 // uninstrumented).
 func (c *Client) Trace() *event.Recorder { return c.trace }
 
-// policy returns the client's retry policy with the metrics registry
-// and flight recorder threaded through (unless the caller already
-// installed its own).
+// policy returns the client's API fault-handling policy: retry.Default
+// (4 attempts, capped exponential backoff, deterministic jitter) with
+// the metrics registry and flight recorder threaded through.
 func (c *Client) policy() retry.Policy {
-	p := c.Retry
-	if p.Metrics == nil {
-		p.Metrics = c.Metrics
-	}
-	if p.Trace == nil && c.trace != nil {
+	p := retry.Default()
+	p.Metrics = c.Metrics
+	if c.trace != nil {
 		p.Trace = c.trace
 		p.TraceSlot = c.Region.Now
 	}
@@ -224,7 +213,7 @@ type Telemetry struct {
 	// on-demand" playbook applied to API failure).
 	FellBackOnDemand bool
 	// Stalled reports the stall watchdog fired: a bid priced from
-	// degraded telemetry made no progress for StallSlots, so the
+	// degraded telemetry made no progress for DefaultStallSlots, so the
 	// remainder of the job ran on-demand.
 	Stalled bool
 	// Rebids counts the mid-run revisions an adaptive strategy drove:
@@ -265,28 +254,6 @@ func (c *Client) tick() error {
 	return c.Region.Tick()
 }
 
-// run drives a tracker to completion, mirroring job.Run exactly but
-// advancing time through tick so an attached controller stays in the
-// loop. Without a Ticker it delegates to job.Run itself — the
-// historical code path, bit for bit.
-func (c *Client) run(t *job.Tracker) (job.Outcome, error) {
-	if c.Ticker == nil {
-		return job.Run(c.Region, t)
-	}
-	for !t.Done() {
-		if err := c.tick(); err != nil {
-			if errors.Is(err, cloud.ErrEndOfTrace) {
-				return t.Outcome(), nil
-			}
-			return job.Outcome{}, err
-		}
-		if err := t.Observe(); err != nil {
-			return job.Outcome{}, err
-		}
-	}
-	return t.Outcome(), nil
-}
-
 // Active returns the tracker of the run currently (or most recently)
 // in flight, nil when the last run never acquired resources. Every
 // public Run entrypoint clears it up front, so a run that fails before
@@ -309,13 +276,14 @@ func (c *Client) setActive(t *job.Tracker) {
 // Market builds the bid-calculator view of an instance type's market:
 // the ECDF of the price-monitor window plus the on-demand ceiling.
 //
-// On the clean (undegraded) path the returned Market.Price is a live
-// view of the incremental price monitor, not a copy: it reflects the
-// window as of this call and advances on the next Market fetch of the
-// same type. Consumers use the view transiently — compute the bid,
-// drop the Market — which every run loop in this package does; a
-// caller that needs an estimate frozen across later fetches snapshots
-// it via dist.Dist's accessors or re-fetches at decision time.
+// The returned Market.Price is a live view of the type's price monitor,
+// not a copy (a stale serve is the exception: it snapshots the last
+// good window). It reflects the window as of this call and changes on
+// the next Market fetch of the same type. Consumers use the view
+// transiently — compute the bid, drop the Market — which every run loop
+// in this package does; a caller that needs an estimate frozen across
+// later fetches snapshots it via dist.Dist's accessors or re-fetches at
+// decision time.
 func (c *Client) Market(t instances.Type) (core.Market, error) {
 	m, _, err := c.market(t)
 	return m, err
@@ -336,8 +304,7 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 		window = DefaultHistoryWindow
 	}
 	slot := timeslot.Hours(float64(c.Region.Grid().Slot))
-	var est dist.Dist        // the F_π estimate served to the bid calculator
-	var estMon *priceMonitor // non-nil when est is a live monitor window
+	var mon *priceMonitor // the monitor this fetch loaded
 	st, ferr := c.policy().Do("price-history", func() error {
 		hist, err := c.Region.PriceHistory(t, window)
 		if err != nil {
@@ -345,36 +312,17 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 		}
 		// Spot prices have a positive floor, so non-positive (or NaN)
 		// quotes can only be corruption: discard them rather than let a
-		// single zero drag the ψ-optimum to a degenerate bid. The
-		// filtered path is only taken when something was actually
-		// rejected, keeping the clean path bit-identical.
+		// single zero drag the ψ-optimum to a degenerate bid.
+		prices := hist.Prices
 		rejected := 0
-		for _, p := range hist.Prices {
+		for _, p := range prices {
 			if !(p > 0) {
 				rejected++
 			}
 		}
-		var e dist.Dist
-		if rejected == 0 {
-			if c.Region.Injector() == nil {
-				// Clean telemetry from an undegraded region: serve the
-				// incremental monitor's live window instead of
-				// re-sorting (or even copying) the whole window.
-				// Element-identical to hist.ECDF(0) by the monitor's
-				// invariant; any armed injector (even at zero rates)
-				// keeps the legacy path so chaos semantics and RNG
-				// consumption are untouched.
-				var mon *priceMonitor
-				mon, err = c.monitorECDF(t, window, hist)
-				if err == nil {
-					e, estMon = mon.win, mon
-				}
-			} else {
-				e, err = hist.ECDF(0)
-			}
-		} else {
-			valid := make([]float64, 0, len(hist.Prices)-rejected)
-			for _, p := range hist.Prices {
+		if rejected > 0 {
+			valid := make([]float64, 0, len(prices)-rejected)
+			for _, p := range prices {
 				if p > 0 {
 					valid = append(valid, p)
 				}
@@ -382,8 +330,9 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 			if len(valid) == 0 {
 				return retry.Transient(errors.New("client: price history contains no valid quotes"))
 			}
-			e, err = dist.NewEmpirical(valid, 0)
+			prices = valid
 		}
+		m, err := c.monitorECDF(t, window, prices, rejected == 0 && c.Region.Injector() == nil)
 		if err != nil {
 			// A degraded feed can in principle deliver an unusable
 			// window; treat it like a failed fetch and retry.
@@ -393,7 +342,7 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 		if rejected > 0 {
 			c.Metrics.Counter("client.quotes.rejected").Add(int64(rejected))
 		}
-		est = e
+		mon = m
 		return nil
 	})
 	tel.FetchRetries = st.Retries()
@@ -402,15 +351,14 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 		if !retry.IsTransient(ferr) {
 			return core.Market{}, tel, ferr
 		}
-		// Budget exhausted: fall back on the last good estimate. A
-		// monitor-backed entry is materialized into an immutable
-		// snapshot on first degraded use: the window has not changed
-		// since the fetch it caches (pushes happen only on clean
-		// fetches), so the late copy equals the eager one the legacy
-		// path made on every success.
+		// Budget exhausted: fall back on the last good estimate,
+		// snapshotted on first degraded use. The window has not changed
+		// since the fetch it caches (only a successful fetch loads it,
+		// and that fetch replaces the entry), so the late copy equals an
+		// eager one taken at the fetch.
 		c.mu.Lock()
 		cached, ok := c.lastGood[t]
-		if ok && cached.ecdf == nil && cached.mon != nil {
+		if ok && cached.ecdf == nil {
 			snap, serr := cached.mon.win.Snapshot(0)
 			if serr != nil {
 				ok = false
@@ -436,13 +384,9 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 	if c.lastGood == nil { // zero-value Client, constructed without New
 		c.lastGood = make(map[instances.Type]cachedECDF)
 	}
-	if estMon != nil {
-		c.lastGood[t] = cachedECDF{mon: estMon, slot: c.Region.Now()}
-	} else {
-		c.lastGood[t] = cachedECDF{ecdf: est.(*dist.Empirical), slot: c.Region.Now()}
-	}
+	c.lastGood[t] = cachedECDF{mon: mon, slot: c.Region.Now()}
 	c.mu.Unlock()
-	return core.Market{Price: est, OnDemand: spec.OnDemand, Slot: slot}, tel, nil
+	return core.Market{Price: mon.win, OnDemand: spec.OnDemand, Slot: slot}, tel, nil
 }
 
 // Report pairs the model's predictions with the measured outcome of
@@ -501,7 +445,7 @@ func (c *Client) RunOnDemand(spec job.Spec) (Report, error) {
 		return Report{}, err
 	}
 	c.setActive(tracker)
-	out, err := c.run(tracker)
+	out, err := job.Run(c.tick, tracker, nil)
 	if err != nil {
 		return Report{}, err
 	}
@@ -538,13 +482,9 @@ func (c *Client) runSpot(strategy string, spec job.Spec, analytic core.Bid, kind
 	// playbook). The strategy keeps its name; Telemetry records the
 	// substitution, and BidPrice stays 0 — no bid was ever placed.
 	fallback := func(reason FallbackReason) (Report, error) {
-		if c.Delegate != nil && !c.Delegate.AllowOnDemand(spec, reason) {
-			c.Metrics.Counter("client.fallback.vetoed").Inc()
-			return Report{}, fmt.Errorf("%s: %w", reason, ErrFallbackVetoed)
+		if err := c.fallBack(spec, reason); err != nil {
+			return Report{}, err
 		}
-		c.Metrics.Counter("client.fallback.on_demand").Inc()
-		c.trace.Emit(&event.Event{Kind: event.FallbackOnDemand, Slot: c.Region.Now(),
-			Region: c.Region.ID(), Job: spec.ID, Cause: string(reason)})
 		rep, err := c.RunOnDemand(spec)
 		if err != nil {
 			return Report{}, err
@@ -593,113 +533,101 @@ func (c *Client) runSpot(strategy string, spec job.Spec, analytic core.Bid, kind
 	return rep, nil
 }
 
-// DefaultStallSlots is the stall watchdog's default window: four hours
-// of five-minute slots with zero progress before a degraded-telemetry
-// bid is abandoned.
+// fallBack is §3.2's escape hatch, taken for the given reason: it asks
+// the Delegate whether the job may finish on-demand, counts the
+// decision, and records the FallbackOnDemand event. A veto returns
+// ErrFallbackVetoed, and the caller hands the job back.
+func (c *Client) fallBack(spec job.Spec, reason FallbackReason) error {
+	if c.Delegate != nil && !c.Delegate.AllowOnDemand(spec, reason) {
+		c.Metrics.Counter("client.fallback.vetoed").Inc()
+		return fmt.Errorf("%s: %w", reason, ErrFallbackVetoed)
+	}
+	c.Metrics.Counter("client.fallback.on_demand").Inc()
+	c.trace.Emit(&event.Event{Kind: event.FallbackOnDemand, Slot: c.Region.Now(),
+		Region: c.Region.ID(), Job: spec.ID, Cause: string(reason)})
+	return nil
+}
+
+// remainder is the work a leg leaves to its successor: what the
+// tracker still owes, plus one recovery t_r when the leg ran — the
+// successor must restore the checkpointed state first.
+func remainder(spec job.Spec, leg *job.Tracker, out job.Outcome) timeslot.Hours {
+	r := leg.Remaining()
+	if out.RunTime > 0 {
+		r += spec.Recovery
+	}
+	return r
+}
+
+// finishOnDemand runs the remainder of leg, whose outcome is out, on
+// an on-demand instance under the job ID plus suffix, and returns the
+// on-demand phase's outcome.
+func (c *Client) finishOnDemand(spec job.Spec, leg *job.Tracker, out job.Outcome, suffix string) (job.Outcome, error) {
+	od := spec
+	od.ID += suffix
+	od.Exec = remainder(spec, leg, out)
+	od.Recovery = 0 // on-demand never gets interrupted
+	tracker, err := job.NewOnDemandJob(c.Region, od)
+	if err != nil {
+		return job.Outcome{}, err
+	}
+	return job.Run(c.tick, tracker, nil)
+}
+
+// DefaultStallSlots is the stall watchdog's window: four hours of
+// five-minute slots with zero progress before a degraded-telemetry bid
+// is abandoned.
 const DefaultStallSlots = 48
 
 // superviseSpot runs the submitted job to completion. Jobs priced from
-// clean telemetry take the plain job.Run path — bit-identical to a
-// client with no chaos layer at all. Jobs priced from degraded
-// telemetry get a stall watchdog: corrupted quotes can produce a bid
-// below the real price floor, which the market never serves, so a job
-// with no progress for StallSlots cancels its request and finishes
-// on-demand (§3.2's completion-control playbook).
+// clean telemetry are never watched: legitimate idling is part of the
+// persistent strategy. Jobs priced from degraded telemetry get a stall
+// watchdog: corrupted quotes can produce a bid below the real price
+// floor, which the market never serves, so a job with no progress for
+// DefaultStallSlots cancels its request and finishes on-demand (§3.2's
+// completion-control playbook).
 func (c *Client) superviseSpot(tracker *job.Tracker, spec job.Spec, tel *Telemetry) (job.Outcome, error) {
 	if !tel.Degraded() {
-		return c.run(tracker)
-	}
-	stall := c.StallSlots
-	if stall <= 0 {
-		stall = DefaultStallSlots
+		return job.Run(c.tick, tracker, nil)
 	}
 	idle := 0
-	for !tracker.Done() {
-		if err := c.tick(); err != nil {
-			if errors.Is(err, cloud.ErrEndOfTrace) {
-				return tracker.Outcome(), nil
-			}
-			return job.Outcome{}, err
-		}
-		if err := tracker.Observe(); err != nil {
-			return job.Outcome{}, err
-		}
+	stalled := false
+	out, err := job.Run(c.tick, tracker, func() (bool, error) {
 		if s := tracker.Status(); s == job.Pending || s == job.Idle {
 			idle++
 		} else {
 			idle = 0
 		}
-		if idle < stall || tracker.Done() {
-			continue
+		if idle < DefaultStallSlots {
+			return false, nil
 		}
 		// Stalled: release the request first — an uncancelled request
 		// could still launch later and bill alongside the fallback. If
 		// even the cancellation budget is exhausted, keep supervising
 		// and try again a window later rather than risk paying twice.
-		req := tracker.Request()
-		if req != nil {
-			if _, err := c.policy().Do("cancel", func() error {
-				return c.Region.CancelSpotRequest(req.ID)
-			}); err != nil {
-				if !retry.IsTransient(err) {
-					return job.Outcome{}, err
-				}
-				idle = 0
-				continue
-			}
+		released, err := c.releaseLeg(tracker)
+		if !released {
+			idle = 0
 		}
-		if c.Delegate != nil && !c.Delegate.AllowOnDemand(spec, ReasonStall) {
-			// The request is already released; the controller owns the
-			// remainder (tracker progress is reachable via Active).
-			c.Metrics.Counter("client.fallback.vetoed").Inc()
-			return job.Outcome{}, fmt.Errorf("%s: %w", ReasonStall, ErrFallbackVetoed)
-		}
-		tel.Stalled = true
-		tel.FellBackOnDemand = true
-		c.Metrics.Counter("client.stall_fires").Inc()
-		c.Metrics.Counter("client.fallback.on_demand").Inc()
-		c.trace.Emit(&event.Event{Kind: event.FallbackOnDemand, Slot: c.Region.Now(),
-			Region: c.Region.ID(), Job: spec.ID, Cause: string(ReasonStall)})
-		spot := tracker.Outcome()
-		remaining := tracker.Remaining()
-		if spot.RunTime > 0 {
-			// The fallback instance must restore checkpointed state.
-			remaining += spec.Recovery
-		}
-		fbSpec := spec
-		fbSpec.ID = spec.ID + "-stall-fallback"
-		fbSpec.Exec = remaining
-		fbSpec.Recovery = 0 // on-demand never gets interrupted
-		fb, err := job.NewOnDemandJob(c.Region, fbSpec)
-		if err != nil {
-			return job.Outcome{}, err
-		}
-		fbOut, err := c.run(fb)
-		if err != nil {
-			return job.Outcome{}, err
-		}
-		return mergeOutcomes(spot, fbOut), nil
+		stalled = released
+		return released, err
+	})
+	if err != nil || !stalled {
+		return out, err
 	}
-	return tracker.Outcome(), nil
-}
-
-// mergeOutcomes combines a partial spot phase with its on-demand
-// completion into one bill.
-func mergeOutcomes(a, b job.Outcome) job.Outcome {
-	out := job.Outcome{
-		Completed:          b.Completed,
-		Completion:         a.Completion + b.Completion,
-		RunTime:            a.RunTime + b.RunTime,
-		IdleTime:           a.IdleTime + b.IdleTime,
-		RecoveryTime:       a.RecoveryTime + b.RecoveryTime,
-		Interruptions:      a.Interruptions + b.Interruptions,
-		Cost:               a.Cost + b.Cost,
-		CheckpointFailures: a.CheckpointFailures + b.CheckpointFailures,
+	// The request is already released; on a veto the controller owns
+	// the remainder (tracker progress is reachable via Active).
+	if err := c.fallBack(spec, ReasonStall); err != nil {
+		return job.Outcome{}, err
 	}
-	if run := float64(out.RunTime); run > 0 {
-		out.PricePerRunHour = out.Cost / run
+	tel.Stalled = true
+	tel.FellBackOnDemand = true
+	c.Metrics.Counter("client.stall_fires").Inc()
+	fb, err := c.finishOnDemand(spec, tracker, out, "-stall-fallback")
+	if err != nil {
+		return job.Outcome{}, err
 	}
-	return out
+	return job.Merge(out, fb), nil
 }
 
 // submitSpot submits the job's spot request, retrying transient

@@ -1,9 +1,6 @@
 package client
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/cloud"
 	"repro/internal/core"
 	"repro/internal/job"
@@ -81,7 +78,7 @@ func (c *Client) RunOneTimeWithFallback(spec job.Spec) (FallbackReport, error) {
 		}, nil
 	}
 	c.setActive(tracker)
-	out, err := c.run(tracker)
+	out, err := job.Run(c.tick, tracker, nil)
 	if err != nil {
 		return FallbackReport{}, err
 	}
@@ -98,25 +95,7 @@ func (c *Client) RunOneTimeWithFallback(spec job.Spec) (FallbackReport, error) {
 		// The trace ran out mid-job: nothing to fall back onto.
 		return rep, nil
 	}
-
-	// Fallback: restart the remainder on-demand, paying one recovery
-	// to restore the checkpointed state.
-	remaining := tracker.Remaining() + spec.Recovery
-	if remaining <= 0 {
-		return rep, errors.New("client: failed job reports no remaining work")
-	}
-	fbSpec := spec
-	fbSpec.ID = spec.ID + "-fallback"
-	fbSpec.Exec = remaining
-	fbSpec.Recovery = 0 // on-demand never gets interrupted
-	if err := fbSpec.Validate(); err != nil {
-		return rep, fmt.Errorf("client: fallback spec: %w", err)
-	}
-	fb, err := job.NewOnDemandJob(c.Region, fbSpec)
-	if err != nil {
-		return rep, err
-	}
-	fbOut, err := c.run(fb)
+	fbOut, err := c.finishOnDemand(spec, tracker, out, "-fallback")
 	if err != nil {
 		return rep, err
 	}

@@ -5,45 +5,45 @@ import (
 	"repro/internal/dist"
 	"repro/internal/instances"
 	"repro/internal/timeslot"
-	"repro/internal/trace"
 )
 
-// priceMonitor is the incremental price-monitor state for one instance
-// type: a windowed ECDF tracking exactly the slots the legacy path
-// would hand to dist.NewEmpirical, advanced by the slots since the last
-// fetch (one per tick in the run loops) instead of a full O(n log n)
-// rebuild of the two-month window.
+// priceMonitor is the price-monitor state for one instance type: a
+// windowed ECDF that every successful history fetch loads. A clean
+// fetch (no fault injector armed, no quote rejected) advances it by
+// the slots since the last fetch — one per tick in the run loops —
+// instead of a full O(n log n) rebuild of the two-month window; any
+// other fetch bulk-loads the served window.
 //
-// The monitor is a pure cache. Its window contents are, by invariant,
-// the trailing min(ingested, capacity) slots of the region's backing
-// trace up to (but excluding) nextSlot; every Dist query on the window
-// is element-identical to the legacy dist.NewEmpirical rebuild of the
-// same slots, so the fast path changes no observable behavior — only
-// the work done to get there.
+// The monitor is a pure cache. After a clean fetch its window contents
+// are, by invariant, the trailing min(ingested, capacity) slots of the
+// region's backing trace up to (but excluding) nextSlot; after any
+// other fetch they are the served (filtered) window and the monitor
+// forgets its slot. Either way every Dist query on the window is
+// element-identical to dist.NewEmpirical of the same window, so the
+// monitor changes no observable behavior — only the work done to get
+// there. DegradeHistory never lengthens a window, so every response
+// fits the capacity.
 //
 // The window is served live (no per-fetch snapshot copy): it mutates
-// only inside monitorECDF, i.e. on the next clean market fetch of the
-// same type, so a Market view stays frozen for as long as the bid
+// only inside monitorECDF, i.e. on the next market fetch of the same
+// type, so a Market view stays frozen for as long as the bid
 // calculator that received it runs — the aliasing contract documented
 // on Client.Market.
 type priceMonitor struct {
 	region   *cloud.Region  // backing region; a swap invalidates the cache
 	window   timeslot.Hours // the HistoryWindow the capacity was sized for
-	nextSlot int            // first backing-trace slot not yet ingested
+	nextSlot int            // first backing-trace slot not yet ingested; -1 when forgotten
 	win      *dist.WindowedECDF
 }
 
-// monitorECDF serves the clean-path F_π estimate from the incremental
-// monitor. Callers guarantee hist is the undegraded zero-copy window
-// (no fault injector armed) and contains no rejectable quotes, so the
-// legacy equivalent would be dist.NewEmpirical(hist.Prices, 0); the
-// returned monitor's live window answers every Dist query
-// element-identically after ingesting only the slots that are new
-// since the previous fetch — no snapshot copy, no allocation in
-// steady state.
-func (c *Client) monitorECDF(t instances.Type, window timeslot.Hours, hist *trace.Trace) (*priceMonitor, error) {
+// monitorECDF loads the fetched window into the type's monitor and
+// returns it. prices is the served window, newest slot last. clean
+// reports that it is the region's undegraded backing window, so the
+// monitor may ingest only the slots that are new since the previous
+// clean fetch — no snapshot copy, no allocation in steady state.
+func (c *Client) monitorECDF(t instances.Type, window timeslot.Hours, prices []float64, clean bool) (*priceMonitor, error) {
 	now := c.Region.Now()
-	start := now + 1 - hist.Len() // backing-trace slot of hist.Prices[0]
+	start := now + 1 - len(prices) // backing-trace slot of prices[0] when clean
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -66,20 +66,24 @@ func (c *Client) monitorECDF(t instances.Type, window timeslot.Hours, hist *trac
 		mon = &priceMonitor{region: c.Region, window: window, win: win}
 		c.monitors[t] = mon
 	}
-	// A cold start, a clock regression, or a gap the history no longer
-	// covers bulk-loads the whole window. Otherwise one Slide ingests
-	// only the slots since the last fetch: it leaves the window as
-	// per-slot Pushes would, and takes one slot (a tick of the run
-	// loops) as a Push and a whole window as a Fill.
+	// A degraded or filtered window, a cold start, a forgotten slot, a
+	// clock regression, or a gap the history no longer covers bulk-loads
+	// the whole window. Otherwise one Slide ingests only the slots since
+	// the last fetch: it leaves the window as per-slot Pushes would, and
+	// takes one slot (a tick of the run loops) as a Push and a whole
+	// window as a Fill.
 	var err error
-	if mon.win.N() == 0 || mon.nextSlot > now+1 || mon.nextSlot < start {
-		err = mon.win.Fill(hist.Prices)
+	if !clean || mon.win.N() == 0 || mon.nextSlot > now+1 || mon.nextSlot < start {
+		err = mon.win.Fill(prices)
 	} else {
-		err = mon.win.Slide(hist.Prices[mon.nextSlot-start:])
+		err = mon.win.Slide(prices[mon.nextSlot-start:])
 	}
 	if err != nil {
 		return nil, err
 	}
-	mon.nextSlot = now + 1
+	mon.nextSlot = -1
+	if clean {
+		mon.nextSlot = now + 1
+	}
 	return mon, nil
 }

@@ -10,16 +10,17 @@ import (
 	"repro/internal/dist"
 	"repro/internal/instances"
 	"repro/internal/timeslot"
+	"repro/internal/trace"
 )
 
-// monitorSnapshot freezes the live monitor window a clean-path Market
-// serves into the immutable Empirical it is contractually equivalent
-// to, failing the test if the fast path did not engage.
+// monitorSnapshot freezes the live monitor window a Market serves into
+// the immutable Empirical it is contractually equivalent to, failing
+// the test if the market does not serve the monitor.
 func monitorSnapshot(t *testing.T, m core.Market) *dist.Empirical {
 	t.Helper()
 	win, ok := m.Price.(*dist.WindowedECDF)
 	if !ok {
-		t.Fatalf("clean-path market serves %T, want the live *dist.WindowedECDF", m.Price)
+		t.Fatalf("market serves %T, want the live *dist.WindowedECDF", m.Price)
 	}
 	snap, err := win.Snapshot(0)
 	if err != nil {
@@ -117,35 +118,110 @@ func TestMonitorCatchUpPaths(t *testing.T) {
 	check()
 }
 
-// TestMonitorBypassedUnderInjector: any armed injector — even with all
-// rates zero, which must be behavior-preserving — keeps the legacy
-// path, so the run surface under chaos is exactly the pre-monitor code.
-// The reports must still agree, because the zero-rate contract and the
-// monitor's equivalence contract both pin the same output.
-func TestMonitorBypassedUnderInjector(t *testing.T) {
-	fast := newClient(t, 21)
-	legacy := newClient(t, 21)
+// TestMonitorUnderInjector: an armed injector at zero rates must be
+// behavior-preserving, so its reports equal the fault-free client's.
+func TestMonitorUnderInjector(t *testing.T) {
+	clean := newClient(t, 21)
+	armed := newClient(t, 21)
 	zeroRate, err := chaos.New(chaos.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy.Region.SetInjector(zeroRate)
+	armed.Region.SetInjector(zeroRate)
 
-	repFast, err := fast.RunPersistent(oneHour)
+	repClean, err := clean.RunPersistent(oneHour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repLegacy, err := legacy.RunPersistent(oneHour)
+	repArmed, err := armed.RunPersistent(oneHour)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(repFast, repLegacy) {
-		t.Fatalf("fast-path report differs from legacy-path report:\n%+v\nvs\n%+v", repFast, repLegacy)
+	if !reflect.DeepEqual(repClean, repArmed) {
+		t.Fatalf("zero-rate injector report differs from the fault-free report:\n%+v\nvs\n%+v", repArmed, repClean)
 	}
-	if len(fast.monitors) == 0 {
-		t.Fatal("fast path did not engage the incremental monitor")
+}
+
+// recordingInjector is a chaos injector that keeps the last history
+// window it served.
+type recordingInjector struct {
+	*chaos.Injector
+	served *trace.Trace
+}
+
+func (r *recordingInjector) DegradeHistory(tr *trace.Trace, slot int) *trace.Trace {
+	r.served = r.Injector.DegradeHistory(tr, slot)
+	return r.served
+}
+
+// TestMonitorLoadsDegradedWindows: under an injector that drops,
+// duplicates, corrupts and stales quotes, every fetch loads the served
+// window into the monitor, and the market serves a window that freezes
+// to an Empirical deep-equal to NewEmpirical of the filtered history.
+// The monitor warms on a clean fetch first, and once the injector is
+// disarmed the monitor, which forgot its slot, serves the clean window
+// again.
+func TestMonitorLoadsDegradedWindows(t *testing.T) {
+	c := newClient(t, 17)
+	c.HistoryWindow = timeslot.Hours(4) // 48 slots
+	if _, err := c.Market(instances.R3XLarge); err != nil {
+		t.Fatal(err)
 	}
-	if len(legacy.monitors) != 0 {
-		t.Fatal("legacy path engaged the incremental monitor under an armed injector")
+	if err := c.Region.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	inj, err := chaos.New(chaos.Config{Seed: 5, DropRate: 0.05, DupRate: 0.05,
+		CorruptRate: 0.05, StaleProb: 0.3, StaleSlots: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordingInjector{Injector: inj}
+	if err := c.Region.SetInjector(rec); err != nil {
+		t.Fatal(err)
+	}
+	rejected, stale := 0, 0
+	for i := 0; i < 120; i++ {
+		m, tel, err := c.market(instances.R3XLarge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var valid []float64
+		for _, p := range rec.served.Prices {
+			if p > 0 {
+				valid = append(valid, p)
+			}
+		}
+		want, err := dist.NewEmpirical(valid, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(monitorSnapshot(t, m), want) {
+			t.Fatalf("slot %d: monitor ECDF differs from NewEmpirical of the served window", c.Region.Now())
+		}
+		rejected += tel.RejectedQuotes
+		if len(rec.served.Prices) < 48 {
+			stale++
+		}
+		if err := c.Region.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rejected == 0 || stale == 0 {
+		t.Fatalf("fault mix not exercised: %d rejected quotes, %d stale windows", rejected, stale)
+	}
+	if err := c.Region.SetInjector(nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		m, err := c.Market(instances.R3XLarge)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(monitorSnapshot(t, m), legacyMarket(t, c, instances.R3XLarge)) {
+			t.Fatalf("slot %d: clean fetch after disarming differs from legacy rebuild", c.Region.Now())
+		}
+		if err := c.Region.Tick(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

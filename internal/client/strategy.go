@@ -170,7 +170,7 @@ func (c *Client) runTranches(name string, spec job.Spec, d strategy.Decision, te
 			return Report{}, err
 		}
 		remaining -= exec
-		total = mergeOutcomes(total, sub.Outcome)
+		total = job.Merge(total, sub.Outcome)
 		// The report carries the first spot tranche's bid; telemetry
 		// accumulates across tranches (each leg starts from the running
 		// total, so the last leg's copy is the sum).
@@ -235,13 +235,9 @@ func (c *Client) runAdaptive(name string, spec job.Spec, m core.Market, strat st
 				// Submission budget exhausted: this leg runs on-demand
 				// (§3.2's playbook), delegate willing.
 				c.Metrics.Counter("client.submit.exhausted").Inc()
-				if c.Delegate != nil && !c.Delegate.AllowOnDemand(legSpec, ReasonSubmitExhausted) {
-					c.Metrics.Counter("client.fallback.vetoed").Inc()
-					return Report{}, fmt.Errorf("%s: %w", ReasonSubmitExhausted, ErrFallbackVetoed)
+				if err := c.fallBack(legSpec, ReasonSubmitExhausted); err != nil {
+					return Report{}, err
 				}
-				c.Metrics.Counter("client.fallback.on_demand").Inc()
-				c.trace.Emit(&event.Event{Kind: event.FallbackOnDemand, Slot: c.Region.Now(),
-					Region: c.Region.ID(), Job: legSpec.ID, Cause: string(ReasonSubmitExhausted)})
 				tel.FellBackOnDemand = true
 				onDemand = true
 			}
@@ -256,19 +252,15 @@ func (c *Client) runAdaptive(name string, spec job.Spec, m core.Market, strat st
 			tracker = tk
 		}
 		c.setActive(tracker)
-		out, next, revised, err := c.superviseAdaptive(tracker, spec, strat, m, legIdx, onDemand, &tel)
+		out, next, revised, err := c.superviseAdaptive(tracker, spec, strat, m, legIdx, onDemand)
 		if err != nil {
 			return Report{}, err
 		}
-		total = mergeOutcomes(total, out)
+		total = job.Merge(total, out)
 		if !revised {
 			break
 		}
-		remaining = tracker.Remaining()
-		if out.RunTime > 0 {
-			// The next leg restores checkpointed state first.
-			remaining += spec.Recovery
-		}
+		remaining = remainder(spec, tracker, out)
 		if !(remaining > 0) {
 			break
 		}
@@ -291,21 +283,11 @@ func (c *Client) runAdaptive(name string, spec job.Spec, m core.Market, strat st
 // strategy every slot. When the strategy revises, the leg's resources
 // are released and the next decision is handed back; an end-of-trace
 // simply reports the progress made.
-func (c *Client) superviseAdaptive(tracker *job.Tracker, spec job.Spec, strat strategy.Adaptive, m core.Market, legIdx int, onDemand bool, tel *Telemetry) (job.Outcome, strategy.Decision, bool, error) {
+func (c *Client) superviseAdaptive(tracker *job.Tracker, spec job.Spec, strat strategy.Adaptive, m core.Market, legIdx int, onDemand bool) (job.Outcome, strategy.Decision, bool, error) {
 	idle := 0
-	for !tracker.Done() {
-		if err := c.tick(); err != nil {
-			if errors.Is(err, cloud.ErrEndOfTrace) {
-				return tracker.Outcome(), strategy.Decision{}, false, nil
-			}
-			return job.Outcome{}, strategy.Decision{}, false, err
-		}
-		if err := tracker.Observe(); err != nil {
-			return job.Outcome{}, strategy.Decision{}, false, err
-		}
-		if tracker.Done() {
-			break
-		}
+	var next strategy.Decision
+	revised := false
+	out, err := job.Run(c.tick, tracker, func() (bool, error) {
 		if s := tracker.Status(); s == job.Pending || s == job.Idle {
 			idle++
 		} else {
@@ -316,24 +298,24 @@ func (c *Client) superviseAdaptive(tracker *job.Tracker, spec job.Spec, strat st
 		o.Leg = legIdx
 		o.IdleSlots = idle
 		o.OnSpot = !onDemand
-		next, revise := strat.Reprice(o)
+		d, revise := strat.Reprice(o)
 		if !revise {
-			continue
+			return false, nil
 		}
-		ok, err := c.releaseLeg(tracker)
-		if err != nil {
-			return job.Outcome{}, strategy.Decision{}, false, err
-		}
-		if !ok {
-			// The release budget is exhausted: keep supervising this leg
-			// rather than risk paying for two at once — the strategy can
-			// ask again later.
+		// When the release budget is exhausted, keep supervising this
+		// leg rather than risk paying for two at once — the strategy
+		// can ask again later.
+		released, err := c.releaseLeg(tracker)
+		if !released {
 			idle = 0
-			continue
 		}
-		return tracker.Outcome(), next, true, nil
+		next, revised = d, released
+		return released, err
+	})
+	if err != nil {
+		return job.Outcome{}, strategy.Decision{}, false, err
 	}
-	return tracker.Outcome(), strategy.Decision{}, false, nil
+	return out, next, revised, nil
 }
 
 // releaseLeg returns a live leg's resources ahead of a re-bid:

@@ -345,6 +345,18 @@ func (r *Region) TotalCost() float64 {
 	return sum
 }
 
+// RequestCost sums the bills of every instance req launched, in launch
+// order, so the sum is bit-identical across replays.
+func (r *Region) RequestCost(req *SpotRequest) float64 {
+	var sum float64
+	for _, inst := range r.instOrd {
+		if inst.RequestID == req.ID {
+			sum += inst.Cost
+		}
+	}
+	return sum
+}
+
 // Instances returns every instance the region ever launched, in
 // creation order. The slice is fresh but the pointers are the live
 // records — callers must not modify them. The invariant checkers

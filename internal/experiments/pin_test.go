@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/event"
+	"repro/internal/obs/tsdb"
 )
 
 // AblationDwell, AblationBilling, ChaosSweep and Tournament are pinned
@@ -101,4 +102,19 @@ func TestTournamentPinned(t *testing.T) {
 	checkDigest(t, "Tournament render", render, "b380393bcbe5e43544b9c602ac1f7fb454c45651f659808b0ad39bbd7afd253f")
 	checkDigest(t, "Tournament metrics", metrics, "b0879cf465d2744ac9aa850ceb2590ec7021d381acc5bc3d61e3a7966c55bd62")
 	checkDigest(t, "Tournament trace", jsonl, "117f6a161daf8b55d0aed43884e5e1a46d66d524db8a9f2abfc2f8a2d58809ea")
+}
+
+// FailoverSweep is the one experiment that runs an injector-armed
+// client through the fleet controller; its digests pin the render, the
+// merged metrics JSON, the flight-recorder JSONL and the tsdb dump.
+func TestFailoverSweepPinned(t *testing.T) {
+	db := tsdb.New(tsdb.Config{})
+	render, metrics, jsonl := instrumented(t, Opts{Seed: 1, Runs: 2, TSDB: db}, func(o Opts) (string, error) {
+		res, err := FailoverSweep(o)
+		return res.Render(), err
+	})
+	checkDigest(t, "FailoverSweep render", render, "cb8269b9cc0afe9332bddb6165fc249231ff5b95973768170aba7f77ac515c58")
+	checkDigest(t, "FailoverSweep metrics", metrics, "7b79c69e5737e27a46a0bc301b864aa9b1eaf8f693561f93d1d9e05ee359c970")
+	checkDigest(t, "FailoverSweep trace", jsonl, "8b1c0a6fdab10cd23ec09f5ccd5f6fdb6d7da3c52294e8f3bf36667accad69fd")
+	checkDigest(t, "FailoverSweep tsdb", db.DumpJSONL(), "1c98118cd0997e6b89f6d1aff763b557ff3ee6170f270de45c5b28d5fb043f23")
 }

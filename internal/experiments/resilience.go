@@ -16,11 +16,6 @@ type ResilienceOpts struct {
 	// Random adds seeded random schedules on top of the grid
 	// (default 30; negative disables).
 	Random int
-	// RandomMaxFaults bounds faults per random schedule (default 3).
-	RandomMaxFaults int
-	// RandomWindow is the random start-slot window after submission
-	// (default 72 slots).
-	RandomWindow int
 	// Replay re-runs every schedule and compares fingerprints — the
 	// replay-determinism invariant (default off; the smoke campaign
 	// turns it on).
@@ -29,6 +24,13 @@ type ResilienceOpts struct {
 	// shrink (default 200).
 	ShrinkBudget int
 }
+
+// The random schedules' shape: at most randomMaxFaults faults, each
+// starting within randomWindow slots after submission.
+const (
+	randomMaxFaults = 3
+	randomWindow    = 72
+)
 
 func (o ResilienceOpts) withDefaults() ResilienceOpts {
 	if len(o.Grid.Kinds) == 0 {
@@ -41,12 +43,6 @@ func (o ResilienceOpts) withDefaults() ResilienceOpts {
 	}
 	if o.Random == 0 {
 		o.Random = 30
-	}
-	if o.RandomMaxFaults <= 0 {
-		o.RandomMaxFaults = 3
-	}
-	if o.RandomWindow <= 0 {
-		o.RandomWindow = 72
 	}
 	if o.ShrinkBudget <= 0 {
 		o.ShrinkBudget = 200
@@ -65,7 +61,7 @@ func ResilienceCampaign(o ResilienceOpts) (invariant.CampaignReport, error) {
 	base := o.Scenario.SubmitSlot()
 	scheds := o.Grid.Schedules(base)
 	if o.Random > 0 {
-		scheds = append(scheds, o.Grid.Random(o.Random, o.RandomMaxFaults, base, o.RandomWindow)...)
+		scheds = append(scheds, o.Grid.Random(o.Random, randomMaxFaults, base, randomWindow)...)
 	}
 	results := make([]invariant.ScheduleResult, len(scheds))
 	err := sched.Grid(len(scheds), 1, nil, func(ci, _ int) error {

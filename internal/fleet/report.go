@@ -89,24 +89,6 @@ func (f *Controller) event(slot int, kind, member, detail string) {
 	f.events = append(f.events, Event{Slot: slot, Kind: kind, Member: member, Detail: detail})
 }
 
-// mergeOutcomes folds leg b into running total a.
-func mergeOutcomes(a, b job.Outcome) job.Outcome {
-	out := job.Outcome{
-		Completed:          b.Completed,
-		Completion:         a.Completion + b.Completion,
-		RunTime:            a.RunTime + b.RunTime,
-		IdleTime:           a.IdleTime + b.IdleTime,
-		RecoveryTime:       a.RecoveryTime + b.RecoveryTime,
-		Interruptions:      a.Interruptions + b.Interruptions,
-		Cost:               a.Cost + b.Cost,
-		CheckpointFailures: a.CheckpointFailures + b.CheckpointFailures,
-	}
-	if run := float64(out.RunTime); run > 0 {
-		out.PricePerRunHour = out.Cost / run
-	}
-	return out
-}
-
 // RunPersistent runs the job under the paper's persistent strategy
 // with fleet supervision: legs run on the healthiest region, breaker
 // trips drain and migrate the job (checkpoint export → import, paying
@@ -150,7 +132,7 @@ runLoop:
 				return rep, err
 			}
 			rep.Legs = append(rep.Legs, leg)
-			rep.Outcome = mergeOutcomes(rep.Outcome, leg.Report.Outcome)
+			rep.Outcome = job.Merge(rep.Outcome, leg.Report.Outcome)
 			break
 		}
 		m := f.members[idx]
@@ -164,7 +146,7 @@ runLoop:
 		switch {
 		case err == nil:
 			rep.Legs = append(rep.Legs, Leg{Member: m.ID, Strategy: "persistent", Report: cRep})
-			rep.Outcome = mergeOutcomes(rep.Outcome, cRep.Outcome)
+			rep.Outcome = job.Merge(rep.Outcome, cRep.Outcome)
 		case errors.Is(err, core.ErrInfeasible):
 			// Eq. 14 says no bid completes the job here in expectation.
 			// Not a region fault: skip it for this run without tripping.
@@ -202,7 +184,7 @@ runLoop:
 					}
 					rep.Legs = append(rep.Legs, Leg{Member: m.ID, Strategy: "persistent",
 						Report: client.Report{Strategy: "persistent", Outcome: out}})
-					rep.Outcome = mergeOutcomes(rep.Outcome, out)
+					rep.Outcome = job.Merge(rep.Outcome, out)
 					break runLoop
 				}
 			}
@@ -223,7 +205,7 @@ runLoop:
 			}
 			rep.Legs = append(rep.Legs, Leg{Member: m.ID, Strategy: "persistent",
 				Aborted: abortReason(err), Report: client.Report{Strategy: "persistent", Outcome: legOut}})
-			rep.Outcome = mergeOutcomes(rep.Outcome, legOut)
+			rep.Outcome = job.Merge(rep.Outcome, legOut)
 			legExec = newExec
 			f.migrations++
 			f.met.Counter("fleet.migrations").Inc()

@@ -7,8 +7,8 @@
 // ran).
 //
 // A Tracker is a per-job state machine advanced once per region slot;
-// Run ticks a region until a single job completes. The MapReduce
-// engine composes multiple Trackers over a shared region.
+// Run is the one slot loop that drives a single job; the workflow
+// runner composes several Trackers over one region.
 package job
 
 import (
@@ -323,14 +323,7 @@ func (t *Tracker) Outcome() Outcome {
 		cost = t.onDemand.Cost
 	} else {
 		interruptions = t.req.Interruptions
-		// Sum every instance this request ever launched.
-		for _, ev := range t.region.Events() {
-			if ev.Kind == cloud.EvLaunch && ev.RequestID == t.req.ID {
-				if inst, err := t.region.Instance(ev.InstanceID); err == nil {
-					cost += inst.Cost
-				}
-			}
-		}
+		cost = t.region.RequestCost(t.req)
 	}
 	run := float64(t.runSlots) * slotHours
 	out := Outcome{
@@ -349,12 +342,36 @@ func (t *Tracker) Outcome() Outcome {
 	return out
 }
 
-// Run ticks the region until the single job finishes, fails, or the
-// trace ends. It returns the job's outcome; ErrEndOfTrace is not an
-// error here — the outcome simply reports Completed == false.
-func Run(region *cloud.Region, t *Tracker) (Outcome, error) {
+// Merge folds leg b into running total a: times, interruptions, bills
+// and checkpoint failures add, and the job is complete when its last
+// leg is.
+func Merge(a, b Outcome) Outcome {
+	out := Outcome{
+		Completed:          b.Completed,
+		Completion:         a.Completion + b.Completion,
+		RunTime:            a.RunTime + b.RunTime,
+		IdleTime:           a.IdleTime + b.IdleTime,
+		RecoveryTime:       a.RecoveryTime + b.RecoveryTime,
+		Interruptions:      a.Interruptions + b.Interruptions,
+		Cost:               a.Cost + b.Cost,
+		CheckpointFailures: a.CheckpointFailures + b.CheckpointFailures,
+	}
+	if run := float64(out.RunTime); run > 0 {
+		out.PricePerRunHour = out.Cost / run
+	}
+	return out
+}
+
+// Run drives one job slot by slot: tick advances simulated time
+// (Region.Tick, or a controller's lockstep tick), the tracker observes
+// the new slot, and each, when non-nil, runs after every slot that
+// leaves the job live — never after it is done. A true stop returns
+// the outcome so far; an error from tick, Observe or each aborts the
+// run. ErrEndOfTrace is not an error here — the outcome simply reports
+// Completed == false.
+func Run(tick func() error, t *Tracker, each func() (stop bool, err error)) (Outcome, error) {
 	for !t.Done() {
-		if err := region.Tick(); err != nil {
+		if err := tick(); err != nil {
 			if errors.Is(err, cloud.ErrEndOfTrace) {
 				return t.Outcome(), nil
 			}
@@ -362,6 +379,16 @@ func Run(region *cloud.Region, t *Tracker) (Outcome, error) {
 		}
 		if err := t.Observe(); err != nil {
 			return Outcome{}, err
+		}
+		if each == nil || t.Done() {
+			continue
+		}
+		stop, err := each()
+		if err != nil {
+			return Outcome{}, err
+		}
+		if stop {
+			break
 		}
 	}
 	return t.Outcome(), nil

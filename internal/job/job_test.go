@@ -1,6 +1,7 @@
 package job
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -58,7 +59,7 @@ func TestOnDemandJobRunsToCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(r, tr)
+	out, err := Run(r.Tick, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSpotJobNoInterruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(r, tr)
+	out, err := Run(r.Tick, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestOneTimeJobFailsOnOutbid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(r, tr)
+	out, err := Run(r.Tick, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestPersistentJobRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(r, tr)
+	out, err := Run(r.Tick, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestJobIdlesUntilPriceDrops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(r, tr)
+	out, err := Run(r.Tick, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestTraceExhaustionReturnsPartialOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Run(r, tr)
+	out, err := Run(r.Tick, tr, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestMultiSlotRecovery(t *testing.T) {
 		if err != nil {
 			return Outcome{}, err
 		}
-		return Run(r, tr)
+		return Run(r.Tick, tr, nil)
 	}()
 	if err != nil {
 		t.Fatal(err)
@@ -244,6 +245,58 @@ func TestMultiSlotRecovery(t *testing.T) {
 	}
 	if got := float64(out.RunTime); math.Abs(got-6*slotH) > 1e-12 {
 		t.Errorf("run time = %v slots, want 6", got/slotH)
+	}
+}
+
+// TestRunEachHook: each runs once after every slot that leaves the job
+// live and never after it is done; a stop returns the outcome so far,
+// and an error from each aborts the run.
+func TestRunEachHook(t *testing.T) {
+	r := mkRegion(t, flat(10, 0.03))
+	tr, err := NewSpotJob(r, nil, spec, 0.04, cloud.Persistent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	out, err := Run(r.Tick, tr, func() (bool, error) {
+		if tr.Done() {
+			t.Error("each ran after the job was done")
+		}
+		calls++
+		return false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 3 slots of work: the third completes the job, so each runs twice.
+	if !out.Completed || calls != 2 {
+		t.Fatalf("completed=%v after %d each calls, want true after 2", out.Completed, calls)
+	}
+
+	r = mkRegion(t, flat(10, 0.03))
+	tr, err = NewSpotJob(r, nil, spec, 0.04, cloud.Persistent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err = Run(r.Tick, tr, func() (bool, error) { return true, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Completed || tr.Done() || out.RunTime != timeslot.Hours(slotH) || r.Now() != 1 {
+		t.Fatalf("stop after one slot: outcome %+v at slot %d", out, r.Now())
+	}
+	if out != tr.Outcome() {
+		t.Fatalf("stop returned %+v, tracker reports %+v", out, tr.Outcome())
+	}
+
+	boom := errors.New("boom")
+	r = mkRegion(t, flat(10, 0.03))
+	tr, err = NewSpotJob(r, nil, spec, 0.04, cloud.Persistent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(r.Tick, tr, func() (bool, error) { return false, boom }); !errors.Is(err, boom) {
+		t.Fatalf("each error: got %v, want %v", err, boom)
 	}
 }
 

@@ -115,7 +115,7 @@ func checkLaneOracle(t *testing.T, e *Engine, i int, exec, recovery timeslot.Hou
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := job.Run(region, tk)
+	want, err := job.Run(region.Tick, tk, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

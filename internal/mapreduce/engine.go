@@ -39,13 +39,11 @@ type Config struct {
 	// chews through per running hour. Sets the job's execution time
 	// t_s = corpus words / WordsPerHour.
 	WordsPerHour float64
-	// TasksPerWorker controls task granularity: the corpus is split
-	// into Workers × TasksPerWorker map tasks (default 4).
-	TasksPerWorker int
-	// Mapper and Reducer default to WordCount.
-	Mapper  Mapper
-	Reducer Reducer
 }
+
+// tasksPerWorker sets task granularity: the corpus is split into
+// Workers × tasksPerWorker map tasks.
+const tasksPerWorker = 4
 
 // Validate reports whether the configuration is runnable.
 func (c Config) Validate() error {
@@ -58,9 +56,6 @@ func (c Config) Validate() error {
 	}
 	if !(c.WordsPerHour > 0) {
 		return fmt.Errorf("mapreduce: throughput %v words/hour must be positive", c.WordsPerHour)
-	}
-	if c.TasksPerWorker < 0 {
-		return fmt.Errorf("mapreduce: negative task granularity %d", c.TasksPerWorker)
 	}
 	return nil
 }
@@ -130,18 +125,8 @@ func Run(region *cloud.Region, corpus *Corpus, cfg Config) (Result, error) {
 	if corpus == nil || len(corpus.Docs) == 0 {
 		return Result{}, errors.New("mapreduce: empty corpus")
 	}
-	if cfg.Mapper == nil {
-		cfg.Mapper = WordCount{}
-	}
-	if cfg.Reducer == nil {
-		cfg.Reducer = WordCount{}
-	}
-	if cfg.TasksPerWorker == 0 {
-		cfg.TasksPerWorker = 4
-	}
-
 	// Build the task pool: shards plus the per-task share of t_o.
-	shards, err := corpus.Shard(cfg.Workers * cfg.TasksPerWorker)
+	shards, err := corpus.Shard(cfg.Workers * tasksPerWorker)
 	if err != nil {
 		return Result{}, err
 	}
@@ -279,7 +264,7 @@ func Run(region *cloud.Region, corpus *Corpus, cfg Config) (Result, error) {
 				}
 				avail -= s.task.remaining
 				for _, doc := range s.task.shard {
-					cfg.Mapper.Map(doc, emit)
+					WordCount{}.Map(doc, emit)
 				}
 				s.task = nil
 				tasksLeft--
@@ -300,7 +285,7 @@ func Run(region *cloud.Region, corpus *Corpus, cfg Config) (Result, error) {
 		// its time is part of t_o).
 		res.Counts = make(map[string]int, len(intermediate))
 		for k, vs := range intermediate {
-			res.Counts[k] = cfg.Reducer.Reduce(k, vs)
+			res.Counts[k] = WordCount{}.Reduce(k, vs)
 		}
 	}
 	res.Completion = timeslot.Hours(float64(region.Now()-start) * float64(slotHours))
@@ -315,7 +300,7 @@ func Run(region *cloud.Region, corpus *Corpus, cfg Config) (Result, error) {
 		if masterReq.State == cloud.Active || masterReq.State == cloud.Open {
 			_ = region.CancelSpotRequest(masterReq.ID)
 		}
-		res.MasterCost = requestCost(region, masterReq)
+		res.MasterCost = region.RequestCost(masterReq)
 	}
 	for _, s := range slaves {
 		if s.inst != nil {
@@ -327,24 +312,11 @@ func Run(region *cloud.Region, corpus *Corpus, cfg Config) (Result, error) {
 			if s.req.State == cloud.Active || s.req.State == cloud.Open {
 				_ = region.CancelSpotRequest(s.req.ID)
 			}
-			res.SlaveCost += requestCost(region, s.req)
+			res.SlaveCost += region.RequestCost(s.req)
 		}
 	}
 	res.TotalCost = res.MasterCost + res.SlaveCost
 	return res, nil
-}
-
-// requestCost sums the bills of every instance a request launched.
-func requestCost(region *cloud.Region, req *cloud.SpotRequest) float64 {
-	var sum float64
-	for _, ev := range region.Events() {
-		if ev.Kind == cloud.EvLaunch && ev.RequestID == req.ID {
-			if inst, err := region.Instance(ev.InstanceID); err == nil {
-				sum += inst.Cost
-			}
-		}
-	}
-	return sum
 }
 
 // wordCount counts whitespace-separated tokens without allocating.

@@ -5,31 +5,19 @@ import (
 	"strings"
 )
 
-// Mapper turns one document into key/value pairs.
-type Mapper interface {
-	// Map processes a document, emitting intermediate pairs.
-	Map(doc string, emit func(key string, value int))
-}
-
-// Reducer folds the values collected for one key.
-type Reducer interface {
-	// Reduce combines all values emitted for key.
-	Reduce(key string, values []int) int
-}
-
 // WordCount is the canonical MapReduce job — the paper's §7.2
 // "Common Crawl Word Count" example: map emits (word, 1) per token,
 // reduce sums.
 type WordCount struct{}
 
-// Map implements Mapper.
+// Map emits (word, 1) for every token of doc.
 func (WordCount) Map(doc string, emit func(string, int)) {
 	for _, w := range strings.Fields(doc) {
 		emit(w, 1)
 	}
 }
 
-// Reduce implements Reducer.
+// Reduce sums the values emitted for one word.
 func (WordCount) Reduce(_ string, values []int) int {
 	var s int
 	for _, v := range values {

@@ -54,11 +54,12 @@ type AdmitConfig struct {
 	RatePerSec [NumClasses]float64
 	// Burst is each class's bucket capacity (default 200/400/800).
 	Burst [NumClasses]float64
-	// MinServiceMicros is the floor cost of answering a quote; a
-	// request whose deadline budget is below it can never be met and
-	// is shed immediately rather than queued to die (default 50 µs).
-	MinServiceMicros int64
 }
+
+// MinServiceMicros is the floor cost of answering a quote; a request
+// whose deadline budget is below it can never be met and is shed
+// immediately rather than queued to die.
+const MinServiceMicros = 50
 
 // withDefaults applies defaults and validates.
 func (c AdmitConfig) withDefaults() (AdmitConfig, error) {
@@ -75,12 +76,6 @@ func (c AdmitConfig) withDefaults() (AdmitConfig, error) {
 			return c, fmt.Errorf("serve: admission class %s needs rate ≥ 0 and burst ≥ 1, got %v/%v",
 				Class(i), c.RatePerSec[i], c.Burst[i])
 		}
-	}
-	if c.MinServiceMicros == 0 {
-		c.MinServiceMicros = 50
-	}
-	if c.MinServiceMicros < 0 {
-		return c, fmt.Errorf("serve: min service cost %dµs must be non-negative", c.MinServiceMicros)
 	}
 	return c, nil
 }
@@ -129,7 +124,7 @@ func (a *Admitter) Admit(class Class, nowMicros, deadlineMicros int64) Verdict {
 	if class >= NumClasses {
 		class = ClassBatch
 	}
-	if deadlineMicros-nowMicros < a.cfg.MinServiceMicros {
+	if deadlineMicros-nowMicros < MinServiceMicros {
 		return ShedDeadline
 	}
 	a.mu.Lock()

@@ -35,12 +35,10 @@ type DrillConfig struct {
 	Seed int64
 	// Faults is the serving-fault schedule (nil = fault-free run).
 	Faults Faults
-	// BurstSlot, when ≥ 0, floods one slot with BurstSize extra
-	// requests to exercise admission shedding (default slot 210, 60
-	// requests). Set BurstSlot = -1 to disable.
+	// BurstSlot, when ≥ 0, floods one slot with drillBurstSize extra
+	// requests to exercise admission shedding (default slot 210). Set
+	// BurstSlot = -1 to disable.
 	BurstSlot int
-	// BurstSize is the flood size (default 60).
-	BurstSize int
 	// Metrics, when non-nil, receives the server's serve.* metrics.
 	Metrics *obs.Registry
 	// TSDB, when non-nil, receives a scrape of the server's registry
@@ -68,11 +66,11 @@ func (c DrillConfig) withDefaults() DrillConfig {
 	if c.BurstSlot == 0 {
 		c.BurstSlot = 210
 	}
-	if c.BurstSize == 0 {
-		c.BurstSize = 60
-	}
 	return c
 }
+
+// drillBurstSize is the size of the BurstSlot flood.
+const drillBurstSize = 60
 
 // DrillResult is everything a verifier needs: the audit stream and
 // ledger, the tables actually published, the tier timeline, and the
@@ -290,7 +288,7 @@ func Drill(cfg DrillConfig) (*DrillResult, error) {
 			quote(slot, 3000, cfg.Type, 1, 60, ClassInteractive)
 		}
 		if slot == cfg.BurstSlot {
-			for i := 0; i < cfg.BurstSize; i++ {
+			for i := 0; i < drillBurstSize; i++ {
 				quote(slot, 10_000+int64(i)*100, cfg.Type, 2, 0, Class(i%int(NumClasses)))
 			}
 		}

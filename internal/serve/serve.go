@@ -35,8 +35,8 @@
 //     is rejected immediately — never queued to die — and a response
 //     is never emitted past its deadline.
 //   - A stall watchdog on the rebuild pipeline (consecutive build
-//     failures or no swap within StallAfterSlots) degrades readiness
-//     and the tier ladder instead of ever blocking reads.
+//     failures or no swap within three rebuild cadences) degrades
+//     readiness and the tier ladder instead of ever blocking reads.
 //   - Every decision lands in a bounded, preallocated audit ring with
 //     a per-outcome conservation ledger; internal/invariant audits
 //     the stream (table provenance, staleness monotonicity, deadline
@@ -140,10 +140,6 @@ type Config struct {
 	// StaleForSlots is the maximum data age served at all (default
 	// 288 = 1 day); beyond it the ladder refuses.
 	StaleForSlots int
-	// StallAfterSlots is the watchdog threshold: a market whose last
-	// swap is further back than this while new data is waiting is
-	// reported stalled (default 3×RebuildEvery).
-	StallAfterSlots int
 	// FailuresToStall is the consecutive-build-failure watchdog trip
 	// (default 3).
 	FailuresToStall int
@@ -206,9 +202,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.FreshForSlots < 0 || c.StaleForSlots < c.FreshForSlots {
 		return c, fmt.Errorf("serve: staleness ladder fresh=%d stale=%d must satisfy 0 ≤ fresh ≤ stale",
 			c.FreshForSlots, c.StaleForSlots)
-	}
-	if c.StallAfterSlots == 0 {
-		c.StallAfterSlots = 3 * c.RebuildEvery
 	}
 	if c.FailuresToStall == 0 {
 		c.FailuresToStall = 3
@@ -486,8 +479,10 @@ func (s *Server) Health() Health {
 			tier = s.tierForAge(kh.AgeSlots)
 		}
 		kh.Tier = tier.String()
+		// A market whose last swap is more than three rebuild cadences
+		// back while new data is waiting is stalled.
 		kh.Stalled = kh.Failures >= s.cfg.FailuresToStall ||
-			(kh.HasTable && slot-lastSwap > s.cfg.StallAfterSlots && kh.LastIngest > kh.BuiltSlot)
+			(kh.HasTable && slot-lastSwap > 3*s.cfg.RebuildEvery && kh.LastIngest > kh.BuiltSlot)
 		if kh.Stalled {
 			stalled++
 		}

@@ -147,7 +147,7 @@ func TestAdmitterPriorityAndDeadline(t *testing.T) {
 
 	t.Run("deadline", func(t *testing.T) {
 		a := NewAdmitter(cfg)
-		if v := a.Admit(ClassInteractive, 1000, 1000+cfg.MinServiceMicros-1); v != ShedDeadline {
+		if v := a.Admit(ClassInteractive, 1000, 1000+MinServiceMicros-1); v != ShedDeadline {
 			t.Fatalf("unmeetable budget admitted: %v", v)
 		}
 		if tok := a.Tokens(); tok[ClassInteractive] != 2 {

@@ -14,35 +14,22 @@ import (
 	"repro/internal/cloud"
 )
 
+// The heuristic's tuning: the minimum relative saving before
+// replacing (spot ≤ (1−autoDiscount)·on-demand), how many consecutive
+// discounted slots must be seen first (half an hour), and how many idle
+// slots a spot leg tolerates before falling back to on-demand (one
+// hour).
+const (
+	autoDiscount  = 0.30
+	autoPatience  = 6
+	autoAttrition = 12
+)
+
 // AutoSpot is the opportunistic-replace heuristic. The registry hands
 // every run a fresh instance, so the discount streak never leaks
 // across jobs.
 type AutoSpot struct {
-	// Discount is the minimum relative saving before replacing:
-	// spot ≤ (1−Discount)·on-demand (default 0.30).
-	Discount float64
-	// Patience is how many consecutive discounted slots must be seen
-	// before the replacement (default 6 — half an hour).
-	Patience int
-	// Attrition is how many idle slots a spot leg tolerates before
-	// falling back to on-demand (default 12 — one hour).
-	Attrition int
-
 	streak int
-}
-
-func (a *AutoSpot) knobs() (discount float64, patience, attrition int) {
-	discount, patience, attrition = a.Discount, a.Patience, a.Attrition
-	if !(discount > 0) || discount >= 1 {
-		discount = 0.30
-	}
-	if patience <= 0 {
-		patience = 6
-	}
-	if attrition <= 0 {
-		attrition = 12
-	}
-	return discount, patience, attrition
 }
 
 // Name implements Strategy.
@@ -57,10 +44,9 @@ func (a *AutoSpot) Decide(o Observation) (Decision, error) {
 
 // Reprice implements Adaptive.
 func (a *AutoSpot) Reprice(o Observation) (Decision, bool) {
-	discount, patience, attrition := a.knobs()
 	if o.OnSpot {
 		a.streak = 0
-		if o.IdleSlots >= attrition {
+		if o.IdleSlots >= autoAttrition {
 			// Attrition: the market took the discount back; finish the
 			// remainder on-demand and watch for the next window.
 			return Decision{Abstain: true}, true
@@ -68,12 +54,12 @@ func (a *AutoSpot) Reprice(o Observation) (Decision, bool) {
 		return Decision{}, false
 	}
 	_, od := bounds(o.Market)
-	if o.Spot > 0 && o.Spot <= (1-discount)*od {
+	if o.Spot > 0 && o.Spot <= (1-autoDiscount)*od {
 		a.streak++
 	} else {
 		a.streak = 0
 	}
-	if a.streak < patience {
+	if a.streak < autoPatience {
 		return Decision{}, false
 	}
 	// Replace: bid the on-demand price (AutoSpotting's bid), so the

@@ -104,25 +104,21 @@ func (s FixedBid) Decide(o Observation) (Decision, error) {
 // bid that would have kept the job running over the recent past,
 // submitted as a one-time request. The paper's point stands in the
 // tournament too — a short lookback underbids the future.
-type BestOffline struct {
-	// Lookback is the history window the oracle optimizes over
-	// (default 10 hours, the paper's choice).
-	Lookback timeslot.Hours
-}
+type BestOffline struct{}
+
+// bestOfflineLookback is the history window the best-offline oracle
+// optimizes over: the paper's 10 hours.
+const bestOfflineLookback timeslot.Hours = 10
 
 // Name implements Strategy.
 func (BestOffline) Name() string { return "best-offline" }
 
 // Decide implements Strategy.
-func (s BestOffline) Decide(o Observation) (Decision, error) {
+func (BestOffline) Decide(o Observation) (Decision, error) {
 	if o.BestOffline == nil {
 		return Decision{}, errors.New("strategy: best-offline needs the client's price-history hook")
 	}
-	lookback := s.Lookback
-	if lookback <= 0 {
-		lookback = 10
-	}
-	price, err := o.BestOffline(lookback)
+	price, err := o.BestOffline(bestOfflineLookback)
 	if err != nil {
 		return Decision{}, err
 	}

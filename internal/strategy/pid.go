@@ -3,8 +3,8 @@ package strategy
 // A PID feedback-control bidder in the spirit of Li, Kihl and
 // Robertsson, "Performance-controlled spot instance bidding" (2017):
 // instead of solving the paper's closed-form optimum, the controller
-// tracks a setpoint — a configurable headroom margin above the live
-// spot price — and walks its bid toward it with a clamped
+// tracks a setpoint — a headroom margin above the live spot price —
+// and walks its bid toward it with a clamped
 // proportional–integral–derivative update each slot. The bid can
 // never leave [floor, on-demand]: the proportional path is clamped,
 // and the integral term saturates (anti-windup) so a long price
@@ -14,60 +14,35 @@ import (
 	"repro/internal/cloud"
 )
 
-// PID is the feedback-control bidder. The zero value uses the
-// defaults below; the registry hands every run a fresh instance, so
-// controller state never leaks across jobs.
-type PID struct {
-	// Kp, Ki, Kd are the controller gains (defaults 0.5, 0.1, 0.05).
-	Kp, Ki, Kd float64
-	// Margin is the headroom setpoint: the controller steers the bid
-	// toward Spot·(1+Margin) (default 0.25).
-	Margin float64
-	// Target is the initial bid's acceptance quantile (default 0.85).
-	Target float64
-	// Patience is how many consecutive idle slots a spot leg tolerates
-	// before the corrected bid is resubmitted (default 3).
-	Patience int
+// The controller's tuning: the PID gains, the headroom setpoint (the
+// bid is steered toward Spot·(1+pidMargin)), the initial bid's
+// acceptance quantile, and how many consecutive idle slots a spot leg
+// tolerates before the corrected bid is resubmitted.
+const (
+	pidKp, pidKi, pidKd = 0.5, 0.1, 0.05
+	pidMargin           = 0.25
+	pidTarget           = 0.85
+	pidPatience         = 3
+)
 
+// PID is the feedback-control bidder. The registry hands every run a
+// fresh instance, so controller state never leaks across jobs.
+type PID struct {
 	bid      float64
 	integral float64
 	prevErr  float64
 }
 
-func (p *PID) gains() (kp, ki, kd, margin float64, patience int) {
-	kp, ki, kd, margin, patience = p.Kp, p.Ki, p.Kd, p.Margin, p.Patience
-	if kp == 0 {
-		kp = 0.5
-	}
-	if ki == 0 {
-		ki = 0.1
-	}
-	if kd == 0 {
-		kd = 0.05
-	}
-	if margin == 0 {
-		margin = 0.25
-	}
-	if patience <= 0 {
-		patience = 3
-	}
-	return kp, ki, kd, margin, patience
-}
-
 // Name implements Strategy.
 func (p *PID) Name() string { return "pid" }
 
-// Decide implements Strategy: the initial bid sits at the Target
+// Decide implements Strategy: the initial bid sits at the pidTarget
 // acceptance quantile, clamped into [floor, on-demand].
 func (p *PID) Decide(o Observation) (Decision, error) {
 	lo, hi := bounds(o.Market)
-	target := p.Target
-	if !(target > 0) || target >= 1 {
-		target = 0.85
-	}
 	raw := hi
 	if o.Market.Price != nil {
-		raw = o.Market.Price.Quantile(target)
+		raw = o.Market.Price.Quantile(pidTarget)
 	}
 	p.bid = clamp(raw, lo, hi)
 	p.integral, p.prevErr = 0, 0
@@ -77,12 +52,11 @@ func (p *PID) Decide(o Observation) (Decision, error) {
 
 // Reprice implements Adaptive: the controller state advances every
 // slot, but a new bid is only submitted when the current spot leg has
-// been idle (out-bid) for Patience slots — a running instance at a
+// been idle (out-bid) for pidPatience slots — a running instance at a
 // stale bid costs nothing extra, so there is nothing to correct.
 func (p *PID) Reprice(o Observation) (Decision, bool) {
-	kp, ki, kd, margin, patience := p.gains()
 	lo, hi := bounds(o.Market)
-	e := o.Spot*(1+margin) - p.bid
+	e := o.Spot*(1+pidMargin) - p.bid
 	if e != e { // NaN spot reading: hold the controller still
 		return Decision{}, false
 	}
@@ -91,8 +65,8 @@ func (p *PID) Reprice(o Observation) (Decision, bool) {
 	p.integral = clamp(p.integral+e, -hi, hi)
 	d := e - p.prevErr
 	p.prevErr = e
-	p.bid = clamp(p.bid+kp*e+ki*p.integral+kd*d, lo, hi)
-	if !o.OnSpot || o.IdleSlots < patience {
+	p.bid = clamp(p.bid+pidKp*e+pidKi*p.integral+pidKd*d, lo, hi)
+	if !o.OnSpot || o.IdleSlots < pidPatience {
 		return Decision{}, false
 	}
 	return Decision{Price: p.bid, Kind: cloud.Persistent,

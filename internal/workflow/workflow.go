@@ -225,7 +225,13 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 		}
 	}
 
-	live := make(map[string]*job.Tracker)
+	// live holds the running tasks in submission order, so every slot
+	// observes them, and sums their outcomes, in the same order.
+	type liveTask struct {
+		id string
+		tr *job.Tracker
+	}
+	var live []liveTask
 	bids := make(map[string]float64)
 	var res Result
 	start := r.Region.Now()
@@ -239,7 +245,7 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 			if err != nil {
 				return err
 			}
-			live[id] = tr
+			live = append(live, liveTask{id, tr})
 			return nil
 		}
 		// Bid afresh at submission time — the §8 prescription: no
@@ -267,7 +273,7 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 		if err != nil {
 			return err
 		}
-		live[id] = tr
+		live = append(live, liveTask{id, tr})
 		return nil
 	}
 
@@ -287,44 +293,52 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 			}
 			return Result{}, err
 		}
-		for id, tr := range live {
-			if err := tr.Observe(); err != nil {
+		// Dependents released this slot are submitted after the sweep,
+		// so each first observes the next slot, like the roots.
+		var released []string
+		kept := live[:0]
+		for _, lt := range live {
+			if err := lt.tr.Observe(); err != nil {
 				return Result{}, err
 			}
-			if !tr.Done() {
+			if !lt.tr.Done() {
+				kept = append(kept, lt)
 				continue
 			}
-			out := tr.Outcome()
+			out := lt.tr.Outcome()
 			res.Tasks = append(res.Tasks, TaskOutcome{
-				Task:      w.tasks[id],
-				Bid:       bids[id],
+				Task:      w.tasks[lt.id],
+				Bid:       bids[lt.id],
 				StartSlot: r.Region.Now() - int(float64(out.Completion)/float64(r.Region.Grid().Slot)),
 				Outcome:   out,
 			})
 			res.TotalCost += out.Cost
 			res.Interruptions += out.Interruptions
-			delete(live, id)
 			doneCount++
 			if !out.Completed {
 				// A failed task (trace exhaustion) wedges the DAG.
 				continue
 			}
-			deps := dependents[id]
+			deps := dependents[lt.id]
 			sort.Strings(deps)
 			for _, d := range deps {
 				remainingDeps[d]--
 				if remainingDeps[d] == 0 {
-					if err := submit(d); err != nil {
-						return Result{}, err
-					}
+					released = append(released, d)
 				}
+			}
+		}
+		live = kept
+		for _, id := range released {
+			if err := submit(id); err != nil {
+				return Result{}, err
 			}
 		}
 	}
 	// Any still-live tasks at trace end contribute their partial cost.
-	for id, tr := range live {
-		out := tr.Outcome()
-		res.Tasks = append(res.Tasks, TaskOutcome{Task: w.tasks[id], Bid: bids[id], Outcome: out})
+	for _, lt := range live {
+		out := lt.tr.Outcome()
+		res.Tasks = append(res.Tasks, TaskOutcome{Task: w.tasks[lt.id], Bid: bids[lt.id], Outcome: out})
 		res.TotalCost += out.Cost
 		res.Interruptions += out.Interruptions
 	}

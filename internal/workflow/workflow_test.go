@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cloud"
@@ -163,13 +164,58 @@ func TestRunRespectsDependencies(t *testing.T) {
 	if !res.Completed {
 		t.Fatal("did not complete")
 	}
-	// 6 + 6 slots serial = 1h, plus at most a submission slot each.
+	// 6 + 6 slots serial = 1h: b's first slot follows a's last.
 	if float64(res.Completion) < 1.0-1e-9 {
 		t.Errorf("serial chain finished in %v < 1h — dependency violated", float64(res.Completion))
 	}
 	// On-demand cost: 1 instance-hour at 0.35.
 	if math.Abs(res.TotalCost-0.35) > 0.04 {
 		t.Errorf("cost = %v, want ≈ 0.35", res.TotalCost)
+	}
+}
+
+// TestRunDeterministic: a dependent is first observed in the slot
+// after its submission, so every task's run and idle time add up to its
+// completion time, and repeated runs agree field for field. The DAG is
+// the example's diamond with three children of merge, so several
+// dependents are released in one slot.
+func TestRunDeterministic(t *testing.T) {
+	task := func(id string, exec timeslot.Hours, deps ...string) Task {
+		return Task{ID: id, Type: instances.R3XLarge, Exec: exec, Recovery: timeslot.Seconds(30), DependsOn: deps}
+	}
+	w, err := New([]Task{
+		task("prepare", 0.5),
+		task("analyze-a", 1, "prepare"),
+		task("analyze-b", 0.75, "prepare"),
+		task("merge", 0.25, "analyze-a", "analyze-b"),
+		task("report-1", 0.5, "merge"),
+		task("report-2", 0.5, "merge"),
+		task("report-3", 0.5, "merge"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first Result
+	for i := 0; i < 20; i++ {
+		res, err := (&Runner{Region: wfRegion(t, 99)}).Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Completed {
+			t.Fatal("workflow did not complete")
+		}
+		for _, to := range res.Tasks {
+			o := to.Outcome
+			if math.Abs(float64(o.RunTime+o.IdleTime-o.Completion)) > 1e-9 {
+				t.Fatalf("run %d task %s: run %v + idle %v != completion %v", i, to.Task.ID,
+					float64(o.RunTime), float64(o.IdleTime), float64(o.Completion))
+			}
+		}
+		if i == 0 {
+			first = res
+		} else if !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d differs from run 0:\n%+v\nvs\n%+v", i, res, first)
+		}
 	}
 }
 

@@ -244,9 +244,6 @@ type (
 	MRResult = mapreduce.Result
 	// MRNodeSpec provisions a node role.
 	MRNodeSpec = mapreduce.NodeSpec
-	// Mapper and Reducer extend the engine beyond word count.
-	Mapper  = mapreduce.Mapper
-	Reducer = mapreduce.Reducer
 	// WordCountJob is the canonical §7.2 job.
 	WordCountJob = mapreduce.WordCount
 )
