@@ -59,10 +59,10 @@ check: fmt vet perfbench-vet no-wallclock race-obs race shuffle perfgate resilch
 
 # Short fuzz pass over both history-parser targets, the
 # fault-schedule shrinker, the strategy deciders, the quote-request
-# decoder + serving path, the tsdb chunk decoder, the branch-free
-# order-statistic searches, the windowed ECDF's run-length Fill and
-# batch Slide, the Pareto transform's exp∘log fast path, and the lane
-# kernel's bulk-loop bound.
+# decoder + serving path + HTTP handler, the tsdb chunk decoder, the
+# branch-free order-statistic searches, the windowed ECDF's run-length
+# Fill and batch Slide, the Pareto transform's exp∘log fast path, and
+# the lane kernel's bulk-loop bound.
 fuzz:
 	$(GO) test -fuzz=FuzzSearchEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzFromUniformMatchesPow -fuzztime=30s ./internal/dist/

@@ -62,7 +62,12 @@ func (c *Client) RunOneTimeWithFallback(spec job.Spec) (FallbackReport, error) {
 			return FallbackReport{}, err
 		}
 		// Submission budget exhausted: skip the spot phase entirely
-		// and run the whole job on the on-demand fallback.
+		// and run the whole job on the on-demand fallback, delegate
+		// willing.
+		c.Metrics.Counter("client.submit.exhausted").Inc()
+		if err := c.fallBack(spec, ReasonSubmitExhausted); err != nil {
+			return FallbackReport{}, err
+		}
 		tel.FellBackOnDemand = true
 		odRep, err := c.RunOnDemand(spec)
 		if err != nil {

@@ -1,12 +1,18 @@
 package client
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/cloud"
 	"repro/internal/instances"
 	"repro/internal/job"
+	"repro/internal/obs"
+	"repro/internal/obs/event"
+	"repro/internal/retry"
 	"repro/internal/timeslot"
 	"repro/internal/trace"
 )
@@ -217,5 +223,71 @@ func TestFallbackTraceEndsMidFallback(t *testing.T) {
 	if got := rep.Savings(0.35, 1); !(got > 0 && got < 1) {
 		// Partial bills are still below the full on-demand baseline.
 		t.Errorf("partial-run savings = %v", got)
+	}
+}
+
+// submitOutage fails every spot submission transiently and no other
+// call.
+type submitOutage struct{ *chaos.Injector }
+
+func (submitOutage) APIFault(op cloud.Op, slot int) error {
+	if op == cloud.OpSubmit {
+		return retry.Transient(fmt.Errorf("submit outage at slot %d", slot))
+	}
+	return nil
+}
+
+// TestFallbackSubmitExhaustedAsksDelegate: when every submission fails,
+// RunOneTimeWithFallback goes on-demand only through the fallback gate,
+// as every other strategy does. A vetoing delegate stops it with
+// ErrFallbackVetoed; an allowing one sees the fallback counted and
+// traced once.
+func TestFallbackSubmitExhaustedAsksDelegate(t *testing.T) {
+	for _, allow := range []bool{false, true} {
+		c := fallbackClient(t, -1)
+		noFaults, err := chaos.New(chaos.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Region.SetInjector(submitOutage{noFaults}); err != nil {
+			t.Fatal(err)
+		}
+		c.SetMetrics(obs.New())
+		rec := event.NewRecorder(event.Config{Unbounded: true})
+		c.SetTrace(rec)
+		del := &recordingDelegate{allow: allow}
+		c.Delegate = del
+
+		rep, err := c.RunOneTimeWithFallback(fbSpec)
+		if len(del.reasons) != 1 || del.reasons[0] != ReasonSubmitExhausted {
+			t.Errorf("allow=%v: delegate consulted with %v, want [%s]", allow, del.reasons, ReasonSubmitExhausted)
+		}
+		if got := c.Metrics.CounterValue("client.submit.exhausted"); got != 1 {
+			t.Errorf("allow=%v: client.submit.exhausted = %d, want 1", allow, got)
+		}
+		if !allow {
+			if !errors.Is(err, ErrFallbackVetoed) {
+				t.Fatalf("vetoed: err = %v (report %+v), want ErrFallbackVetoed", err, rep)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.FellBack || !rep.Completed {
+			t.Fatalf("allowed: report %+v, want a completed on-demand fallback", rep)
+		}
+		if got := c.Metrics.CounterValue("client.fallback.on_demand"); got != 1 {
+			t.Errorf("client.fallback.on_demand = %d, want 1", got)
+		}
+		n := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind == event.FallbackOnDemand {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%d FallbackOnDemand events, want 1", n)
+		}
 	}
 }

@@ -33,12 +33,29 @@ func NewEmpirical(xs []float64, nbins int) (*Empirical, error) {
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	for _, x := range s {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return nil, fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
+		if err := CheckSample(x); err != nil {
+			return nil, err
 		}
 	}
 	sort.Float64s(s)
 	return newEmpiricalOwned(s, nbins), nil
+}
+
+// CheckSample reports whether x may enter an empirical sample: NaN and
+// ±Inf are refused with ErrBadParam.
+func CheckSample(x float64) error {
+	if x-x == 0 { // false for NaN and ±Inf alone
+		return nil
+	}
+	return badSample(x)
+}
+
+// badSample builds CheckSample's error out of line, so the check itself
+// inlines into the per-sample loops.
+//
+//go:noinline
+func badSample(x float64) error {
+	return fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
 }
 
 // newEmpiricalOwned finishes construction from a sorted, validated

@@ -40,12 +40,9 @@ type WindowedECDF struct {
 	sorted []float64  // the n live samples, sorted ascending
 	runs   []valueRun // Fill's scratch, kept at its high-water size
 
-	// Slide's scratch, allocated on first use and kept: the buffer the
-	// merge writes the next sorted slice into (capacity-sized, swapped
-	// with sorted after each merge), the batch's and the evicted
-	// samples' sorted runs, and the values of a batch too short on runs
-	// to sort by run.
-	merged []float64
+	// Slide's scratch, kept at its high-water size: the batch's and the
+	// evicted samples' sorted runs, and the values of a batch too short
+	// on runs to sort by run.
 	edits  []valueRun
 	values []float64
 
@@ -99,8 +96,8 @@ func (w *WindowedECDF) Cap() int { return w.capacity }
 // slice — O(n) bytes moved but no comparisons beyond the searches,
 // which in practice is ~100× cheaper than the full re-sort it replaces.
 func (w *WindowedECDF) Push(x float64) error {
-	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
+	if err := CheckSample(x); err != nil {
+		return err
 	}
 	if w.n == w.capacity {
 		old := w.ring[w.head]
@@ -138,9 +135,12 @@ func (w *WindowedECDF) Push(x float64) error {
 // oldest to newest, the same sorted slice bit for bit, and the lazy
 // aggregates dirty. It is the catch-up path for a reader that queries
 // the window once per batch, as the lanes quote grid does once per
-// quote epoch. k Pushes move 2k half-windows through memmove; Slide
-// sorts the batch and the values it evicts and rebuilds the sorted
-// slice in one merge pass, O(n + k log k).
+// quote epoch, and as serve's quote server does once per backlog of
+// prices. k Pushes move 2k half-windows through memmove; Slide sorts
+// the batch and the values it evicts and edits the sorted slice in
+// place, O(n + k log k): one forward pass closes the gaps the evicted
+// samples leave, one backward pass opens room for the batch, and no
+// second window is allocated.
 //
 // The whole batch is validated first, so a NaN or Inf leaves the
 // window unchanged. An empty batch changes nothing, a single value is
@@ -197,10 +197,7 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 	}
 	w.n += k - e
 
-	if w.merged == nil {
-		w.merged = make([]float64, 0, w.capacity)
-	}
-	w.sorted, w.merged = mergeWindow(w.merged[:0], w.sorted, gone, in), w.sorted[:0]
+	w.sorted = insertRuns(removeRuns(w.sorted, gone), in)
 	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
 	return nil
 }
@@ -210,8 +207,8 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 func scan(xs []float64) (runs int, zero bool, err error) {
 	prev := math.NaN()
 	for _, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return 0, false, fmt.Errorf("%w: empirical sample contains %v", ErrBadParam, x)
+		if err := CheckSample(x); err != nil {
+			return 0, false, err
 		}
 		if x != prev {
 			runs++
@@ -254,13 +251,11 @@ func (w *WindowedECDF) sortedRuns(rs []valueRun, byRun bool, segs ...[]float64) 
 		})
 		return rs
 	}
-	if w.values == nil {
-		w.values = make([]float64, 0, w.capacity)
-	}
 	vs := w.values[:0]
 	for _, seg := range segs {
 		vs = append(vs, seg...)
 	}
+	w.values = vs
 	slices.Sort(vs)
 	return appendRuns(rs, vs)
 }
@@ -278,30 +273,50 @@ func appendRuns(rs []valueRun, xs []float64) []valueRun {
 	return rs
 }
 
-// mergeWindow appends to dst the sorted slice s with the runs of gone
-// removed and the runs of in inserted. gone and in are sorted by value
-// and hold no zero, and gone's values are a sub-multiset of s. The pass
-// copies s chunk by chunk between the edits, with one galloping search
-// per run; equal non-zero floats share their bits, so which copies of
-// a value are dropped, and where among its equals a new value lands,
-// cannot show.
-func mergeWindow(dst, s []float64, gone, in []valueRun) []float64 {
-	i := 0
-	for len(gone) > 0 || len(in) > 0 {
-		if len(in) == 0 || len(gone) > 0 && gone[0].v <= in[0].v {
-			j := gallopGE(s, i, gone[0].v)
-			dst = append(dst, s[i:j]...)
-			i, gone = j+gone[0].n, gone[1:]
-		} else {
-			j := gallopGE(s, i, in[0].v)
-			dst = append(dst, s[i:j]...)
-			for range in[0].n {
-				dst = append(dst, in[0].v)
-			}
-			i, in = j, in[1:]
+// removeRuns drops the runs of gone from the sorted slice s in place.
+// gone is sorted by value and holds no zero, and its values are a
+// sub-multiset of s. It walks gone from its smallest run up, with one
+// galloping search per run, each time moving the samples since the last
+// run down over the gaps left so far, so every sample moves at most
+// once. Equal non-zero floats share their bits, so which copies of a
+// value are dropped cannot show.
+func removeRuns(s []float64, gone []valueRun) []float64 {
+	w, i := 0, 0 // s[:w] is kept, s[i:] is still to walk
+	for _, r := range gone {
+		j := gallopGE(s, i, r.v)
+		if w < i {
+			copy(s[w:], s[i:j])
 		}
+		w, i = w+j-i, j+r.n
 	}
-	return append(dst, s[i:]...)
+	if w < i {
+		copy(s[w:], s[i:])
+	}
+	return s[:w+len(s)-i]
+}
+
+// insertRuns grows the sorted slice s in place by the runs of in,
+// which is sorted by value and holds no zero; s must have the capacity
+// for them. It walks in from its largest run down, each time moving the
+// samples at or above the run up past the values still to come and
+// writing the run below them, so every sample moves at most once.
+// Where among its equals a new value lands cannot show.
+func insertRuns(s []float64, in []valueRun) []float64 {
+	i, k := len(s), 0
+	for _, r := range in {
+		k += r.n
+	}
+	s = s[:i+k]
+	for j := len(in) - 1; j >= 0; j-- {
+		lo := gallopBackGE(s, i, in[j].v)
+		copy(s[lo+k:], s[lo:i])
+		k -= in[j].n
+		for t := lo + k; t < lo+k+in[j].n; t++ {
+			s[t] = in[j].v
+		}
+		i = lo
+	}
+	return s
 }
 
 // gallopGE is i + searchGE(xs[i:], x), found by doubling a bracket from
@@ -314,6 +329,17 @@ func gallopGE(xs []float64, i int, x float64) int {
 	}
 	lo := i + bound>>1
 	return lo + searchGE(xs[lo:min(i+bound, len(xs))], x)
+}
+
+// gallopBackGE is searchGE(xs[:i], x), found by doubling a bracket down
+// from i, so an answer d places below i costs O(log d) probes.
+func gallopBackGE(xs []float64, i int, x float64) int {
+	bound := 1
+	for bound <= i && xs[i-bound] >= x {
+		bound <<= 1
+	}
+	lo := max(i-bound, 0)
+	return lo + searchGE(xs[lo:i-bound>>1], x)
 }
 
 // Fill replaces the window contents with the trailing min(len(xs), Cap)

@@ -274,8 +274,9 @@ func assertSameWindow(t *testing.T, got, want *WindowedECDF) {
 	}
 }
 
-// slideTwins slides batch into slid and Pushes it value by value into
-// pushed, appends it to stream, and holds slid to pushed and, unless
+// slideTwins slides batch into slid, which must edit its sorted slice
+// in place, and Pushes it value by value into pushed, appends it to
+// stream, and holds slid to pushed and, unless
 // the stream has held both +0 and −0, both to NewEmpirical over the
 // trailing window. Push evicts the first zero of the sorted slice
 // whatever its sign, so a stream that mixes the two can leave a sorted
@@ -283,8 +284,12 @@ func assertSameWindow(t *testing.T, got, want *WindowedECDF) {
 // Push there too, but NewEmpirical sees only the ring.
 func slideTwins(t *testing.T, slid, pushed *WindowedECDF, stream *[]float64, batch []float64) {
 	t.Helper()
+	backing := &slid.sorted[:1][0]
 	if err := slid.Slide(batch); err != nil {
 		t.Fatal(err)
+	}
+	if &slid.sorted[:1][0] != backing {
+		t.Fatalf("Slide(%v) moved the sorted slice to a new array, not editing it in place", batch)
 	}
 	for _, x := range batch {
 		if err := pushed.Push(x); err != nil {
@@ -393,6 +398,28 @@ func TestWindowedSlide(t *testing.T) {
 		slideTwins(t, slid, pushed, &stream, []float64{4, 4, 1})
 	})
 
+	// Batches that evict nothing, each window starting empty.
+	t.Run("no eviction", func(t *testing.T) {
+		iid := func(i int) float64 { return float64((i*7)%11) - 2.5 }
+		for _, batches := range [][][]float64{
+			{{2, 2, 2, 1, 1, 3, 3, 3}},                // an empty window, a batch sorted by run
+			{seq(0, 9, iid)},                          // an empty window, an i.i.d. batch
+			{{0.5, 0.25, 0.75}, seq(3, 6, iid), {-9}}, // a part-full window
+			{seq(0, 5, iid), seq(5, 11, func(i int) float64 { return float64(i % 3) })}, // filled to exactly Cap
+			{{1, 2, 3}, {2, 0, -1, negZero}, {4, 4, 1}},                                 // a zero goes through Push
+		} {
+			slid, _ := NewWindowedECDF(capacity, 0)
+			pushed, _ := NewWindowedECDF(capacity, 0)
+			var stream []float64
+			for _, b := range batches {
+				slideTwins(t, slid, pushed, &stream, b)
+			}
+			if slid.N() != len(stream) {
+				t.Fatalf("window holds %d samples, fed %d without eviction", slid.N(), len(stream))
+			}
+		}
+	})
+
 	// Batches alternate between runs of 1–6 equal values, which Slide
 	// sorts by run, and single values, which it sorts one by one.
 	t.Run("one window, varying lengths", func(t *testing.T) {
@@ -431,6 +458,14 @@ func FuzzSlideEquivalence(f *testing.F) {
 	f.Add([]byte{15, 20, 0x10, 0x10, 0x20, 0x20, 0x20, 0xf0, 0xf0, 0x10, 0x30, 0x30, 0x30, 0x30, 0x40, 0x40, 0x10, 0x10, 0x20, 0x20, 0x50, 0x50, 5, 0x10, 0x20, 0x10, 0x60, 0x60})
 	f.Add([]byte{7, 3, 0x08, 0x10, 0x88, 12, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x10, 0x20, 0x30, 0x40, 0x50})
 	f.Add([]byte{3, 9, 0x90, 0xa0, 0xb0, 0x90, 0xa0, 0xb0, 0x90, 0xa0, 0xb0, 0, 2, 0x90, 0x90})
+	// From an empty window, batches that evict nothing until one fills
+	// it to exactly Cap, one of them holding a zero, then one that
+	// evicts.
+	f.Add([]byte{19, 4, 0x30, 0x30, 0x10, 0x10, 6, 0xa0, 0x20, 0x50, 0x20, 0xf0, 0x60,
+		3, 0x40, 0x08, 0x10, 7, 0x70, 0x70, 0x70, 0x90, 0x90, 0x30, 0x30, 3, 0x10, 0x50, 0x50})
+	f.Add([]byte{63, 2, 0x20, 0x10, 30, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x90, 0xa0, 0xb0,
+		0xc0, 0xd0, 0xe0, 0xf0, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x90, 0xa0, 0xb0, 0xc0,
+		0xd0, 0xe0, 0xf0, 0x10, 0x20})
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 {
 			t.Skip()

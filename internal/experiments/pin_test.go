@@ -118,3 +118,35 @@ func TestFailoverSweepPinned(t *testing.T) {
 	checkDigest(t, "FailoverSweep trace", jsonl, "8b1c0a6fdab10cd23ec09f5ccd5f6fdb6d7da3c52294e8f3bf36667accad69fd")
 	checkDigest(t, "FailoverSweep tsdb", db.DumpJSONL(), "1c98118cd0997e6b89f6d1aff763b557ff3ee6170f270de45c5b28d5fb043f23")
 }
+
+// ServeDrillRun is pinned at two seeds by the digests of its render,
+// merged metrics JSON, flight-recorder JSONL and tsdb dump, so a change
+// to how the quote server ingests prices or builds its tables cannot
+// move a byte of the drill unnoticed.
+func TestServeDrillPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed                         int64
+		render, metrics, jsonl, tsdb string
+	}{
+		{1,
+			"1698bec4c6704db9891a8cf62dc27f99e58b3834b66125734feba2b3b21c9263",
+			"639c355cd1910550750dd99a2f6535bb5d67dc973402bd27a8a0a0ff0dcdbcc9",
+			"296b0835960495e3abb0e8c9b8a084ef65979ab3f06e61fad1b8d9711e136f6a",
+			"9002bb50f4b2ea0e9aaa0492b52c626e6443101a710f362b2ba161e8b7c77e26"},
+		{5,
+			"e237562617af0cf7a8ab7cf290c165aa71cc80ea5949f4163716ad2d6a4ede38",
+			"639c355cd1910550750dd99a2f6535bb5d67dc973402bd27a8a0a0ff0dcdbcc9",
+			"296b0835960495e3abb0e8c9b8a084ef65979ab3f06e61fad1b8d9711e136f6a",
+			"9002bb50f4b2ea0e9aaa0492b52c626e6443101a710f362b2ba161e8b7c77e26"},
+	} {
+		db := tsdb.New(tsdb.Config{})
+		render, metrics, jsonl := instrumented(t, Opts{Seed: c.seed, TSDB: db}, func(o Opts) (string, error) {
+			res, err := ServeDrillRun(o)
+			return res.Render(), err
+		})
+		checkDigest(t, "ServeDrillRun render", render, c.render)
+		checkDigest(t, "ServeDrillRun metrics", metrics, c.metrics)
+		checkDigest(t, "ServeDrillRun trace", jsonl, c.jsonl)
+		checkDigest(t, "ServeDrillRun tsdb", db.DumpJSONL(), c.tsdb)
+	}
+}

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 
@@ -15,10 +19,13 @@ import (
 // fuzzWorld is the shared market the fuzz target quotes against: a
 // half-spiked window (half the samples above the on-demand ceiling,
 // F(π̄) = 0.5) so Eq. 14-infeasible cells genuinely exist, plus the
-// identical Empirical for the independent feasibility cross-check.
+// identical Empirical for the independent feasibility cross-check, and
+// the server's HTTP handler, whose clock reads now.
 type fuzzWorld struct {
-	srv  *Server
-	snap *dist.Empirical
+	srv     *Server
+	snap    *dist.Empirical
+	handler http.Handler
+	now     int64
 }
 
 var (
@@ -63,7 +70,8 @@ func fuzzSetup(t testing.TB) *fuzzWorld {
 		if srv.Table(key) == nil {
 			t.Fatal("fuzz world failed to build a table")
 		}
-		fuzz = fuzzWorld{srv: srv, snap: snap}
+		fuzz = fuzzWorld{srv: srv, snap: snap,
+			handler: NewHandler(srv, func() int64 { return fuzz.now })}
 	})
 	return &fuzz
 }
@@ -73,7 +81,11 @@ func fuzzSetup(t testing.TB) *fuzzWorld {
 // accepts non-finite numbers; the server never serves a NaN, negative
 // or above-ceiling price; and no response ever claims feasibility for
 // an Eq. 14-infeasible (t_r, t_k, F_π) triple — cross-checked against
-// core.Eq14Feasible on the identical distribution.
+// core.Eq14Feasible on the identical distribution. The same query also
+// goes through the HTTP handler: it must append exactly one outcome to
+// the ledger and answer with that outcome's status, refuse an oversize
+// query as invalid, and serve only bodies that decode to a finite,
+// non-negative price at or below the ceiling.
 func FuzzQuoteRequest(f *testing.F) {
 	f.Add("type=r3.xlarge&exec_hours=4", int64(1))
 	f.Add("type=r3.xlarge&exec_hours=12&recovery_seconds=600&class=batch", int64(1_000_000))
@@ -86,10 +98,13 @@ func FuzzQuoteRequest(f *testing.F) {
 	f.Add("type=r3.xlarge&exec_hours=1e999", int64(5))
 	f.Add("type=r3.xlarge&exec_hours=1&budget_micros=-1", int64(6))
 	f.Add("%gh&==&;;&&&", int64(8))
+	f.Add("type=r3.xlarge&exec_hours=4&pad="+strings.Repeat("x", maxQueryBytes), int64(10))
 
 	w := fuzzSetup(f)
 
 	f.Fuzz(func(t *testing.T, rawQuery string, nowMicros int64) {
+		checkHandler(t, w, rawQuery, nowMicros)
+
 		vals, err := url.ParseQuery(rawQuery)
 		if err != nil {
 			return
@@ -134,4 +149,46 @@ func FuzzQuoteRequest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkHandler sends one GET /v1/quote with the raw query through the
+// fuzz world's handler and holds the answer to the ledger.
+func checkHandler(t *testing.T, w *fuzzWorld, rawQuery string, nowMicros int64) {
+	t.Helper()
+	before := w.srv.Audit().Counts()
+	w.now = nowMicros
+	req := httptest.NewRequest(http.MethodGet, "/v1/quote", nil)
+	req.URL.RawQuery = rawQuery
+	rr := httptest.NewRecorder()
+	w.handler.ServeHTTP(rr, req)
+
+	after := w.srv.Audit().Counts()
+	newest, added := NumOutcomes, uint64(0)
+	for o := range after {
+		if d := after[o] - before[o]; d > 0 {
+			newest, added = Outcome(o), added+d
+		}
+	}
+	if added != 1 {
+		t.Fatalf("query %q added %d outcomes to the ledger, want 1", rawQuery, added)
+	}
+	if rr.Code != statusOf(newest) {
+		t.Fatalf("query %q: status %d, ledger outcome %v (status %d)", rawQuery, rr.Code, newest, statusOf(newest))
+	}
+	if len(rawQuery) > maxQueryBytes && newest != OutcomeRejectedInvalid {
+		t.Fatalf("oversize query of %d bytes ended %v", len(rawQuery), newest)
+	}
+	if rr.Code != http.StatusOK {
+		return
+	}
+	var resp QuoteResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("query %q: 200 body %q does not decode: %v", rawQuery, rr.Body.Bytes(), err)
+	}
+	if p := resp.Quote.Price; !(p >= 0 && p <= 0.35) {
+		t.Fatalf("query %q: served price %v outside [0, 0.35]", rawQuery, p)
+	}
+	if c := resp.Quote.ExpectedCost; !(c >= 0) || math.IsInf(c, 0) {
+		t.Fatalf("query %q: served expected cost %v", rawQuery, c)
+	}
 }

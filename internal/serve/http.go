@@ -59,6 +59,11 @@ func statusOf(o Outcome) int {
 	}
 }
 
+// maxQueryBytes bounds a /v1/quote raw query. A valid query is ~100
+// bytes; a longer one is refused before url.ParseQuery spends time and
+// memory on it.
+const maxQueryBytes = 1 << 10
+
 // errorBody is the non-200 response document.
 type errorBody struct {
 	Outcome string `json:"outcome"`
@@ -79,18 +84,26 @@ type errorBody struct {
 // arrivals (spotbidd passes wall-clock micros; tests pass a logical
 // clock). JSON encoding allocates — the 0-alloc contract covers
 // Server.Quote only. The HTTP edge is timed by the repository
-// benchmark's quote workload (perfbench, serve.http_edge_us).
+// benchmark's quote workload (perfbench, serve.http_edge_us). A quote
+// query longer than maxQueryBytes is rejected unparsed, as invalid.
 func NewHandler(s *Server, nowMicros func() int64) http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /v1/quote", func(w http.ResponseWriter, r *http.Request) {
 		now := nowMicros()
-		req, err := DecodeQuoteRequest(r.URL.Query(), now)
+		var req QuoteRequest
+		var err error
+		if n := len(r.URL.RawQuery); n > maxQueryBytes {
+			err = fmt.Errorf("serve: query of %d bytes exceeds %d", n, maxQueryBytes)
+		} else {
+			req, err = DecodeQuoteRequest(r.URL.Query(), now)
+		}
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{
 				Outcome: OutcomeRejectedInvalid.String(), Error: err.Error(), Slot: s.Slot()})
-			// Decode failures still enter the ledger: conservation
-			// counts every request, not just well-formed ones.
+			// Oversize and undecodable queries still enter the ledger:
+			// conservation counts every request, not just well-formed
+			// ones.
 			s.audit.append(AuditRecord{Slot: int32(s.Slot()), KeyIdx: -1,
 				Outcome: OutcomeRejectedInvalid, NowMicros: now})
 			s.mOutcome[OutcomeRejectedInvalid].Inc()

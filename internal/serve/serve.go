@@ -7,13 +7,16 @@
 // The architecture is a feed → build → swap pipeline in front of a
 // lock-free read path:
 //
-//   - Feed: per-market spot prices stream into an incremental
-//     dist.WindowedECDF (the Fig. 1 rolling two-month monitor).
-//   - Build: every RebuildEvery slots the window is snapshotted and
-//     the ψ(p) root-finding of Prop. 5 (plus the Prop. 4 quantile) is
-//     memoized over a (t_s, t_r) grid into an immutable QuoteTable
-//     stamped with a version, the data's newest slot, and the
-//     window's fingerprint.
+//   - Feed: per-market spot prices are validated on arrival and
+//     appended to a backlog, which catches up into an incremental
+//     dist.WindowedECDF (the Fig. 1 rolling two-month monitor) in one
+//     Slide before a build reads the window, or once it holds
+//     ingestBacklog prices.
+//   - Build: every RebuildEvery slots each market's window is
+//     snapshotted and the ψ(p) root-finding of Prop. 5 (plus the
+//     Prop. 4 quantile) is memoized over a (t_s, t_r) grid into an
+//     immutable QuoteTable stamped with a version, the data's newest
+//     slot, and the window's fingerprint.
 //   - Swap: the finished table is published with one atomic pointer
 //     store. Readers never take the feed lock and never allocate; a
 //     request is one atomic load, two binary searches over the grid,
@@ -249,9 +252,10 @@ type marketState struct {
 
 	mu         sync.Mutex
 	window     *dist.WindowedECDF
-	lastIngest int // slot of the newest ingested sample
-	lastSwap   int // slot of the last landed table swap
-	failures   int // consecutive build failures
+	backlog    []float64 // validated prices not yet slid into window
+	lastIngest int       // slot of the newest ingested sample
+	lastSwap   int       // slot of the last landed table swap
+	failures   int       // consecutive build failures
 	version    uint64
 	pending    *pendingBuild // at most one delayed build in flight
 
@@ -324,7 +328,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		k := Key{Region: cfg.Region, Type: t}
-		ms := &marketState{key: k, spec: spec, window: w, lastIngest: -1, lastSwap: -1}
+		ms := &marketState{key: k, spec: spec, window: w, lastIngest: -1, lastSwap: -1,
+			backlog: make([]float64, 0, ingestBacklog)}
 		s.markets[k] = ms
 		s.keys = append(s.keys, k)
 	}
@@ -374,12 +379,24 @@ func (s *Server) SetSlot(slot int) {
 	s.mSlot.Set(float64(slot))
 }
 
+// ingestBacklog bounds a market's backlog: the Ingest that fills it
+// slides it into the window. Over the default 61-day window that is
+// ~17 Slides, each O(window), where one Push per price moved half the
+// window each time.
+const ingestBacklog = 1024
+
 // Ingest feeds one spot-price observation for a market. Prices must
-// be finite; the slot stamps the market's data freshness. The chaos
-// surface is applied here so every driver sees identical fault
-// semantics: a stalled feed drops the sample (freshness does not
-// advance — the staleness ladder takes it from there), a price spike
-// multiplies it.
+// be finite: a NaN or ±Inf is refused with dist.ErrBadParam, as
+// WindowedECDF.Push refuses it, and leaves the market untouched. The
+// slot stamps the market's data freshness. The chaos surface is
+// applied here so every driver sees identical fault semantics: a
+// stalled feed drops the sample (freshness does not advance — the
+// staleness ladder takes it from there), a price spike multiplies it.
+//
+// An accepted price joins the market's backlog; the window catches up
+// in one Slide, which leaves it as one Push per price would, before
+// the build pipeline reads it. Health counts the backlog without
+// sliding it.
 func (s *Server) Ingest(key Key, slot int, price float64) error {
 	ms, ok := s.markets[key]
 	if !ok {
@@ -389,15 +406,25 @@ func (s *Server) Ingest(key Key, slot int, price float64) error {
 		return nil
 	}
 	price *= s.spikeFactor(slot)
+	if err := dist.CheckSample(price); err != nil {
+		return err
+	}
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
-	if err := ms.window.Push(price); err != nil {
-		return err
+	ms.backlog = append(ms.backlog, price)
+	if len(ms.backlog) == ingestBacklog {
+		ms.catchUp()
 	}
 	if slot > ms.lastIngest {
 		ms.lastIngest = slot
 	}
 	return nil
+}
+
+// catchUp slides the backlog into the window. The caller holds ms.mu.
+func (ms *marketState) catchUp() {
+	_ = ms.window.Slide(ms.backlog) // Ingest validated every price
+	ms.backlog = ms.backlog[:0]
 }
 
 // Drain flips the server into draining mode: readiness goes false and
@@ -461,7 +488,7 @@ func (s *Server) Health() Health {
 		kh := KeyHealth{
 			Key:        k,
 			Failures:   ms.failures,
-			WindowN:    ms.window.N(),
+			WindowN:    min(ms.window.N()+len(ms.backlog), ms.window.Cap()),
 			LastIngest: ms.lastIngest,
 			BuiltSlot:  -1,
 		}

@@ -313,6 +313,120 @@ func TestSwapHammer(t *testing.T) {
 	}
 }
 
+// TestFeedBuildHammer races Ingest, MaybeRebuild, Quote and Health on
+// their own goroutines over three markets due at every slot. While a
+// slot's builds run, the feed keeps ingesting prices stamped with that
+// slot; it moves on only when the builder acknowledges the slot, so
+// every slot still builds every market. Run under -race (make race /
+// race-obs) it is the safety proof for the backlog each market's feed
+// and builder share; in any mode it asserts that readers see
+// version-monotone tables and that no build is skipped.
+func TestFeedBuildHammer(t *testing.T) {
+	cfg := testConfig()
+	cfg.Types = []instances.Type{instances.R3XLarge, instances.C34XL, instances.R32XL}
+	cfg.RebuildEvery = 1
+	cfg.FreshForSlots = 1 << 20 // never degrade: isolate the pipeline
+	cfg.StaleForSlots = 1 << 21
+	cfg.ExecGridHours = []float64{1}
+	cfg.RecoveryGridHours = []float64{60.0 / 3600.0}
+	cfg.Admission = AdmitConfig{Burst: [NumClasses]float64{1 << 30, 1 << 30, 1 << 30}}
+	s := mustServer(t, cfg)
+
+	const slots = 120
+	toBuild, built := make(chan int), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		defer close(toBuild)
+		ingest := func(slot, i int) {
+			for j, k := range s.Keys() {
+				if err := s.Ingest(k, slot, 0.05+0.001*float64((slot+i+j)%7)); err != nil {
+					t.Error(err)
+				}
+			}
+		}
+		for slot := 0; slot < slots; slot++ {
+			s.SetSlot(slot)
+			ingest(slot, 0)
+			toBuild <- slot
+			// Up to 64 more prices at this slot, the first of them
+			// unordered with the build but for the market locks.
+			acked := false
+			for i := 1; i <= 64 && !acked; i++ {
+				ingest(slot, i)
+				select {
+				case <-built:
+					acked = true
+				default:
+				}
+			}
+			if !acked {
+				<-built
+			}
+		}
+	}()
+	builds := make(map[string]uint64)
+	go func() {
+		defer wg.Done()
+		for slot := range toBuild {
+			for _, r := range s.MaybeRebuild(slot) {
+				builds[r.Key]++
+			}
+			built <- struct{}{}
+		}
+	}()
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			last := make(map[instances.Type]uint64)
+			var now int64 = int64(g) * 7
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if i%64 == 0 {
+					s.Health()
+				}
+				typ := cfg.Types[i%len(cfg.Types)]
+				now += 11
+				resp, out := s.Quote(QuoteRequest{Type: typ, ExecHours: 1, NowMicros: now})
+				if !out.Served() {
+					if out == OutcomeRefusedCold {
+						continue
+					}
+					t.Errorf("reader %d: unexpected outcome %v", g, out)
+					return
+				}
+				if resp.Version < last[typ] {
+					t.Errorf("reader %d: %s version regressed %d → %d", g, typ, last[typ], resp.Version)
+					return
+				}
+				last[typ] = resp.Version
+				if !(resp.Quote.Price > 0) {
+					t.Errorf("reader %d: served torn/empty quote %+v", g, resp.Quote)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+
+	for _, k := range s.Keys() {
+		if tbl := s.Table(k); tbl == nil || tbl.Version < slots-5 || tbl.Version != builds[k.String()] {
+			t.Fatalf("%s: table %+v after %d builds: build churn did not happen", k, tbl, builds[k.String()])
+		}
+	}
+}
+
 // TestConfigValidation rejects the unusable corners.
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){

@@ -202,10 +202,11 @@ type BuildRecord struct {
 // swaps that are due, then — on the rebuild cadence — snapshots each
 // market with fresh data and builds its next table. Builds are
 // serialized (one goroutine's worth of work per call); the feed and
-// the readers are never blocked by a build, only by the microsecond
-// snapshot copy. Injected faults can fail a build (watchdog counts
-// consecutive failures) or delay its swap; at most one delayed build
-// is in flight per market, so versions can never land out of order.
+// the readers are never blocked by a build, only by the window's
+// catch-up of its backlog and the snapshot copy. Injected faults can
+// fail a build (watchdog counts consecutive failures) or delay its
+// swap; at most one delayed build is in flight per market, so
+// versions can never land out of order.
 func (s *Server) MaybeRebuild(slot int) []BuildRecord {
 	s.buildMu.Lock()
 	defer s.buildMu.Unlock()
@@ -227,10 +228,14 @@ func (s *Server) MaybeRebuild(slot int) []BuildRecord {
 			continue // at most one pipeline step per market per slot
 		}
 
-		due := slot%s.cfg.RebuildEvery == 0
 		cur := ms.table.Load()
 		freshData := cur == nil || ms.lastIngest > cur.BuiltSlot
-		if !due || ms.pending != nil || ms.window.N() < s.cfg.MinSamples || !freshData {
+		if slot%s.cfg.RebuildEvery != 0 || ms.pending != nil || !freshData {
+			ms.mu.Unlock()
+			continue
+		}
+		ms.catchUp()
+		if ms.window.N() < s.cfg.MinSamples {
 			ms.mu.Unlock()
 			continue
 		}

@@ -228,8 +228,9 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 	// live holds the running tasks in submission order, so every slot
 	// observes them, and sums their outcomes, in the same order.
 	type liveTask struct {
-		id string
-		tr *job.Tracker
+		id    string
+		tr    *job.Tracker
+		start int // the slot the task was submitted at
 	}
 	var live []liveTask
 	bids := make(map[string]float64)
@@ -245,7 +246,7 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 			if err != nil {
 				return err
 			}
-			live = append(live, liveTask{id, tr})
+			live = append(live, liveTask{id, tr, r.Region.Now()})
 			return nil
 		}
 		// Bid afresh at submission time — the §8 prescription: no
@@ -273,7 +274,7 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 		if err != nil {
 			return err
 		}
-		live = append(live, liveTask{id, tr})
+		live = append(live, liveTask{id, tr, r.Region.Now()})
 		return nil
 	}
 
@@ -309,7 +310,7 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 			res.Tasks = append(res.Tasks, TaskOutcome{
 				Task:      w.tasks[lt.id],
 				Bid:       bids[lt.id],
-				StartSlot: r.Region.Now() - int(float64(out.Completion)/float64(r.Region.Grid().Slot)),
+				StartSlot: lt.start,
 				Outcome:   out,
 			})
 			res.TotalCost += out.Cost
@@ -338,7 +339,7 @@ func (r *Runner) Run(w *Workflow) (Result, error) {
 	// Any still-live tasks at trace end contribute their partial cost.
 	for _, lt := range live {
 		out := lt.tr.Outcome()
-		res.Tasks = append(res.Tasks, TaskOutcome{Task: w.tasks[lt.id], Bid: bids[lt.id], Outcome: out})
+		res.Tasks = append(res.Tasks, TaskOutcome{Task: w.tasks[lt.id], Bid: bids[lt.id], StartSlot: lt.start, Outcome: out})
 		res.TotalCost += out.Cost
 		res.Interruptions += out.Interruptions
 	}

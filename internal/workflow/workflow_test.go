@@ -1,6 +1,7 @@
 package workflow
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -272,5 +273,54 @@ func TestRunnerValidation(t *testing.T) {
 	w, _ := New([]Task{mkTask("a", 1)})
 	if _, err := (&Runner{}).Run(w); err == nil {
 		t.Error("nil region accepted")
+	}
+}
+
+// TestStartSlotIsSubmissionSlot: every task reports the slot it was
+// submitted at, whatever its length. On-demand tasks of 1–20 slots
+// start together as roots; a 14-slot task waits on the 7-slot one and
+// is submitted the slot that one finishes.
+func TestStartSlotIsSubmissionSlot(t *testing.T) {
+	tr, err := trace.Generate(instances.R3XLarge, trace.GenOptions{Days: 2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	region, err := cloud.NewRegion(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const submit = 100
+	for region.Now() < submit {
+		if err := region.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var tasks []Task
+	for n := 1; n <= 20; n++ {
+		task := mkTask(fmt.Sprintf("t%02d", n), n)
+		task.OnDemand = true
+		tasks = append(tasks, task)
+	}
+	after := mkTask("after", 14, "t07")
+	after.OnDemand = true
+	w, err := New(append(tasks, after))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := (&Runner{Region: region}).Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || len(res.Tasks) != 21 {
+		t.Fatalf("completed %v with %d task outcomes, want all 21", res.Completed, len(res.Tasks))
+	}
+	for _, to := range res.Tasks {
+		want := submit
+		if to.Task.ID == "after" {
+			want = submit + 7
+		}
+		if to.StartSlot != want {
+			t.Errorf("task %s (%v h): StartSlot %d, submitted at %d", to.Task.ID, float64(to.Task.Exec), to.StartSlot, want)
+		}
 	}
 }
