@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	spotbid "repro"
+	"repro/internal/dist"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -194,6 +195,31 @@ func BenchmarkOneTimeBid(b *testing.B) {
 
 func BenchmarkPersistentBid(b *testing.B) {
 	m := benchMarket(b)
+	job := spotbid.Job{Exec: 1, Recovery: spotbid.Seconds(30)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.PersistentBid(job); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPersistentBidWindowed is BenchmarkPersistentBid on a
+// WindowedECDF holding the same two-month trace: the price type the
+// lanes quote grid solves on.
+func BenchmarkPersistentBidWindowed(b *testing.B) {
+	tr, err := spotbid.GenerateTrace(spotbid.R3XLarge, spotbid.GenOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w, err := dist.NewWindowedECDF(tr.Len(), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := w.Fill(tr.Prices); err != nil {
+		b.Fatal(err)
+	}
+	m := spotbid.Market{Price: w, OnDemand: 0.35}
 	job := spotbid.Job{Exec: 1, Recovery: spotbid.Seconds(30)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

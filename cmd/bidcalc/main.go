@@ -39,6 +39,12 @@ func main() {
 		missProb    = flag.Float64("missprob", 0.05, "acceptable deadline-miss probability with -deadline")
 	)
 	flag.Parse()
+	if *deadline < 0 {
+		fatalf("-deadline must not be negative, got %v", *deadline)
+	}
+	if *deadline > 0 && !(*missProb > 0 && *missProb < 1) {
+		fatalf("-missprob must lie in (0, 1) with -deadline, got %v", *missProb)
+	}
 
 	tr := loadHistory(*historyPath, *typ, *seed)
 	spec, err := instances.Lookup(tr.Type)

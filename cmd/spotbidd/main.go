@@ -140,9 +140,13 @@ func run(addr, region, typeList string, seed int64, days int, accel float64, war
 	}
 
 	// Warm the window through history so the daemon is ready (fresh
-	// tables for every market) the moment it starts listening.
+	// tables for every market) the moment it starts listening. The
+	// window can reach MinSamples between two rebuild slots, as the
+	// default warm-up's does at slot 287, so a warm-up that ends with
+	// a market still cold runs on to the next rebuild slot: at most
+	// RebuildEvery − 1 more slots.
 	slot := 0
-	for ; slot < warmup; slot++ {
+	for ; slot < warmup || (slot < warmup+srv.RebuildEvery()-1 && !srv.Health().Ready); slot++ {
 		if err := ingest(slot); err != nil {
 			return err
 		}

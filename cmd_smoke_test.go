@@ -148,6 +148,27 @@ func TestBidcalcCLI(t *testing.T) {
 		}
 	}
 
+	// A negative deadline, or a miss probability outside (0, 1) with a
+	// deadline, fails before any work and names the flag.
+	for _, args := range [][]string{
+		{"-deadline", "-1h"},
+		{"-deadline", "3h", "-missprob", "1.5"},
+		{"-deadline", "3h", "-missprob", "0"},
+	} {
+		cmd := exec.Command(bin, args...)
+		var stdout, stderr strings.Builder
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		if err := cmd.Run(); err == nil {
+			t.Errorf("bidcalc %v exited 0", args)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("bidcalc %v ran before failing; stdout:\n%s", args, stdout.String())
+		}
+		if flag := args[len(args)-2]; !strings.Contains(stderr.String(), flag) {
+			t.Errorf("bidcalc %v: stderr does not name %s:\n%s", args, flag, stderr.String())
+		}
+	}
+
 	// A history file is accepted.
 	spotsim := buildCmd(t, "spotsim")
 	csv := runCmd(t, spotsim, "-type", "r3.xlarge", "-days", "62")
@@ -218,14 +239,13 @@ func TestExperimentsCLI(t *testing.T) {
 	}
 }
 
-func TestSpotbiddCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	bin := buildCmd(t, "spotbidd")
-
-	// Port 0: the daemon reports the bound address on stderr.
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-accel", "300", "-days", "3", "-warmup", "300")
+// startSpotbidd starts the daemon and waits for its listening line.
+// It returns the address it reports and a channel that yields the rest
+// of its stderr once the daemon exits; the daemon is killed when the
+// test ends.
+func startSpotbidd(t *testing.T, bin string, args ...string) (cmd *exec.Cmd, addr string, rest <-chan string) {
+	t.Helper()
+	cmd = exec.Command(bin, args...)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -233,10 +253,12 @@ func TestSpotbiddCLI(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer cmd.Process.Kill()
+	t.Cleanup(func() {
+		cmd.Process.Kill()
+		cmd.Wait()
+	})
 
 	sc := bufio.NewScanner(stderr)
-	var addr string
 	for sc.Scan() {
 		line := sc.Text()
 		if i := strings.Index(line, "listening on "); i >= 0 {
@@ -249,28 +271,57 @@ func TestSpotbiddCLI(t *testing.T) {
 	}
 	// Drain the rest of stderr in the background so the drain-time
 	// flush is captured (and the pipe never blocks the daemon).
-	rest := make(chan string, 1)
+	out := make(chan string, 1)
 	go func() {
 		var b strings.Builder
 		for sc.Scan() {
 			b.WriteString(sc.Text())
 			b.WriteString("\n")
 		}
-		rest <- b.String()
+		out <- b.String()
 	}()
+	return cmd, addr, out
+}
 
+// httpGet fetches path from the daemon at addr.
+func httpGet(t *testing.T, addr, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + path)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("GET %s: %v", path, err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+func TestSpotbiddCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	bin := buildCmd(t, "spotbidd")
+
+	// The default warm-up of 288 slots fills the window to MinSamples
+	// at slot 287, between two rebuild slots. The daemon must still
+	// listen with a fresh table for every market, not wait for the
+	// ticker's next slot, 5 minutes away at -accel 1.
+	_, addr, _ := startSpotbidd(t, bin, "-addr", "127.0.0.1:0", "-accel", "1", "-days", "3")
+	if code, body := httpGet(t, addr, "/readyz"); code != 200 || !strings.Contains(body, `"ready":true`) {
+		t.Errorf("default warm-up: readyz = %d %q", code, body)
+	}
+	if code, body := httpGet(t, addr, "/v1/quote?type=r3.xlarge&exec_hours=4&recovery_seconds=600&class=batch"); code != 200 ||
+		!strings.Contains(body, `"tier":"fresh"`) {
+		t.Errorf("default warm-up: quote = %d %q", code, body)
+	}
+
+	// Port 0: the daemon reports the bound address on stderr.
+	cmd, addr, rest := startSpotbidd(t, bin, "-addr", "127.0.0.1:0", "-accel", "300", "-days", "3", "-warmup", "300")
 	get := func(path string) (int, string) {
 		t.Helper()
-		resp, err := http.Get("http://" + addr + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		return resp.StatusCode, string(body)
+		return httpGet(t, addr, path)
 	}
 
 	if code, body := get("/healthz"); code != 200 {

@@ -39,9 +39,9 @@ func (m Market) EvalOneTime(p float64, job Job) (Bid, error) {
 	if err := job.Validate(); err != nil {
 		return Bid{}, err
 	}
-	f := mm.Price.CDF(p)
-	espot := dist.ConditionalMean(mm.Price, p)
-	if math.IsNaN(espot) {
+	f, pm := dist.CDFPartialMean(mm.Price, p)
+	espot := pm / f // E[π | π ≤ p], as dist.ConditionalMean computes it
+	if f == 0 || math.IsNaN(espot) {
 		espot = p // bid below the support: if it ever ran it would pay ≤ p
 	}
 	cost := float64(job.Exec) * espot

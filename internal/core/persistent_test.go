@@ -456,3 +456,174 @@ func TestOnDemandCost(t *testing.T) {
 		t.Error("invalid job accepted")
 	}
 }
+
+// ecdfPrice is what opaquePrice lets a solver see of a price: the Dist
+// methods and PartialMean.
+type ecdfPrice interface {
+	dist.Dist
+	PartialMean(p float64) float64
+}
+
+// opaquePrice hides an ECDF's concrete type, so the solvers see neither
+// its one-search joint read nor its Values(): every read makes a CDF
+// and a PartialMean call, and the Prop. 5 grid calls the cost at all
+// of its points.
+type opaquePrice struct{ ecdfPrice }
+
+// bidBits is every field of a Bid, floats as their bits.
+func bidBits(b Bid) [9]uint64 {
+	var beats uint64
+	if b.BeatsOnDemand {
+		beats = 1
+	}
+	return [9]uint64{
+		math.Float64bits(b.Price), math.Float64bits(b.AcceptProb), math.Float64bits(b.ExpectedSpot),
+		math.Float64bits(float64(b.ExpectedRunTime)), math.Float64bits(float64(b.ExpectedCompletion)),
+		math.Float64bits(b.ExpectedInterruptions), math.Float64bits(b.ExpectedCost),
+		math.Float64bits(b.OnDemandCost), beats,
+	}
+}
+
+// sameError reports whether two solver errors agree: both nil, or both
+// non-nil with the same ErrInfeasible match and the same text.
+func sameError(a, b error) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return errors.Is(a, ErrInfeasible) == errors.Is(b, ErrInfeasible) && a.Error() == b.Error()
+}
+
+// TestECDFFastPathsMatchOpaquePrice holds the ECDF fast paths, the
+// Prop. 5 grid that prices each price step once and the one-search
+// read of F(p) and the partial mean, to the paths the solvers take
+// when they cannot see them. On Empirical and WindowedECDF prices,
+// PersistentBid, OneTimeBid, EvalPersistent, EvalOneTime and Psi must
+// return, bit for bit in every field and with the same error, what
+// they return on the same market with its price wrapped in
+// opaquePrice. The windows: dwell-18 and i.i.d. traces (on these
+// seeds the grid's or the golden refinement's candidate wins some
+// solves, so a wrong grid shows), one sample, one price repeated, and
+// a dwell-18 trace with every third price above π̄, where Eq. 14 can
+// fail. Each market is solved with and without a floor above the
+// support's low end, at t_r from 0 to 1 h (Eq. 14 raises the grid's
+// low end above t_k = 5 min) and t_s from 15 min to 24 h.
+func TestECDFFastPathsMatchOpaquePrice(t *testing.T) {
+	gen := func(typ instances.Type, seed int64, dwell int) []float64 {
+		tr, err := trace.Generate(typ, trace.GenOptions{Days: 12, Seed: seed, DwellSlots: dwell})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr.Prices
+	}
+	repeated := make([]float64, 300)
+	for i := range repeated {
+		repeated[i] = 0.0412
+	}
+	spiky := gen(instances.R3XLarge, 3, 0)
+	for i := 0; i < len(spiky); i += 3 {
+		spiky[i] = 0.5
+	}
+	od := instances.MustLookup(instances.R3XLarge).OnDemand
+	windows := []struct {
+		name     string
+		prices   []float64
+		onDemand float64
+	}{
+		{"dwell-18", gen(instances.R3XLarge, 3, 0), od},
+		{"r3.4xlarge dwell-18", gen(instances.R34XL, 3, 0), instances.MustLookup(instances.R34XL).OnDemand},
+		{"i.i.d.", gen(instances.R3XLarge, 1, 1), od},
+		{"one sample", []float64{0.0412}, od},
+		{"one repeated price", repeated, od},
+		{"above π̄", spiky, od},
+	}
+	recs := []timeslot.Hours{0, timeslot.Seconds(10), timeslot.Seconds(30), timeslot.Seconds(300),
+		timeslot.Seconds(600), timeslot.Seconds(1800), 1}
+	execs := []timeslot.Hours{0.25, 1, 4, 24}
+	var solved, infeasible, evals, evalErrs int
+	for _, w := range windows {
+		emp, err := dist.NewEmpirical(w.prices, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win, err := dist.NewWindowedECDF(len(w.prices), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(w.prices); lo += 500 {
+			if err := win.Slide(w.prices[lo:min(lo+500, len(w.prices))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, price := range []ecdfPrice{emp, win} {
+			sup := price.Support()
+			od := w.onDemand
+			bids := append(dist.Linspace(sup.Lo-0.01, od+0.05, 61), sup.Lo, sup.Hi, od)
+			for _, q := range []float64{0.05, 0.5, 0.9, 0.99} {
+				bids = append(bids, price.Quantile(q))
+			}
+			for _, floor := range []float64{0, (sup.Lo+price.Quantile(0.5))/2 + 1e-3} {
+				bare := Market{Price: price, OnDemand: od, MinPrice: floor}
+				hidden := Market{Price: opaquePrice{price}, OnDemand: od, MinPrice: floor}
+				name := fmt.Sprintf("%s %T floor %v", w.name, price, floor)
+				for _, p := range bids {
+					got, gerr := bare.Psi(p)
+					want, werr := hidden.Psi(p)
+					if math.Float64bits(got) != math.Float64bits(want) || !sameError(gerr, werr) {
+						t.Fatalf("%s: Psi(%v) = %v, %v; opaque %v, %v", name, p, got, gerr, want, werr)
+					}
+				}
+				for _, rec := range recs {
+					for _, exec := range execs {
+						if rec >= exec {
+							continue
+						}
+						job := Job{Exec: exec, Recovery: rec}
+						at := fmt.Sprintf("%s t_s=%v t_r=%v", name, float64(exec), float64(rec))
+						for _, solve := range []struct {
+							what string
+							fn   func(Market) (Bid, error)
+						}{
+							{"PersistentBid", func(m Market) (Bid, error) { return m.PersistentBid(job) }},
+							{"OneTimeBid", func(m Market) (Bid, error) { return m.OneTimeBid(job) }},
+						} {
+							got, gerr := solve.fn(bare)
+							want, werr := solve.fn(hidden)
+							if bidBits(got) != bidBits(want) || !sameError(gerr, werr) {
+								t.Fatalf("%s: %s\n  fast   %+v, %v\n  opaque %+v, %v", at, solve.what, got, gerr, want, werr)
+							}
+							if solve.what == "PersistentBid" {
+								if gerr == nil {
+									solved++
+								} else if errors.Is(gerr, ErrInfeasible) {
+									infeasible++
+								}
+							}
+						}
+						for _, p := range bids {
+							got, gerr := bare.EvalPersistent(p, job)
+							want, werr := hidden.EvalPersistent(p, job)
+							if bidBits(got) != bidBits(want) || !sameError(gerr, werr) {
+								t.Fatalf("%s: EvalPersistent(%v)\n  fast   %+v, %v\n  opaque %+v, %v", at, p, got, gerr, want, werr)
+							}
+							evals++
+							if gerr != nil {
+								evalErrs++
+							}
+							got, gerr = bare.EvalOneTime(p, job)
+							want, werr = hidden.EvalOneTime(p, job)
+							if bidBits(got) != bidBits(want) || !sameError(gerr, werr) {
+								t.Fatalf("%s: EvalOneTime(%v)\n  fast   %+v, %v\n  opaque %+v, %v", at, p, got, gerr, want, werr)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	// Vacuity guard: solved and Eq. 14-infeasible jobs, and feasible
+	// and infeasible bids, must all occur.
+	if solved == 0 || infeasible == 0 || evalErrs == 0 || evalErrs == evals {
+		t.Fatalf("%d solved and %d infeasible jobs, %d of %d bids infeasible", solved, infeasible, evalErrs, evals)
+	}
+	t.Logf("%d solved and %d infeasible jobs, %d of %d bids infeasible", solved, infeasible, evalErrs, evals)
+}

@@ -228,6 +228,14 @@ func (e *Empirical) PartialMean(p float64) float64 {
 	return e.prefix[searchGT(e.xs, p)] / float64(len(e.xs))
 }
 
+// cdfPartialMean returns CDF(p) and PartialMean(p) from one search:
+// both are read off k = #{x_i ≤ p}, as k/n and prefix[k]/n.
+func (e *Empirical) cdfPartialMean(p float64) (f, pm float64) {
+	k := searchGT(e.xs, p)
+	n := float64(len(e.xs))
+	return float64(k) / n, e.prefix[k] / n
+}
+
 // partialMeaner is the optional fast path used by PartialMean.
 type partialMeaner interface {
 	PartialMean(p float64) float64
@@ -249,6 +257,23 @@ func PartialMean(d Dist, p float64) float64 {
 	}
 	hi := math.Min(p, sup.Hi)
 	return Integrate(func(x float64) float64 { return x * d.PDF(x) }, lo, hi, 1e-12)
+}
+
+// cdfPartialMeaner is the one-search fast path used by CDFPartialMean.
+type cdfPartialMeaner interface {
+	cdfPartialMean(p float64) (f, pm float64)
+}
+
+// CDFPartialMean returns d.CDF(p) and PartialMean(d, p), bit for bit
+// what the two calls return. An Empirical or a WindowedECDF reads both
+// off one search of its sorted sample, where the two calls make two;
+// every other distribution makes the two calls. Every evaluation of
+// the Prop. 4/5 cost and of ψ needs both values at the same bid.
+func CDFPartialMean(d Dist, p float64) (f, pm float64) {
+	if j, ok := d.(cdfPartialMeaner); ok {
+		return j.cdfPartialMean(p)
+	}
+	return d.CDF(p), PartialMean(d, p)
 }
 
 // ConditionalMean computes E[X | X ≤ p] = PartialMean(p)/CDF(p)

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -100,14 +102,72 @@ func TestGoldenMin(t *testing.T) {
 }
 
 func TestGridMin(t *testing.T) {
-	x, fx := GridMin(func(x float64) float64 { return math.Abs(x - 0.5) }, 0, 1, 1000)
+	x, fx := GridMin(func(x float64) float64 { return math.Abs(x - 0.5) }, 0, 1, 1000, nil)
 	if math.Abs(x-0.5) > 1e-3 || fx > 1e-3 {
 		t.Errorf("GridMin = (%v, %v)", x, fx)
 	}
-	x, _ = GridMin(func(x float64) float64 { return x }, 3, 4, 0)
+	x, _ = GridMin(func(x float64) float64 { return x }, 3, 4, 0, nil)
 	if x != 3 {
 		t.Errorf("GridMin n<1 = %v", x)
 	}
+}
+
+// FuzzGridMinSteps holds GridMin's step form to its brute-force form.
+// For an f that depends on x only through k(x), the count of
+// breakpoints ≤ x, GridMin with the breakpoints must return the point
+// and value GridMin with nil steps returns, bit for bit, and call f at
+// most once per count. The breakpoints are sorted with repeats; lo and
+// hi fall below, inside or above them, and f takes few values, so the
+// first of several minima must win.
+func FuzzGridMinSteps(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(0), 0.5, 2.5, uint16(400))        // one breakpoint
+	f.Add(int64(2), uint16(50), uint16(0), 0.5, 2.5, uint16(400))       // all breakpoints equal
+	f.Add(int64(3), uint16(300), uint16(20), 1.25, 1.25, uint16(400))   // lo == hi
+	f.Add(int64(4), uint16(300), uint16(20), 1.1, 1.8, uint16(999))     // lo and hi inside
+	f.Add(int64(5), uint16(300), uint16(20), -1.0, 0.5, uint16(13))     // both below
+	f.Add(int64(6), uint16(300), uint16(20), 2.5, 3.0, uint16(7))       // both above
+	f.Add(int64(7), uint16(1999), uint16(63), 0.9, 2.1, uint16(400))    // lo below, hi above
+	f.Add(int64(8), uint16(120), uint16(4095), 0.9, 2.1, uint16(400))   // mostly distinct breakpoints
+	f.Add(int64(9), uint16(1500), uint16(4000), 1.2, 1.3, uint16(1000)) // one count per point or two
+	f.Fuzz(func(t *testing.T, seed int64, size, levels uint16, lo, hi float64, n uint16) {
+		if lo > hi {
+			lo, hi = hi, lo
+		}
+		if !(hi-lo >= 0) {
+			return // a NaN bound, or lo == hi == ±Inf: the points are not ordered
+		}
+		r := rand.New(rand.NewSource(seed))
+		nl := int(levels)%4096 + 1
+		steps := make([]float64, int(size)%2000+1)
+		for i := range steps {
+			steps[i] = 1 + float64(r.Intn(nl))/float64(nl)
+		}
+		sort.Float64s(steps)
+		vals := make([]float64, len(steps)+1)
+		for i := range vals {
+			vals[i] = float64(r.Intn(4))
+		}
+		count := func(x float64) int { // #{s ≤ x}: none for a NaN point, as searchGT counts
+			return sort.Search(len(steps), func(i int) bool { return !(steps[i] <= x) })
+		}
+		calls := map[int]int{}
+		points := int(n)%1000 + 1
+		wantX, wantF := GridMin(func(x float64) float64 { return vals[count(x)] }, lo, hi, points, nil)
+		gotX, gotF := GridMin(func(x float64) float64 {
+			k := count(x)
+			calls[k]++
+			return vals[k]
+		}, lo, hi, points, steps)
+		if math.Float64bits(gotX) != math.Float64bits(wantX) || math.Float64bits(gotF) != math.Float64bits(wantF) {
+			t.Fatalf("GridMin over [%v, %v], n=%d: steps form (%v, %v), brute force (%v, %v)",
+				lo, hi, points, gotX, gotF, wantX, wantF)
+		}
+		for k, c := range calls {
+			if c > 1 {
+				t.Fatalf("GridMin over [%v, %v], n=%d: f called %d times at count %d", lo, hi, points, c, k)
+			}
+		}
+	})
 }
 
 func TestLinspace(t *testing.T) {

@@ -331,6 +331,18 @@ func gallopGE(xs []float64, i int, x float64) int {
 	return lo + searchGE(xs[lo:min(i+bound, len(xs))], x)
 }
 
+// gallopGT is i + searchGT(xs[i:], x), found by doubling a bracket
+// from i as gallopGE does: the count of xs ≤ x, for an x known to be
+// at or above xs[i−1].
+func gallopGT(xs []float64, i int, x float64) int {
+	bound := 1
+	for i+bound <= len(xs) && xs[i+bound-1] <= x {
+		bound <<= 1
+	}
+	lo := i + bound>>1
+	return lo + searchGT(xs[lo:min(i+bound, len(xs))], x)
+}
+
 // gallopBackGE is searchGE(xs[:i], x), found by doubling a bracket down
 // from i, so an answer d places below i costs O(log d) probes.
 func gallopBackGE(xs []float64, i int, x float64) int {
@@ -532,4 +544,13 @@ func (w *WindowedECDF) Support() Interval {
 func (w *WindowedECDF) PartialMean(p float64) float64 {
 	w.refreshPrefix()
 	return w.prefix[searchGT(w.sorted, p)] / float64(w.n)
+}
+
+// cdfPartialMean returns CDF(p) and PartialMean(p) from one search,
+// refreshing the prefix sums first as PartialMean does.
+func (w *WindowedECDF) cdfPartialMean(p float64) (f, pm float64) {
+	w.refreshPrefix()
+	k := searchGT(w.sorted, p)
+	n := float64(w.n)
+	return float64(k) / n, w.prefix[k] / n
 }

@@ -618,3 +618,71 @@ func TestEmpiricalMomentsCached(t *testing.T) {
 		t.Fatal("moments changed across calls")
 	}
 }
+
+// TestCDFPartialMeanJointRead holds the one-search joint read to the
+// two calls it replaces: on an Empirical and on a WindowedECDF,
+// CDFPartialMean(d, p) must equal (d.CDF(p), PartialMean(d, p)) bit
+// for bit at prices below, at, between and above the samples. The
+// window is read first after every Push, Slide and Fill, while its
+// prefix sums are dirty, so a read that skipped the refresh would see
+// the previous window's sums.
+func TestCDFPartialMeanJointRead(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	stream := runStream(rng, 900, 6, func() float64 { return float64(1+rng.Intn(40)) / 100 })
+	check := func(what string, d Dist) {
+		t.Helper()
+		sup := d.Support()
+		// The top of the support first: its partial mean is the window's
+		// whole sum, which almost every mutation changes.
+		ps := []float64{sup.Hi, sup.Lo, sup.Lo - 0.01, sup.Hi + 0.01, math.Inf(-1), math.Inf(1), math.NaN()}
+		for q := 0.0; q <= 1; q += 0.0625 {
+			ps = append(ps, d.Quantile(q), d.Quantile(q)+0.001)
+		}
+		for _, p := range ps {
+			f, pm := CDFPartialMean(d, p)
+			wf, wpm := d.CDF(p), PartialMean(d, p)
+			if math.Float64bits(f) != math.Float64bits(wf) || math.Float64bits(pm) != math.Float64bits(wpm) {
+				t.Fatalf("%s, p=%v: joint read (%v, %v), separate reads (%v, %v)", what, p, f, pm, wf, wpm)
+			}
+		}
+	}
+	w, err := NewWindowedECDF(200, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pos := 0
+	next := func(k int) []float64 {
+		pos += k
+		return stream[pos-k : pos]
+	}
+	if err := w.Fill(next(150)); err != nil {
+		t.Fatal(err)
+	}
+	check("after Fill", w)
+	for i := 0; i < 80; i++ { // fills the window, then evicts
+		if err := w.Push(next(1)[0]); err != nil {
+			t.Fatal(err)
+		}
+		check("after Push", w)
+	}
+	for _, k := range []int{2, 7, 30, 199} {
+		if err := w.Slide(next(k)); err != nil {
+			t.Fatal(err)
+		}
+		check("after Slide", w)
+	}
+	if err := w.Fill(next(250)); err != nil {
+		t.Fatal(err)
+	}
+	check("after a second Fill", w)
+	e, err := NewEmpirical(stream, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Empirical", e)
+	one, err := NewEmpirical([]float64{0.25}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("one-sample Empirical", one)
+}

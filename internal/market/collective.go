@@ -37,7 +37,7 @@ func (p Provider) OptimalPriceForBids(load float64, bids dist.Dist) (float64, er
 		return 0, fmt.Errorf("market: nil bid distribution")
 	}
 	neg := func(x float64) float64 { return -p.BidObjective(load, x, bids) }
-	xGrid, _ := dist.GridMin(neg, p.PMin, p.POnDemand, 600)
+	xGrid, _ := dist.GridMin(neg, p.PMin, p.POnDemand, 600, nil)
 	step := (p.POnDemand - p.PMin) / 600
 	lo, hi := xGrid-step, xGrid+step
 	if lo < p.PMin {

@@ -369,6 +369,9 @@ func (s *Server) SlotLen() timeslot.Hours { return s.slotLen }
 // SlotMicros returns one slot in logical microseconds.
 func (s *Server) SlotMicros() int64 { return s.slotMicros }
 
+// RebuildEvery returns the slot cadence of table rebuild attempts.
+func (s *Server) RebuildEvery() int { return s.cfg.RebuildEvery }
+
 // Slot returns the current market slot.
 func (s *Server) Slot() int { return int(s.slot.Load()) }
 
