@@ -60,12 +60,15 @@ check: fmt vet perfbench-vet no-wallclock race-obs race shuffle perfgate resilch
 # Short fuzz pass over both history-parser targets, the
 # fault-schedule shrinker, the strategy deciders, the quote-request
 # decoder + serving path + HTTP handler, the tsdb chunk decoder, the
-# branch-free order-statistic searches, the windowed ECDF's run-length
-# Fill and batch Slide, the Prop. 5 grid's one-call-per-price-step
-# scan against its brute-force form, the Pareto transform's exp∘log
-# fast path, and the lane kernel's bulk-loop bound.
+# branch-free order-statistic searches, the sample and run sorts
+# against sort.Float64s and slices.SortFunc, the windowed ECDF's
+# run-length Fill and batch Slide, the Prop. 5 grid's
+# one-call-per-price-step scan against its brute-force form, the
+# Pareto transform's exp∘log fast path, and the lane kernel's bulk-loop
+# bound.
 fuzz:
 	$(GO) test -fuzz=FuzzSearchEquivalence -fuzztime=30s ./internal/dist/
+	$(GO) test -fuzz=FuzzSortSample -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzGridMinSteps -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzFromUniformMatchesPow -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzFillEquivalence -fuzztime=30s ./internal/dist/

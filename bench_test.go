@@ -262,6 +262,18 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceGenerationIID is BenchmarkTraceGeneration at dwell 1:
+// the paper's literal i.i.d. model, as Table 3 generates its histories.
+func BenchmarkTraceGenerationIID(b *testing.B) {
+	b.ReportAllocs()
+	coldMemo(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := spotbid.GenerateTrace(spotbid.R3XLarge, spotbid.GenOptions{Seed: int64(i) + 1, DwellSlots: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBestOfflinePrice(b *testing.B) {
 	tr, err := spotbid.GenerateTrace(spotbid.R3XLarge, spotbid.GenOptions{Seed: 1})
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -142,13 +143,37 @@ func TestOneTimeBidMonotoneInExecTime(t *testing.T) {
 	}
 }
 
+// TestOneTimeBidInfeasibleBeyondOnDemand: a price distribution
+// reaching above π̄ makes long jobs unservable without interruption,
+// and OneTimeBid says so with ErrInfeasible, as PersistentBid does for
+// Eq. 14: on a uniform distribution, and on a 12-day r3.xlarge ECDF
+// (seed 3) with every third price at 0.5, above π̄ = 0.35, for a
+// 24-hour job.
 func TestOneTimeBidInfeasibleBeyondOnDemand(t *testing.T) {
-	// A price distribution reaching above π̄ makes long jobs
-	// unservable without interruption.
 	u, _ := dist.NewUniform(0.1, 1.0)
-	m := Market{Price: u, OnDemand: 0.5}
-	if _, err := m.OneTimeBid(Job{Exec: 100}); err == nil {
-		t.Error("expected infeasibility error")
+	tr, err := trace.Generate(instances.R3XLarge, trace.GenOptions{Days: 12, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spiked := tr.Clone()
+	for i := 0; i < spiked.Len(); i += 3 {
+		spiked.Prices[i] = 0.5
+	}
+	ecdf, err := spiked.ECDF(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		m    Market
+		job  Job
+	}{
+		{"uniform", Market{Price: u, OnDemand: 0.5}, Job{Exec: 100}},
+		{"spiked trace", Market{Price: ecdf, OnDemand: instances.MustLookup(instances.R3XLarge).OnDemand}, Job{Exec: 24}},
+	} {
+		if _, err := c.m.OneTimeBid(c.job); !errors.Is(err, ErrInfeasible) {
+			t.Errorf("%s: error %v, want one wrapping ErrInfeasible", c.name, err)
+		}
 	}
 }
 

@@ -67,9 +67,9 @@ func (m Market) EvalOneTime(p float64, job Job) (Bid, error) {
 // whose expected uninterrupted run covers the execution time:
 // t_k/(1 − F(p)) ≥ t_s. Jobs no longer than one slot bid the floor.
 //
-// It returns an error when even bidding the on-demand price cannot
-// satisfy the no-interruption constraint (possible only for price
-// distributions whose support exceeds π̄).
+// It returns an error wrapping ErrInfeasible when even bidding the
+// on-demand price cannot satisfy the no-interruption constraint
+// (possible only for price distributions whose support exceeds π̄).
 func (m Market) OneTimeBid(job Job) (Bid, error) {
 	mm, err := m.normalized()
 	if err != nil {
@@ -93,8 +93,8 @@ func (m Market) OneTimeBid(job Job) (Bid, error) {
 		return Bid{}, err
 	}
 	if q > 0 && bid.AcceptProb < q {
-		return bid, fmt.Errorf("core: no bid ≤ π̄ = %v satisfies the no-interruption constraint (need F(p) ≥ %v, have %v)",
-			mm.OnDemand, q, bid.AcceptProb)
+		return bid, fmt.Errorf("%w: no bid ≤ π̄ = %v satisfies the no-interruption constraint (need F(p) ≥ %v, have %v)",
+			ErrInfeasible, mm.OnDemand, q, bid.AcceptProb)
 	}
 	return bid, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Empirical is the empirical distribution of a sample, the
@@ -23,9 +22,9 @@ type Empirical struct {
 }
 
 // NewEmpirical builds an empirical distribution from the sample xs
-// (which it copies and sorts). The histogram used for PDF evaluation
-// has nbins equal-width bins over [min, max]; nbins ≤ 0 selects
-// a square-root rule automatically.
+// (which it copies and sorts, −0 before +0; see sort.go). The histogram
+// used for PDF evaluation has nbins equal-width bins over [min, max];
+// nbins ≤ 0 selects a square-root rule automatically.
 func NewEmpirical(xs []float64, nbins int) (*Empirical, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
@@ -37,8 +36,11 @@ func NewEmpirical(xs []float64, nbins int) (*Empirical, error) {
 			return nil, err
 		}
 	}
-	sort.Float64s(s)
-	return newEmpiricalOwned(s, nbins), nil
+	// The prefix sums are written after the sort, so their room serves
+	// as its scratch.
+	prefix := make([]float64, len(s)+1)
+	sortFloats(s, prefix[1:])
+	return newEmpiricalOwned(s, prefix, nbins), nil
 }
 
 // CheckSample reports whether x may enter an empirical sample: NaN and
@@ -59,12 +61,13 @@ func badSample(x float64) error {
 }
 
 // newEmpiricalOwned finishes construction from a sorted, validated
-// sample the Empirical takes ownership of: prefix sums, cached moments,
+// sample the Empirical takes ownership of, and a prefix-sum array of
+// len(s)+1 whose first element is 0: prefix sums, cached moments,
 // histogram. NewEmpirical and WindowedECDF.Snapshot both funnel here
 // so their results are element-identical for identical window
 // contents.
-func newEmpiricalOwned(s []float64, nbins int) *Empirical {
-	e := &Empirical{xs: s, prefix: make([]float64, len(s)+1)}
+func newEmpiricalOwned(s, prefix []float64, nbins int) *Empirical {
+	e := &Empirical{xs: s, prefix: prefix}
 	for i, x := range s {
 		e.prefix[i+1] = e.prefix[i] + x
 	}

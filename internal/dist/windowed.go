@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 )
 
 // WindowedECDF maintains the empirical distribution of the most recent
@@ -39,6 +38,11 @@ type WindowedECDF struct {
 
 	sorted []float64  // the n live samples, sorted ascending
 	runs   []valueRun // Fill's scratch, kept at its high-water size
+
+	// sortRuns's radix scratch, grown only by a sort of at least
+	// radixMin runs, and then as append grows: the run counts of the
+	// windows a recycled window holds drift up in small steps.
+	runBuf []valueRun
 
 	// Slide's scratch, kept at its high-water size: the batch's and the
 	// evicted samples' sorted runs, and the values of a batch too short
@@ -240,15 +244,12 @@ func (w *WindowedECDF) sortedRuns(rs []valueRun, byRun bool, segs ...[]float64) 
 		for _, seg := range segs {
 			rs = appendRuns(rs, seg)
 		}
-		slices.SortFunc(rs, func(a, b valueRun) int {
-			switch {
-			case a.v < b.v:
-				return -1
-			case a.v > b.v:
-				return 1
-			}
-			return 0
-		})
+		var buf []valueRun
+		if len(rs) >= radixMin {
+			w.runBuf = slices.Grow(w.runBuf[:0], len(rs))
+			buf = w.runBuf[:len(rs)]
+		}
+		sortRuns(rs, buf)
 		return rs
 	}
 	vs := w.values[:0]
@@ -256,8 +257,27 @@ func (w *WindowedECDF) sortedRuns(rs []valueRun, byRun bool, segs ...[]float64) 
 		vs = append(vs, seg...)
 	}
 	w.values = vs
-	slices.Sort(vs)
+	sortFloats(vs, w.floatScratch(len(vs)))
 	return appendRuns(rs, vs)
+}
+
+// floatScratch returns sortFloats's scratch for n ≤ Cap values: nil
+// below radixMin, where it needs none, and otherwise the prefix-sum
+// buffer, which every mutation leaves to be rebuilt, allocated as
+// refreshPrefix allocates it.
+func (w *WindowedECDF) floatScratch(n int) []float64 {
+	if n < radixMin {
+		return nil
+	}
+	w.growPrefix()
+	return w.prefix[:n]
+}
+
+// growPrefix gives the prefix-sum buffer room for a full window.
+func (w *WindowedECDF) growPrefix() {
+	if cap(w.prefix) < w.capacity+1 {
+		w.prefix = make([]float64, w.capacity+1)
+	}
 }
 
 // appendRuns appends to rs the runs of equal consecutive values of xs.
@@ -365,8 +385,8 @@ func gallopBackGE(xs []float64, i int, x float64) int {
 // sparse Fill sorts the runs and expands them instead of sorting every
 // slot. Equal non-zero floats share their bits, so the expansion is
 // the slice sort.Float64s would produce. A window holding a zero falls
-// back to the plain sort: −0 and +0 compare equal but differ in bits,
-// and the order the sort leaves them in is its own.
+// back to the plain sort, which puts −0 before +0 as NewEmpirical
+// does.
 func (w *WindowedECDF) Fill(xs []float64) error {
 	if len(xs) == 0 {
 		return fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
@@ -383,7 +403,7 @@ func (w *WindowedECDF) Fill(xs []float64) error {
 	w.sorted = w.sorted[:w.n]
 	if zero || runs*minRunLength > w.n {
 		copy(w.sorted, xs)
-		sort.Float64s(w.sorted)
+		sortFloats(w.sorted, w.floatScratch(w.n))
 	} else {
 		// Runs of one value land next to each other in any order,
 		// since their values are bit-identical.
@@ -429,9 +449,7 @@ func (w *WindowedECDF) refreshPrefix() {
 		return
 	}
 	w.mustSample()
-	if cap(w.prefix) < w.n+1 {
-		w.prefix = make([]float64, w.capacity+1)
-	}
+	w.growPrefix()
 	w.prefix = w.prefix[:w.n+1]
 	w.prefix[0] = 0
 	for i, x := range w.sorted {
@@ -473,7 +491,7 @@ func (w *WindowedECDF) Snapshot(nbins int) (*Empirical, error) {
 	}
 	s := make([]float64, w.n)
 	copy(s, w.sorted)
-	return newEmpiricalOwned(s, nbins), nil
+	return newEmpiricalOwned(s, make([]float64, w.n+1), nbins), nil
 }
 
 // Values returns the sorted live window (shared; callers must not

@@ -5,6 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/instances"
+	"repro/internal/obs"
+	"repro/internal/obs/event"
+	"repro/internal/obs/tsdb"
+	"repro/internal/trace"
 )
 
 // fastOpts keeps the per-test run counts small; the full ten-run
@@ -102,6 +106,27 @@ func TestTable3(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "persistent-30s") {
 		t.Error("render missing columns")
+	}
+}
+
+// TestTable3GeneratesOncePerType: from an empty memo, an instrumented
+// Table 3 generates each type's history once and records it from the
+// returned header, so the memo sees its 5 misses and no hit.
+func TestTable3GeneratesOncePerType(t *testing.T) {
+	trace.SetMemoCapacity(trace.DefaultMemoCapacity)
+	defer trace.ResetMemo()
+	o := fastOpts
+	o.Metrics = obs.New()
+	o.Trace = event.NewRecorder(event.Config{Unbounded: true})
+	o.TSDB = tsdb.New(tsdb.Config{})
+	if _, err := Table3(o); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := trace.MemoStats(); hits != 0 || misses != 5 {
+		t.Fatalf("Table 3 from an empty memo: %d hits, %d misses; want 0 and 5", hits, misses)
+	}
+	if got := o.Metrics.CounterValue("trace.slots_generated"); got != 5*61*288 {
+		t.Fatalf("trace.slots_generated = %d, want the five histories' %d", got, 5*61*288)
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // snapshot and flight-recorder JSONL), captured from the legacy
 // per-slot path before the struct-of-arrays / pooled-quote refactor
 // landed, and Table 3's TSDB dump, captured from the serial Table 3
-// before its types moved onto sched.Ordered. The contract is that the
+// before its types moved onto sched.Ordered. Table 3 now generates and
+// solves its types on the worker pool and records them in type order
+// on the caller, and the ECDFs sort by radix. The contract is that the
 // fast paths change no observable byte — these tests pin it.
 // Regenerate with
 //

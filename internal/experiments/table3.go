@@ -40,14 +40,15 @@ type Table3Result struct {
 // synthetic histories for the five experiment types.
 //
 // The types are independent markets, so they run on sched.Ordered:
-// each type's history is generated in type order (its metrics and
-// PriceSet emission stay in that order, inside trace.Generate), and
-// its ECDF and bids are solved on another core while the next type
-// generates. The per-type counter and TSDB samples are recorded after
-// the solves finish, in type order, so the schedule is the same with
-// or without instrumentation and, when Table3 succeeds, every output
-// byte is independent of GOMAXPROCS. When a solve fails, later types
-// may already have generated into o.Metrics and o.Trace.
+// each type's history is generated quietly (no registry, no recorder)
+// and its ECDF and bids are solved on the worker pool, and the caller
+// records each type in type order as soon as it and every type before
+// it are done — the generation's trace.* metrics and PriceSet series
+// (trace.RecordGeneration), the experiments.table3.types counter, then
+// the type's TSDB samples. Instrumentation never changes the schedule,
+// and when Table3 succeeds every output byte is independent of
+// GOMAXPROCS. When a type fails, the types before it are recorded and
+// none after it.
 func Table3(o Opts) (Table3Result, error) {
 	o = o.withDefaults()
 	res := Table3Result{Exec: 1}
@@ -58,16 +59,14 @@ func Table3(o Opts) (Table3Result, error) {
 		// DwellSlots 1: the table's bids depend only on the price
 		// marginal; independent draws give the cleanest two-month
 		// ECDF.
-		traces[i], err = trace.Generate(types[i], trace.GenOptions{Days: 61, Seed: o.Seed + int64(i)*211, DwellSlots: 1, Metrics: o.Metrics, Trace: o.Trace})
-		return err
-	}, func(i int) (err error) {
+		traces[i], err = trace.Generate(types[i], trace.GenOptions{Days: 61, Seed: o.Seed + int64(i)*211, DwellSlots: 1})
+		if err != nil {
+			return err
+		}
 		rows[i], err = table3Row(types[i], traces[i], res.Exec)
 		return err
-	})
-	if err != nil {
-		return Table3Result{}, err
-	}
-	for i, row := range rows {
+	}, func(i int) {
+		traces[i].RecordGeneration(o.Metrics, o.Trace)
 		o.Metrics.Counter("experiments.table3.types").Inc()
 		if o.TSDB != nil {
 			// Table 3 has no slot loop — it is pure computation over a
@@ -75,6 +74,7 @@ func Table3(o Opts) (Table3Result, error) {
 			// one sample each at the history's final slot, labelled by
 			// market. This is the cross-type comparison series, not a
 			// time walk.
+			row := rows[i]
 			ls := tsdb.L("type", string(row.Type))
 			slot := traces[i].Len() - 1
 			o.TSDB.Append("table3.on_demand", ls, slot, row.OnDemand)
@@ -83,6 +83,9 @@ func Table3(o Opts) (Table3Result, error) {
 			o.TSDB.Append("table3.persistent_bid_30s", ls, slot, row.Persistent30)
 			o.TSDB.Append("table3.best_offline", ls, slot, row.BestOffline)
 		}
+	})
+	if err != nil {
+		return Table3Result{}, err
 	}
 	res.Rows = rows
 	return res, nil

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -177,21 +178,23 @@ func TestHistogramMixedRejection(t *testing.T) {
 
 // TestHistogramObserveBatchMatchesLoop checks the single-lock bulk
 // path produces exactly the state of one Observe call per element,
-// including rejection and overflow handling — and that nil and empty
+// including rejection and overflow handling between finite values, at
+// the start of a batch and across two batches — and that nil and empty
 // inputs are no-ops.
 func TestHistogramObserveBatchMatchesLoop(t *testing.T) {
 	bounds := []float64{1, 2, 5}
-	xs := []float64{0.5, 1, 2, 3, 5, 7, -4, 0, 1e9,
-		math.Inf(1), math.NaN(), math.Inf(-1)}
+	xs := []float64{math.NaN(), math.Inf(1), 0.5, 1, 2, 3, 5, 7, -4, 0, 1e9,
+		math.Inf(1), math.NaN(), math.Inf(-1), 0.25, 9}
 	loop := New().Histogram("h", bounds)
 	for _, x := range xs {
 		loop.Observe(x)
 	}
 	batch := New().Histogram("h", bounds)
-	batch.ObserveBatch(xs)
+	batch.ObserveBatch(xs[:7])
+	batch.ObserveBatch(xs[7:])
 	a, b := loop.snap("h"), batch.snap("h")
 	if a.Count != b.Count || a.Rejected != b.Rejected || a.Sum != b.Sum ||
-		a.Min != b.Min || a.Max != b.Max {
+		a.Min != b.Min || a.Max != b.Max || a.FiniteCount != b.FiniteCount {
 		t.Errorf("batch snap %+v != loop snap %+v", b, a)
 	}
 	for i := range a.Counts {
@@ -205,4 +208,19 @@ func TestHistogramObserveBatchMatchesLoop(t *testing.T) {
 	}
 	var nilH *Histogram
 	nilH.ObserveBatch(xs) // must not panic
+}
+
+// BenchmarkObserveBatch records a two-month window of i.i.d. prices,
+// 17,568 values, into a price histogram in one batch, as recording a
+// generated history does.
+func BenchmarkObserveBatch(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 61*288)
+	for i := range xs {
+		xs[i] = min(0.03*math.Pow(1-rng.Float64(), -1/2.5), 0.35)
+	}
+	h := New().Histogram("trace.price_usd", PriceBuckets)
+	for i := 0; i < b.N; i++ {
+		h.ObserveBatch(xs)
+	}
 }

@@ -289,15 +289,40 @@ func (h *Histogram) Observe(x float64) {
 // ObserveBatch records every observation in xs under a single lock
 // acquisition — the bulk path for recorders that emit thousands of
 // points per call (e.g. a whole generated trace), where per-Observe
-// locking would dominate the instrumentation cost.
+// locking would dominate the instrumentation cost. It leaves exactly
+// the state one Observe per element leaves: finite values update the
+// aggregates in locals, with the same sequential sum, stored once at
+// the end; NaN and ±Inf go through observeLocked.
 func (h *Histogram) ObserveBatch(xs []float64) {
 	if h == nil || len(xs) == 0 {
 		return
 	}
 	h.mu.Lock()
+	uppers, counts := h.uppers, h.counts
+	count, sum, lo, hi, finiteN := h.count, h.sum, h.min, h.max, h.finiteN
 	for _, x := range xs {
-		h.observeLocked(x)
+		if x-x != 0 { // NaN or ±Inf
+			h.count, h.sum, h.min, h.max, h.finiteN = count, sum, lo, hi, finiteN
+			h.observeLocked(x)
+			count = h.count
+			continue
+		}
+		i := 0
+		for i < len(uppers) && uppers[i] < x {
+			i++
+		}
+		counts[i]++
+		count++
+		sum += x
+		if finiteN == 0 || x < lo {
+			lo = x
+		}
+		if finiteN == 0 || x > hi {
+			hi = x
+		}
+		finiteN++
 	}
+	h.count, h.sum, h.min, h.max, h.finiteN = count, sum, lo, hi, finiteN
 	h.mu.Unlock()
 }
 

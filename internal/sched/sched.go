@@ -2,19 +2,20 @@
 // primitives shared by the experiment sweeps (internal/experiments)
 // and the struct-of-arrays batch engine (internal/lanes): a cell×run
 // grid pool with an ordered traced-run chain, contiguous index shards
-// for data-parallel array kernels, and an ordered stage that runs a
-// serial first step per index ahead of a parallel second step.
+// for data-parallel array kernels, and an ordered stage that runs each
+// index's work on the pool and its tail on the caller, in index order.
 //
 // All three primitives carry the same determinism contract: the
 // worker callback writes its outcome into a pre-allocated per-index
 // slot and never touches shared state, so the caller can reduce the
-// slots serially in index order after the pool drains. (Ordered's
-// first step is the one exception: it runs one index at a time, in
-// index order, so it may.) Under that contract every observable byte
-// of a call that succeeds is independent of GOMAXPROCS and of the OS
-// scheduler — parallelism changes only the wall-clock, never the
-// result. After an error, what else already ran (and, for Grid, which
-// error is returned) may depend on the schedule.
+// slots serially in index order after the pool drains. (Ordered's tail
+// is that reduction, run while later indices still work: it runs on
+// the caller, one index at a time, in index order.) Under that
+// contract every observable byte of a call that succeeds is
+// independent of GOMAXPROCS and of the OS scheduler — parallelism
+// changes only the wall-clock, never the result. After an error, what
+// else already ran (and, for Grid, which error is returned) may depend
+// on the schedule.
 package sched
 
 import (
@@ -162,50 +163,64 @@ func Shards(n int, fn func(lo, hi int) error) error {
 	return nil
 }
 
-// Ordered runs first(i) and then then(i) for every i ∈ [0, n). The
-// first calls run on the calling goroutine, one at a time, in index
-// order, so first may touch shared state (a metrics registry, a flight
-// recorder) and its effects land in the serial order. then(i) runs on
-// its own goroutine once first(i) returns, and may overlap first(j)
-// for j > i and any other then; like Grid's callback it must write
-// only to its own slot. At most GOMAXPROCS calls run at once: the
-// caller takes a token before first(i) and then(i) hands it back, so
-// at GOMAXPROCS 1 the calls run first(0), then(0), first(1), then(1),
-// …, the plain serial loop.
+// Ordered runs work(i) for every i ∈ [0, n) on a pool of GOMAXPROCS
+// goroutines, and tail(i) on the calling goroutine, in index order,
+// each as soon as work(0), …, work(i) have returned. Like Grid's
+// callback, work must write only to its own slot. tail runs one index
+// at a time, after its work, so it may read that slot and touch shared
+// state (a metrics registry, a flight recorder), and its effects land
+// in index order whatever the schedule. At GOMAXPROCS 1 it is the plain
+// serial loop: work(0), tail(0), work(1), tail(1), ….
 //
-// On an error no new first starts; Ordered waits for the then calls
-// in flight and returns the error of the lowest failing index. An
-// index whose first returned nil always runs its then, so every index
-// below the lowest failure runs both steps and the returned error
-// does not depend on the schedule. What else ran may: when then(k)
-// fails, first may already have run for indices above k.
-func Ordered(n int, first, then func(i int) error) error {
+// Ordered returns the error of the lowest index whose work fails, after
+// running tail for exactly the indices below it and waiting for every
+// work call in flight. Once a work call fails no worker takes a new
+// index; the returned error and the tails that ran do not depend on
+// the schedule, but which work calls above the failure ran may.
+func Ordered(n int, work func(i int) error, tail func(i int)) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := work(i); err != nil {
+				return err
+			}
+			tail(i)
+		}
+		return nil
+	}
 	errs := make([]error, n)
-	tokens := make(chan struct{}, runtime.GOMAXPROCS(0))
+	done := make([]chan struct{}, n) // closed when work(i) returns
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	// Indices are taken in increasing order and every index taken is
+	// worked, so every index below a failure is worked.
+	var next atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		tokens <- struct{}{}
-		if stop.Load() {
-			break
-		}
-		if errs[i] = first(i); errs[i] != nil {
-			break
-		}
-		wg.Add(1)
-		go func(i int) {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
 			defer wg.Done()
-			if errs[i] = then(i); errs[i] != nil {
-				stop.Store(true)
+			for !stop.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
+				if errs[i] = work(i); errs[i] != nil {
+					stop.Store(true)
+				}
+				close(done[i])
 			}
-			<-tokens
-		}(i)
+		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	defer wg.Wait()
+	for i := 0; i < n; i++ {
+		<-done[i]
+		if errs[i] != nil {
+			return errs[i]
 		}
+		tail(i)
 	}
 	return nil
 }

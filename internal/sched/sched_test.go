@@ -208,77 +208,93 @@ func spin(seed uint64) {
 	}
 }
 
-// TestOrderedFirstRunsInIndexOrder: the first calls run one at a time
-// in index order at any worker count, under jittered work on both
-// stages; every index runs each stage exactly once. The order slice is
-// appended without a lock, so -race also checks that consecutive first
-// calls are ordered by happens-before, not just by luck.
-func TestOrderedFirstRunsInIndexOrder(t *testing.T) {
+// TestOrderedTailsRunInIndexOrder: the tails run one at a time in
+// index order at any worker count, while the work runs jittered and
+// work(0) is made the slowest, so the work finishes out of index order;
+// every index runs each step exactly once. The order slice is appended
+// without a lock, so -race also checks that consecutive tails are
+// ordered by happens-before, not just by luck.
+func TestOrderedTailsRunInIndexOrder(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const n = 64
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		var order []int
-		var inFirst atomic.Int32
-		thens := make([]int32, n)
+		var inTail atomic.Int32
+		works := make([]int32, n)
 		err := Ordered(n, func(i int) error {
-			if inFirst.Add(1) != 1 {
-				t.Errorf("procs=%d: first(%d) overlaps another first", procs, i)
+			if i == 0 {
+				time.Sleep(2 * time.Millisecond)
 			}
 			spin(uint64(i))
-			order = append(order, i)
-			inFirst.Add(-1)
+			atomic.AddInt32(&works[i], 1)
 			return nil
-		}, func(i int) error {
+		}, func(i int) {
+			if inTail.Add(1) != 1 {
+				t.Errorf("procs=%d: tail(%d) overlaps another tail", procs, i)
+			}
 			spin(uint64(i) + n)
-			atomic.AddInt32(&thens[i], 1)
-			return nil
+			order = append(order, i)
+			inTail.Add(-1)
 		})
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		for i, got := range order {
 			if got != i {
-				t.Fatalf("procs=%d: first call %d ran index %d; order %v", procs, i, got, order)
+				t.Fatalf("procs=%d: tail call %d ran index %d; order %v", procs, i, got, order)
 			}
 		}
 		if len(order) != n {
-			t.Fatalf("procs=%d: %d first calls, want %d", procs, len(order), n)
+			t.Fatalf("procs=%d: %d tail calls, want %d", procs, len(order), n)
 		}
-		for i, c := range thens {
+		for i, c := range works {
 			if c != 1 {
-				t.Fatalf("procs=%d: then(%d) ran %d times", procs, i, c)
+				t.Fatalf("procs=%d: work(%d) ran %d times", procs, i, c)
 			}
 		}
 	}
 }
 
-// TestOrderedThenStartsAfterFirst: then(i) never starts before
-// first(i) has returned, and at GOMAXPROCS 1 the calls alternate
-// exactly as the serial loop would make them.
-func TestOrderedThenStartsAfterFirst(t *testing.T) {
+// TestOrderedTailStartsAfterWork: tail(i) never starts before work(0),
+// …, work(i) have returned, and it does not wait for the rest: with a
+// pool, the last work waits for tail(0). At GOMAXPROCS 1 the calls
+// alternate exactly as the serial loop would make them.
+func TestOrderedTailStartsAfterWork(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const n = 48
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
 		returned := make([]atomic.Bool, n)
+		tail0 := make(chan struct{})
 		var mu sync.Mutex
-		var calls []int // first(i) logs i, then(i) logs −i−1
+		var calls []int // work(i) logs i, tail(i) logs −i−1
 		err := Ordered(n, func(i int) error {
 			mu.Lock()
 			calls = append(calls, i)
 			mu.Unlock()
 			spin(uint64(i))
+			if i == n-1 && procs > 1 {
+				select {
+				case <-tail0:
+				case <-time.After(10 * time.Second):
+					t.Errorf("procs=%d: tail(0) had not run when work(%d) waited 10 s for it", procs, i)
+				}
+			}
 			returned[i].Store(true)
 			return nil
-		}, func(i int) error {
-			if !returned[i].Load() {
-				t.Errorf("procs=%d: then(%d) started before first(%d) returned", procs, i, i)
+		}, func(i int) {
+			for j := 0; j <= i; j++ {
+				if !returned[j].Load() {
+					t.Errorf("procs=%d: tail(%d) started before work(%d) returned", procs, i, j)
+				}
+			}
+			if i == 0 {
+				close(tail0)
 			}
 			mu.Lock()
 			calls = append(calls, -i-1)
 			mu.Unlock()
-			return nil
 		})
 		if err != nil {
 			t.Fatalf("procs=%d: %v", procs, err)
@@ -297,13 +313,12 @@ func TestOrderedThenStartsAfterFirst(t *testing.T) {
 	}
 }
 
-// TestOrderedLowestFailingIndex: errors land in either stage at two
-// indices, under jittered work at GOMAXPROCS 1, 2 and 8; in a quarter
-// of the runs the lower failure is made the slower one, so the higher
-// lands first. Ordered must return the lower index's error after
-// running both steps of every index below it and no then of an index
-// whose first failed; at GOMAXPROCS 1, as in the serial loop, nothing
-// above the failure runs.
+// TestOrderedLowestFailingIndex: work fails at two indices, under
+// jittered work at GOMAXPROCS 1, 2 and 8; in half of the runs the lower
+// failure is made the slower one, so the higher lands first. Ordered
+// must return the lower index's error after running the work of every
+// index below it and the tails of exactly those indices; at GOMAXPROCS
+// 1, as in the serial loop, nothing above the failure runs.
 func TestOrderedLowestFailingIndex(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	const n, runs = 16, 400
@@ -316,32 +331,32 @@ func TestOrderedLowestFailingIndex(t *testing.T) {
 		for run := 0; run < runs; run++ {
 			k, k2 := run%n, (run+5)%n
 			low := min(k, k2)
-			failStage := run % 2 // 0: first fails, 1: then fails
-			var ran [2][n]atomic.Bool
-			step := func(stage int) func(int) error {
-				return func(i int) error {
-					spin(uint64(run*n + i + stage))
-					if stage == failStage && i == low && run%4 < 2 {
-						time.Sleep(time.Millisecond)
-					}
-					ran[stage][i].Store(true)
-					if stage == failStage && (i == k || i == k2) {
-						return errAt[i]
-					}
-					return nil
+			var worked, tailed [n]atomic.Bool
+			err := Ordered(n, func(i int) error {
+				spin(uint64(run*n + i))
+				if i == low && run%4 < 2 {
+					time.Sleep(time.Millisecond)
 				}
-			}
-			if err := Ordered(n, step(0), step(1)); err != errAt[low] {
+				worked[i].Store(true)
+				if i == k || i == k2 {
+					return errAt[i]
+				}
+				return nil
+			}, func(i int) {
+				spin(uint64(run*n + i + 1))
+				tailed[i].Store(true)
+			})
+			if err != errAt[low] {
 				t.Fatalf("procs=%d run %d: got %v, want %v", procs, run, err, errAt[low])
 			}
 			for i := 0; i < n; i++ {
-				first, then := ran[0][i].Load(), ran[1][i].Load()
+				w, tl := worked[i].Load(), tailed[i].Load()
 				switch {
-				case i < low && !(first && then),
-					i == low && !(first && then == (failStage == 1)),
-					i > low && procs == 1 && (first || then):
-					t.Fatalf("procs=%d run %d, failure at %d: index %d ran first %v, then %v",
-						procs, run, low, i, first, then)
+				case i < low && !(w && tl),
+					i == low && !(w && !tl),
+					i > low && (tl || procs == 1 && w):
+					t.Fatalf("procs=%d run %d, failure at %d: index %d ran work %v, tail %v",
+						procs, run, low, i, w, tl)
 				}
 			}
 		}

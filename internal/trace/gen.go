@@ -206,16 +206,29 @@ func Generate(t instances.Type, opt GenOptions) (*Trace, error) {
 	return c.Generate(opt)
 }
 
-// Generate produces a synthetic history from this calibration.
+// Generate produces a synthetic history from this calibration and
+// records it into opt.Metrics and opt.Trace with RecordGeneration.
 //
 // Generation is memoized (see memo.go): two calls with the same
 // calibration and options return traces sharing one immutable price
-// series, with the generation-time observability (metrics, PriceSet
-// flight-recorder series) replayed identically on a hit. The sole
-// non-cacheable combination is FullDynamics with a Metrics registry,
-// whose queue simulator records per-slot market.* series that cannot
-// be replayed from the price series alone.
+// series, and since RecordGeneration reads only the returned header, a
+// hit records exactly what a miss does. The sole non-cacheable
+// combination is FullDynamics with a Metrics registry, whose queue
+// simulator records per-slot market.* series while it runs; those are
+// recorded only here, never by RecordGeneration.
 func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
+	tr, err := c.generate(opt)
+	if err != nil {
+		return nil, err
+	}
+	tr.RecordGeneration(opt.Metrics, opt.Trace)
+	return tr, nil
+}
+
+// generate is Generate without the recording: the memoized series
+// behind a fresh header. A new series is validated before it is
+// cached, and a hit returns the cached header without a second pass.
+func (c Calibration) generate(opt GenOptions) (*Trace, error) {
 	if opt.Days == 0 {
 		opt.Days = 61
 	}
@@ -245,8 +258,8 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 	}
 	cacheable := !(opt.FullDynamics && opt.Metrics != nil)
 	if cacheable {
-		if ent, ok := memoLookup(key); ok {
-			return c.emitGenerated(opt, grid, ent, dwell)
+		if tr, ok := memoLookup(key); ok {
+			return tr, nil
 		}
 	}
 
@@ -266,12 +279,11 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 	// The i.i.d. model draws, in this order: for each slot, the mixture
 	// component's uniform, then that component's Pareto uniform; then,
 	// under a dwell, one uniform per slot after the first to decide
-	// whether the slot keeps the previous level. The dwell pass keeps
-	// about 1 level in dwell, so the lazy path draws every uniform in
-	// that order but prices only the levels it keeps. The eager path
-	// prices every level as it draws it: at dwell 1 every level is
-	// kept, and the queue model and the diurnal modulation (used by
-	// the §4.3 stationarity check) are left as they were.
+	// whether the slot keeps the previous level. iidPrices draws them
+	// in that order and prices the levels it keeps with the arithmetic
+	// proc would use, without proc's interface calls per slot. The queue
+	// model and the diurnal modulation (used by the §4.3 stationarity
+	// check) draw through proc.
 	var prices []float64
 	var switches int64
 	switch {
@@ -282,8 +294,9 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 			return nil, err
 		}
 		prices = res.Prices
-	case dwell > 1 && !(opt.DiurnalAmplitude > 0):
-		prices, switches, err = c.lazyDwellPrices(mix, comps, n, dwell, r)
+		dwell = 0 // ignored: the queue provides the persistence
+	case !(opt.DiurnalAmplitude > 0):
+		prices, switches, err = c.iidPrices(mix, comps, n, dwell, r)
 		if err != nil {
 			return nil, err
 		}
@@ -296,21 +309,56 @@ func (c Calibration) Generate(opt GenOptions) (*Trace, error) {
 			switches = dwellPass(prices, dwell, r, func(i int) float64 { return prices[i] })
 		}
 	}
-	ent := memoEntry{prices: prices, switches: switches}
-	if cacheable {
-		ent.ecdf = &ecdfCell{}
-		memoStore(key, ent)
+	tr, err := New(c.Type, grid, prices)
+	if err != nil {
+		return nil, err
 	}
-	return c.emitGenerated(opt, grid, ent, dwell)
+	tr.switches, tr.dwell = switches, dwell
+	if cacheable {
+		tr.ecdf = &ecdfCell{}
+		memoStore(key, tr)
+	}
+	return tr, nil
 }
 
-// lazyDwellPrices is the i.i.d. dwell model with lazy levels: the
-// draws of market.EquilibriumPrices followed by dwellPass, bit for bit.
-// Each slot's Pareto uniform waits in the price slice and its
-// component index in a byte slice, and only the levels the dwell pass
-// keeps pay for the transform and H. It returns EquilibriumPrices's
-// errors for an invalid provider or a non-positive count.
-func (c Calibration) lazyDwellPrices(mix *dist.Mixture, comps [2]dist.Pareto, n, dwell int, r *rand.Rand) ([]float64, int64, error) {
+// RecordGeneration records into m and rec what generating t records:
+// the trace.slots_generated counter, the trace.price_usd histogram of
+// its prices, trace.dwell_switches when it was generated under a dwell
+// of more than one slot, and one PriceSet flight-recorder event per
+// price change (Region "generator", Subject: the instance type),
+// slot-indexed into its grid. A nil m or rec records nothing there.
+//
+// Generate calls it with GenOptions.Metrics and GenOptions.Trace, so a
+// trace generated quietly, with both nil, can be recorded later and on
+// another goroutine with the same result. It reads only t's header,
+// never the memo. The market.* series of a FullDynamics generation are
+// the exception: the queue simulator records them only inside
+// Generate. On a trace the generator did not return, RecordGeneration
+// records its slots, its prices and their PriceSet series.
+func (t *Trace) RecordGeneration(m *obs.Registry, rec *event.Recorder) {
+	if t.dwell > 1 {
+		m.Counter("trace.dwell_switches").Add(t.switches)
+	}
+	if m != nil {
+		m.Counter("trace.slots_generated").Add(int64(len(t.Prices)))
+		m.Histogram("trace.price_usd", obs.PriceBuckets).ObserveBatch(t.Prices)
+	}
+	// One PriceSet per price change; the batch path keeps tracing off
+	// the generator's critical path even under i.i.d. pricing, where
+	// every slot changes.
+	rec.EmitSeries(event.Event{Kind: event.PriceSet, Region: "generator", Subject: string(t.Type)}, t.Prices)
+}
+
+// iidPrices is the i.i.d. model: the draws of market.EquilibriumPrices
+// over arrivals.IID(mix), followed under a dwell by dwellPass, bit for
+// bit. At dwell 1 every level is kept, and each slot draws its
+// component and its Pareto uniform and prices them at once. Under a
+// dwell the levels are lazy: each slot's Pareto uniform waits in the
+// price slice and its component index in a byte slice, and only the
+// levels the dwell pass keeps pay for the transform and H. It returns
+// EquilibriumPrices's errors for an invalid provider or a non-positive
+// count.
+func (c Calibration) iidPrices(mix *dist.Mixture, comps [2]dist.Pareto, n, dwell int, r *rand.Rand) ([]float64, int64, error) {
 	prov := c.Provider
 	if err := prov.Validate(); err != nil {
 		return nil, 0, err
@@ -319,6 +367,13 @@ func (c Calibration) lazyDwellPrices(mix *dist.Mixture, comps [2]dist.Pareto, n,
 		return nil, 0, fmt.Errorf("trace: price count %d must be positive", n)
 	}
 	prices := make([]float64, n)
+	if dwell == 1 {
+		for i := range prices {
+			k := mix.Pick(r.Float64())
+			prices[i] = prov.H(comps[k].FromUniform(r.Float64()))
+		}
+		return prices, 0, nil
+	}
 	comp := make([]uint8, n)
 	for i := range prices {
 		comp[i] = uint8(mix.Pick(r.Float64()))
@@ -352,28 +407,4 @@ func dwellPass(prices []float64, dwell int, r *rand.Rand, level func(int) float6
 		}
 	}
 	return switches
-}
-
-// emitGenerated performs the observable tail of a generation — the
-// trace.* metrics, the PriceSet flight-recorder series, and Trace
-// construction — identically for a fresh series and a cache hit, so
-// memoization cannot be distinguished by any snapshot or export.
-func (c Calibration) emitGenerated(opt GenOptions, grid timeslot.Grid, ent memoEntry, dwell int) (*Trace, error) {
-	if !opt.FullDynamics && dwell > 1 {
-		opt.Metrics.Counter("trace.dwell_switches").Add(ent.switches)
-	}
-	if opt.Metrics != nil {
-		opt.Metrics.Counter("trace.slots_generated").Add(int64(len(ent.prices)))
-		opt.Metrics.Histogram("trace.price_usd", obs.PriceBuckets).ObserveBatch(ent.prices)
-	}
-	// One PriceSet per price change; the batch path keeps tracing off
-	// the generator's critical path even under i.i.d. pricing, where
-	// every slot changes.
-	opt.Trace.EmitSeries(event.Event{Kind: event.PriceSet, Region: "generator", Subject: string(c.Type)}, ent.prices)
-	tr, err := New(c.Type, grid, ent.prices)
-	if err != nil {
-		return nil, err
-	}
-	tr.ecdf = ent.ecdf
-	return tr, nil
 }

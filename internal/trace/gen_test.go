@@ -226,8 +226,8 @@ func TestGenerateErrors(t *testing.T) {
 
 // eagerDwellPrices is the i.i.d. dwell generator as it was before
 // levels became lazy, kept as the reference: every level priced by
-// market.EquilibriumPrices over the arrival mixture, then the dwell
-// pass over the priced levels.
+// market.EquilibriumPrices over the arrival mixture, then, above dwell
+// 1, the dwell pass over the priced levels.
 func eagerDwellPrices(c Calibration, days int, seed int64, dwell int) ([]float64, int64, error) {
 	par, err := c.ArrivalDist()
 	if err != nil {
@@ -235,8 +235,8 @@ func eagerDwellPrices(c Calibration, days int, seed int64, dwell int) ([]float64
 	}
 	r := rand.New(rand.NewSource(seed))
 	prices, err := market.EquilibriumPrices(c.Provider, arrivals.NewIID(par), days*288, r)
-	if err != nil {
-		return nil, 0, err
+	if err != nil || dwell == 1 {
+		return prices, 0, err
 	}
 	var switches int64
 	switchP := 1 / float64(dwell)
@@ -255,7 +255,9 @@ func eagerDwellPrices(c Calibration, days int, seed int64, dwell int) ([]float64
 // TestLazyLevelsMatchEager: the lazy-level generator reproduces the
 // eager reference bit for bit, prices and trace.dwell_switches both,
 // for every calibration at seeds 1–10, dwells 2, 18 and 40, and 1, 61
-// and 63 days. The goldens cover only Table 3's types at a few seeds.
+// and 63 days; at dwell 1 the direct draws reproduce
+// market.EquilibriumPrices itself, and no switch is recorded. The
+// goldens cover only Table 3's types at a few seeds.
 func TestLazyLevelsMatchEager(t *testing.T) {
 	SetMemoCapacity(0)
 	t.Cleanup(func() { SetMemoCapacity(DefaultMemoCapacity) })
@@ -267,7 +269,7 @@ func TestLazyLevelsMatchEager(t *testing.T) {
 		t.Run(string(spec.Type), func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= 10; seed++ {
-				for _, dwell := range []int{2, 18, 40} {
+				for _, dwell := range []int{1, 2, 18, 40} {
 					for _, days := range []int{1, 61, 63} {
 						name := fmt.Sprintf("seed %d, dwell %d, %d days", seed, dwell, days)
 						want, wantSwitches, err := eagerDwellPrices(c, days, seed, dwell)

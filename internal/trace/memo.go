@@ -16,21 +16,23 @@ import (
 // inversion per slot). The memo below caches the generated series
 // under exactly that key.
 //
-// Determinism is preserved, not merely approximated: a cache hit
-// replays the same observable effects a miss produces — the
-// trace.slots_generated / trace.dwell_switches counters, the
-// trace.price_usd histogram batch, and the PriceSet flight-recorder
-// series — in the same order, so metrics snapshots and trace exports
-// are byte-identical whether the series came from the generator or the
-// cache. The one path that cannot be replayed is FullDynamics with a
-// Metrics registry attached (the queue simulator records per-slot
-// market.* series while running); Generate bypasses the memo there.
+// Determinism is preserved, not merely approximated: the cache holds
+// the validated header of each generation, switch count and dwell
+// included, and Generate records a hit with the same RecordGeneration
+// call as a miss — the trace.slots_generated / trace.dwell_switches
+// counters, the trace.price_usd histogram batch, and the PriceSet
+// flight-recorder series, in the same order — so metrics snapshots and
+// trace exports are byte-identical whether the series came from the
+// generator or the cache. The one path that cannot be replayed is
+// FullDynamics with a Metrics registry attached (the queue simulator
+// records per-slot market.* series while running); Generate bypasses
+// the memo there.
 //
-// Cached series are shared: Generate returns a fresh *Trace header
-// whose Prices slice aliases the cache entry. Every consumer treats
-// generated prices as immutable (the market reads them; PriceHistory
-// returns read-only views; the chaos injector clones before mutating),
-// matching Region.PriceHistory's aliasing contract.
+// Cached series are shared: Generate returns a fresh copy of the cached
+// *Trace header, whose Prices slice aliases the cache entry. Every
+// consumer treats generated prices as immutable (the market reads
+// them; PriceHistory returns read-only views; the chaos injector clones
+// before mutating), matching Region.PriceHistory's aliasing contract.
 
 // memoKey identifies one deterministic generation. GenOptions fields
 // are normalized (defaults applied) before lookup so Generate(opt) and
@@ -44,24 +46,19 @@ type memoKey struct {
 	dwell   int
 }
 
-// memoEntry holds the replayable outcome of one generation.
-type memoEntry struct {
-	prices   []float64 // immutable, shared with every hit
-	switches int64     // dwell regime changes (replayed into Metrics)
-	ecdf     *ecdfCell // shared lazy full-series ECDF, see ecdfCell
-}
-
 // ecdfCell lazily materializes the full-series empirical distribution
 // of one cached generation exactly once, shared by all Trace headers
-// aliasing that series. Its sort (17.5k samples for the default
-// window) is the most expensive computation derived from a series. In
-// the §7.1 sweep only Table 3 reads a cell, one per type, and a repeat
-// of Table 3 in the same process reuses it; Figures 5 and 6 fill their
-// own window at each cell's submit slot and never read one. A hit
-// returns the identical *Empirical (itself immutable), which is
-// indistinguishable from a fresh build because NewEmpirical is a pure
-// function of the (immutable) price slice. Sub-traces from
-// Window/LastHours cover different samples and never carry a cell.
+// aliasing that series. Its sort, a radix sort of the 17.5k samples
+// of the default window (dist/sort.go), is still the most expensive
+// computation derived from a series. In the §7.1 sweep only Table 3
+// reads a cell, one per type, on the sched.Ordered worker that solves
+// the type, and a repeat of Table 3 in the same process reuses it;
+// Figures 5 and 6 fill their own window at each cell's submit slot and
+// never read one. A hit returns the identical *Empirical (itself
+// immutable), which is indistinguishable from a fresh build because
+// NewEmpirical is a pure function of the (immutable) price slice.
+// Sub-traces from Window/LastHours cover different samples and never
+// carry a cell.
 type ecdfCell struct {
 	once sync.Once
 	e    *dist.Empirical
@@ -85,9 +82,11 @@ var memo = struct {
 	misses   uint64
 }{capacity: DefaultMemoCapacity}
 
+// memoPair is one cache entry: a generation's validated header, whose
+// prices every hit shares and whose ecdf cell is set (see ecdfCell).
 type memoPair struct {
 	key   memoKey
-	entry memoEntry
+	entry Trace
 }
 
 // SetMemoCapacity resizes the generation cache. n ≤ 0 disables
@@ -121,30 +120,33 @@ func MemoStats() (hits, misses uint64) {
 	return memo.hits, memo.misses
 }
 
-// memoLookup returns the cached entry for key, if any.
-func memoLookup(key memoKey) (memoEntry, bool) {
+// memoLookup returns a copy of the header cached for key, if any.
+func memoLookup(key memoKey) (*Trace, bool) {
 	memo.Lock()
 	defer memo.Unlock()
 	if memo.capacity <= 0 || memo.entries == nil {
 		if memo.capacity > 0 {
 			memo.misses++
 		}
-		return memoEntry{}, false
+		return nil, false
 	}
 	el, ok := memo.entries[key]
 	if !ok {
 		memo.misses++
-		return memoEntry{}, false
+		return nil, false
 	}
 	memo.hits++
 	memo.order.MoveToFront(el)
-	return el.Value.(*memoPair).entry, true
+	tr := el.Value.(*memoPair).entry
+	return &tr, true
 }
 
-// memoStore records a freshly generated series. Concurrent generators
-// may race to fill the same key; entries are value-identical (the
-// generator is deterministic), so last-write-wins is harmless.
-func memoStore(key memoKey, entry memoEntry) {
+// memoStore records a copy of a freshly generated, validated header.
+// Concurrent generators may race to fill the same key; entries are
+// value-identical (the generator is deterministic), so last-write-wins
+// is harmless.
+func memoStore(key memoKey, tr *Trace) {
+	entry := *tr
 	memo.Lock()
 	defer memo.Unlock()
 	if memo.capacity <= 0 {

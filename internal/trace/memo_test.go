@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/instances"
@@ -200,5 +201,116 @@ func TestMemoFullDynamicsMetricsBypass(t *testing.T) {
 	}
 	if !reflect.DeepEqual(plain.Prices, m1.Prices) {
 		t.Fatal("metrics-instrumented simulation changed the prices")
+	}
+}
+
+// recorded returns what m and rec hold: the metrics snapshot JSON,
+// without the queue simulator's market.* series when dropMarket is
+// set, and the JSONL trace export.
+func recorded(t *testing.T, m *obs.Registry, rec *event.Recorder, dropMarket bool) ([]byte, []byte) {
+	t.Helper()
+	snap := m.Snapshot()
+	if dropMarket {
+		keep := func(name string) bool { return !strings.HasPrefix(name, "market.") }
+		var hs []obs.HistSnap
+		for _, h := range snap.Histograms {
+			if keep(h.Name) {
+				hs = append(hs, h)
+			}
+		}
+		var cs []obs.CounterSnap
+		for _, c := range snap.Counters {
+			if keep(c.Name) {
+				cs = append(cs, c)
+			}
+		}
+		snap.Histograms, snap.Counters = hs, cs
+	}
+	js, err := snap.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jsonl bytes.Buffer
+	if err := rec.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	return js, jsonl.Bytes()
+}
+
+// TestRecordGenerationMatchesGenerate: a quiet Generate followed by
+// RecordGeneration records what Generate records with the registry and
+// recorder attached — metrics JSON and JSONL bytes — at dwell 1, at
+// dwell 18, and under FullDynamics, where Generate's queue simulator
+// also records the market.* series that only it records; with the memo
+// on (the record step then follows a miss and the reference is a hit)
+// and off.
+func TestRecordGenerationMatchesGenerate(t *testing.T) {
+	defer SetMemoCapacity(DefaultMemoCapacity)
+	for _, capacity := range []int{DefaultMemoCapacity, 0} {
+		SetMemoCapacity(capacity)
+		for _, opt := range []GenOptions{
+			{Days: 2, Seed: 11, DwellSlots: 1},
+			{Days: 2, Seed: 11, DwellSlots: 18},
+			{Days: 2, Seed: 11, FullDynamics: true},
+		} {
+			quiet, err := Generate(instances.R3XLarge, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			met, rec := obs.New(), event.NewRecorder(event.Config{Unbounded: true})
+			quiet.RecordGeneration(met, rec)
+			gotSnap, gotJSONL := recorded(t, met, rec, false)
+
+			ref := opt
+			ref.Metrics, ref.Trace = obs.New(), event.NewRecorder(event.Config{Unbounded: true})
+			if _, err := Generate(instances.R3XLarge, ref); err != nil {
+				t.Fatal(err)
+			}
+			wantSnap, wantJSONL := recorded(t, ref.Metrics, ref.Trace, opt.FullDynamics)
+			if !bytes.Equal(gotSnap, wantSnap) {
+				t.Fatalf("memo %d, %+v: RecordGeneration metrics differ from Generate's:\n got  %s\n want %s", capacity, opt, gotSnap, wantSnap)
+			}
+			if !bytes.Equal(gotJSONL, wantJSONL) {
+				t.Fatalf("memo %d, %+v: RecordGeneration JSONL differs from Generate's", capacity, opt)
+			}
+			if len(gotJSONL) == 0 || !bytes.Contains(gotSnap, []byte("trace.slots_generated")) {
+				t.Fatalf("memo %d, %+v: nothing recorded", capacity, opt)
+			}
+		}
+	}
+}
+
+// TestMemoRejectsInvalidSeries: a generated series that fails
+// validation — FullDynamics over arrivals of infinite mean, whose queue
+// prices come out NaN — is neither cached nor recorded: the error comes
+// back on every call, each call misses, and neither the recorder nor
+// the trace.* metrics hear of it.
+func TestMemoRejectsInvalidSeries(t *testing.T) {
+	ResetMemo()
+	defer ResetMemo()
+	c, err := CalibrationFor(instances.R3XLarge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PlateauAlpha, c.TailAlpha = 0.5, 0.5
+	rec := event.NewRecorder(event.Config{Unbounded: true})
+	for call := 1; call <= 2; call++ {
+		if _, err := c.Generate(GenOptions{Days: 1, FullDynamics: true, Trace: rec}); err == nil {
+			t.Fatalf("call %d: an invalid series was accepted", call)
+		}
+		if hits, misses := MemoStats(); hits != 0 || misses != uint64(call) {
+			t.Fatalf("call %d: memo hits %d, misses %d; want 0, %d", call, hits, misses, call)
+		}
+	}
+	if rec.Emitted() != 0 {
+		t.Fatalf("the recorder got %d events from an invalid series", rec.Emitted())
+	}
+	met := obs.New()
+	if _, err := c.Generate(GenOptions{Days: 1, FullDynamics: true, Metrics: met}); err == nil {
+		t.Fatal("an invalid series was accepted with a registry attached")
+	}
+	snap, _ := recorded(t, met, rec, false)
+	if bytes.Contains(snap, []byte("trace.")) {
+		t.Fatalf("trace.* metrics recorded for an invalid series: %s", snap)
 	}
 }

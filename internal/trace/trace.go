@@ -34,6 +34,13 @@ type Trace struct {
 	// Window/LastHours sub-traces cover a different sample and never
 	// carry it.
 	ecdf *ecdfCell
+
+	// switches and dwell describe the generation that made this
+	// header, for RecordGeneration: the dwell model's regime changes
+	// and its grain in slots, 0 under FullDynamics and for a trace the
+	// generator did not make. Sub-traces do not carry them either.
+	switches int64
+	dwell    int
 }
 
 // New validates and constructs a trace.
