@@ -155,6 +155,19 @@ func BenchmarkAblations(b *testing.B) {
 	}
 }
 
+// BenchmarkFailoverSweep runs the fleet controller's failover sweep
+// (cmd/experiments -only failover) at Seed 1 and the paper's 10 runs
+// per cell.
+func BenchmarkFailoverSweep(b *testing.B) {
+	b.ReportAllocs()
+	coldMemo(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.FailoverSweep(experiments.Opts{Seed: 1, Runs: 10}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkForecastEval runs the §5 forecasting-horizon check.
 func BenchmarkForecastEval(b *testing.B) {
 	b.ReportAllocs()

@@ -8,6 +8,8 @@ package spotbid_test
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"io"
 	"net/http"
 	"os"
@@ -21,11 +23,17 @@ import (
 // buildCmd compiles ./cmd/<name> into a temp dir once per test.
 func buildCmd(t *testing.T, name string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), name)
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/"+name)
+	return buildPkg(t, "./cmd/"+name)
+}
+
+// buildPkg compiles the main package at pkg into a temp dir.
+func buildPkg(t *testing.T, pkg string) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	cmd := exec.Command("go", "build", "-o", bin, pkg)
 	cmd.Env = os.Environ()
 	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building %s: %v\n%s", name, err, out)
+		t.Fatalf("building %s: %v\n%s", pkg, err, out)
 	}
 	return bin
 }
@@ -447,5 +455,24 @@ func TestResilcheckCLI(t *testing.T) {
 	// Wall-clock time must never leak into the deterministic report.
 	if strings.Contains(stdout.String(), "elapsed") {
 		t.Errorf("JSON report carries wall-clock data:\n%s", stdout.String())
+	}
+}
+
+// TestFleetExamplesPinned runs the facade's two fleet samples at their
+// default flags and pins the SHA-256 of each one's stdout, so a change
+// to the fleet controller or its FleetConfig cannot move a byte a user
+// of the samples sees.
+func TestFleetExamplesPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, ex := range []struct{ pkg, sha string }{
+		{"./examples/failover", "c9b0f84287f7a62a5c4b57906835f2b4cb717fa1dd90ce41b1e8f55b69441048"},
+		{"./examples/flightrecorder", "5179fcb2e7910bd0a802b1b86ffdb4ddee5e0fddb93b4ae41b4d4a962881310c"},
+	} {
+		sum := sha256.Sum256([]byte(runCmd(t, buildPkg(t, ex.pkg))))
+		if got := hex.EncodeToString(sum[:]); got != ex.sha {
+			t.Errorf("%s stdout: sha256 %s, pinned %s", ex.pkg, got, ex.sha)
+		}
 	}
 }

@@ -62,7 +62,7 @@ func main() {
 		members[i] = spotbid.FleetMember{ID: fmt.Sprintf("region-%d", i), Region: region, Client: c}
 	}
 
-	ctl, err := spotbid.NewFleet(spotbid.FleetConfig{MigrationPenalty: spotbid.Seconds(60)}, members...)
+	ctl, err := spotbid.NewFleet(spotbid.FleetConfig{}, members...)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -74,10 +74,7 @@ func main() {
 		members[i] = spotbid.FleetMember{ID: fmt.Sprintf("region-%d", i), Region: region, Client: c}
 	}
 
-	ctl, err := spotbid.NewFleet(spotbid.FleetConfig{
-		MigrationPenalty: spotbid.Seconds(60),
-		Trace:            rec,
-	}, members...)
+	ctl, err := spotbid.NewFleet(spotbid.FleetConfig{Trace: rec}, members...)
 	if err != nil {
 		log.Fatal(err)
 	}

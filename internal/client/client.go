@@ -80,7 +80,24 @@ type Client struct {
 	// run surface (SetTrace). Nil — the default — records nothing and
 	// keeps seeded runs bit-identical to an uninstrumented client.
 	trace *event.Recorder
+
+	counts Counts // kept with or without a registry
 }
+
+// Counts are the client's own tallies of the price-monitor degradations
+// a health score reads. They grow at the sites that feed the
+// same-named registry counters, whether or not a registry is installed.
+type Counts struct {
+	// RejectedQuotes counts non-positive quotes discarded from fetched
+	// histories (client.quotes.rejected).
+	RejectedQuotes int64
+	// StaleServes counts fetches answered from the last good ECDF
+	// after the retry budget ran out (client.ecdf.stale_serves).
+	StaleServes int64
+}
+
+// Counts returns the client's degradation tallies so far.
+func (c *Client) Counts() Counts { return c.counts }
 
 // FallbackReason tells a FallbackDelegate why the client wants to
 // abandon its spot attempt and finish on-demand.
@@ -340,6 +357,7 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 		}
 		tel.RejectedQuotes += rejected
 		if rejected > 0 {
+			c.counts.RejectedQuotes += int64(rejected)
 			c.Metrics.Counter("client.quotes.rejected").Add(int64(rejected))
 		}
 		mon = m
@@ -373,6 +391,7 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 		}
 		tel.Stale = true
 		tel.ECDFAgeSlots = c.Region.Now() - cached.slot
+		c.counts.StaleServes++
 		c.Metrics.Counter("client.ecdf.stale_serves").Inc()
 		if c.Metrics != nil {
 			c.Metrics.Histogram("client.ecdf.age_slots", obs.SlotBuckets).

@@ -214,8 +214,9 @@ type Region struct {
 	// the slot the termination lands.
 	pendingTerm map[string]int
 
-	met *regionMetrics // nil: uninstrumented (see metrics.go)
-	evt *regionTrace   // nil: no flight recorder (see trace.go)
+	counts Counts         // kept with or without a registry (see metrics.go)
+	met    *regionMetrics // nil: uninstrumented (see metrics.go)
+	evt    *regionTrace   // nil: no flight recorder (see trace.go)
 }
 
 // NewRegion builds a region serving the given price traces (one per
@@ -590,6 +591,7 @@ func (r *Region) Tick() error {
 			continue
 		}
 		if r.inj != nil && r.inj.LaunchBlocked(req.Type, slot) {
+			r.counts.Blocked++
 			if r.met != nil {
 				r.met.blocked.Inc()
 			}
@@ -613,6 +615,7 @@ func (r *Region) Tick() error {
 		r.instOrd = append(r.instOrd, inst)
 		req.State = Active
 		req.InstanceID = inst.ID
+		r.counts.Accepted++
 		if r.met != nil {
 			r.met.accepted.Inc()
 		}
@@ -655,6 +658,7 @@ func (r *Region) outbid(req *SpotRequest, slot int, price float64) {
 	inst.Running = false
 	inst.TerminatedSlot = slot
 	inst.ProviderTerminated = true
+	r.counts.Outbid++
 	if r.met != nil {
 		r.met.outbid.Inc()
 		r.observeTermination(inst, slot)

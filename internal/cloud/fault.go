@@ -95,8 +95,11 @@ func (r *Region) apiFault(op Op) error {
 		return nil
 	}
 	err := r.inj.APIFault(op, r.clock.Now())
-	if err != nil && r.met != nil {
-		r.met.apiFaults.Inc()
+	if err != nil {
+		r.counts.APIFaults++
+		if r.met != nil {
+			r.met.apiFaults.Inc()
+		}
 	}
 	return err
 }

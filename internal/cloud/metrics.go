@@ -36,6 +36,27 @@ type regionMetrics struct {
 	lifetime, charge                *obs.Histogram
 }
 
+// Counts are the region's own tallies of the events a health score
+// reads. They grow at the sites that feed the same-named registry
+// counters, whether or not a registry is installed, so a reader
+// depends on the region alone: not on a metric name, and not on who
+// else shares the registry.
+type Counts struct {
+	// APIFaults counts injected API failures surfaced to callers
+	// (cloud.api_faults).
+	APIFaults int64
+	// Blocked counts launches refused by capacity outages
+	// (cloud.bids.blocked).
+	Blocked int64
+	// Outbid counts provider terminations (cloud.bids.outbid).
+	Outbid int64
+	// Accepted counts spot launches (cloud.bids.accepted).
+	Accepted int64
+}
+
+// Counts returns the region's event tallies so far.
+func (r *Region) Counts() Counts { return r.counts }
+
 // SetMetrics installs a metrics registry on the region. Install it
 // before the first Tick so every slot is covered; nil — the default —
 // removes instrumentation entirely, and a region without a registry

@@ -91,7 +91,6 @@ func failoverRun(n int, rate float64, seed int64, offset, days int, met *obs.Reg
 		if err != nil {
 			return fleet.Report{}, 0, err
 		}
-		cl.SetMetrics(obs.New())
 		if i == 0 && rate > 0 {
 			inj, err := chaos.New(chaos.Config{Seed: seed*31 + 1, RegionOutageRate: rate, RegionOutageSlots: 36})
 			if err != nil {
@@ -103,11 +102,7 @@ func failoverRun(n int, rate float64, seed int64, offset, days int, met *obs.Reg
 		}
 		members[i] = fleet.Member{ID: fmt.Sprintf("region-%d", i), Region: region, Client: cl}
 	}
-	cfg := fleet.Config{
-		MigrationPenalty: timeslot.Seconds(60),
-		Metrics:          met,
-		Trace:            rec,
-	}
+	cfg := fleet.Config{Metrics: met, Trace: rec}
 	var ctl *fleet.Controller
 	if scr != nil {
 		scraper := tsdb.NewScraper(scr.db, tsdb.ScrapeConfig{

@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -115,21 +117,42 @@ func TestBatchedCoreGoldens(t *testing.T) {
 	}
 }
 
+// procCounts is the GOMAXPROCS matrix of the core-count tests: 1, 2,
+// NumCPU and 8, each once. Worker-pool sizing and shard boundaries
+// both move with the proc count, so any leak of scheduling into an
+// observable byte fails at one of them. 8 runs more workers than a
+// small machine has cores.
+func procCounts() []int {
+	var ps []int
+	for _, p := range []int{1, 2, runtime.NumCPU(), 8} {
+		if !slices.Contains(ps, p) {
+			ps = append(ps, p)
+		}
+	}
+	return ps
+}
+
+// atEveryProcCount runs check as one subtest per procCounts entry at
+// that GOMAXPROCS, and restores GOMAXPROCS after.
+func atEveryProcCount(t *testing.T, check func(t *testing.T)) {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, p := range procCounts() {
+		runtime.GOMAXPROCS(p)
+		t.Run(fmt.Sprintf("procs=%d", p), check)
+	}
+}
+
 // TestBatchedCoreGoldensProcMatrix re-runs the macro goldens — the
 // rendered reports, the merged metrics JSON, the flight-recorder
-// JSONL and the TSDB dump — at GOMAXPROCS 1, 2, NumCPU and 8:
-// worker-pool sizing and shard boundaries both move with the proc
-// count, so any leak of scheduling into an observable byte fails
-// here. 8 runs more workers than a small machine has cores.
+// JSONL and the TSDB dump — at every GOMAXPROCS in procCounts.
 func TestBatchedCoreGoldensProcMatrix(t *testing.T) {
 	if *updateGolden {
 		t.Skip("goldens are written by TestBatchedCoreGoldens")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, p := range []int{1, 2, runtime.NumCPU(), 8} {
-		runtime.GOMAXPROCS(p)
+	atEveryProcCount(t, func(t *testing.T) {
 		for name, got := range renderGoldens(t) {
 			checkGolden(t, name, got)
 		}
-	}
+	})
 }

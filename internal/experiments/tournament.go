@@ -102,13 +102,7 @@ func tournamentAudit(spec job.Spec, name string, rate float64, seed int64, offse
 		return nil, err
 	}
 	st := &invariant.RunState{
-		Spec: spec,
-		Params: invariant.Params{
-			TripScore:        0.5,
-			OutageTrip:       3,
-			MigrationPenalty: timeslot.Seconds(60),
-			Recovery:         spec.Recovery,
-		},
+		Spec:    spec,
 		Members: []invariant.MemberState{*member},
 		Report: fleet.Report{
 			Spec:      spec,
@@ -130,7 +124,7 @@ func tournamentAudit(spec job.Spec, name string, rate float64, seed int64, offse
 // completion (one-time bids and the best-offline oracle legitimately
 // die when out-bid).
 func auditViolations(name string, res *invariant.RunResult) []invariant.Violation {
-	vs := invariant.NewSuite(res.State.Params).Verify(res.Events, res.State)
+	vs := invariant.NewSuite().Verify(res.Events, res.State)
 	info, ok := strategy.Lookup(name)
 	if ok && info.GuaranteesCompletion {
 		return vs

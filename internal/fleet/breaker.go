@@ -24,10 +24,10 @@ type BreakerInput struct {
 	// Trip: the member degraded past a trip line (health score or
 	// capacity-outage streak) while hosting the job.
 	Trip bool
-	// QuarantineElapsed: the breaker has been open for OpenSlots.
+	// QuarantineElapsed: the breaker has been open for openSlots.
 	QuarantineElapsed bool
 	// ProbeSurvived: the half-open member hosted the job for
-	// ProbeSlots without tripping.
+	// probeSlots without tripping.
 	ProbeSurvived bool
 }
 

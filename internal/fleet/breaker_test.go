@@ -115,57 +115,3 @@ func TestBreakerInputString(t *testing.T) {
 		}
 	}
 }
-
-// TestConfigValidate is the regression net over the paper-over
-// defaults: negative durations and penalties, out-of-range trip
-// scores, and malformed health-weight vectors must all be rejected
-// with a typed *ConfigError naming the field, while the zero config
-// and sane customizations pass.
-func TestConfigValidate(t *testing.T) {
-	valid := []Config{
-		{}, // zero value: every field defaulted
-		{TripScore: 0.8, OutageTrip: 5, MigrationPenalty: 0.25},
-		{HealthWeights: [5]float64{0.2, 0.2, 0.2, 0.2, 0.2}},
-		{HealthWeights: [5]float64{1, 0, 0, 0, 0}},
-	}
-	for i, c := range valid {
-		if err := c.Validate(); err != nil {
-			t.Errorf("valid config %d rejected: %v", i, err)
-		}
-	}
-	invalid := []struct {
-		cfg   Config
-		field string
-	}{
-		{Config{HealthWindow: -1}, "HealthWindow"},
-		{Config{OpenSlots: -10}, "OpenSlots"},
-		{Config{ProbeSlots: -1}, "ProbeSlots"},
-		{Config{OutageTrip: -3}, "OutageTrip"},
-		{Config{MaxMigrations: -1}, "MaxMigrations"},
-		{Config{TripScore: 1.5}, "TripScore"},
-		{Config{TripScore: -0.1}, "TripScore"},
-		{Config{MigrationPenalty: -0.01}, "MigrationPenalty"},
-		{Config{HealthWeights: [5]float64{-0.1, 0.4, 0.3, 0.2, 0.2}}, "HealthWeights[0]"},
-		{Config{HealthWeights: [5]float64{0.1, 0.1, 0.1, 0.1, 0.1}}, "HealthWeights"},
-		{Config{HealthWeights: [5]float64{0.5, 0.5, 0.5, 0.5, 0.5}}, "HealthWeights"},
-	}
-	for _, tc := range invalid {
-		err := tc.cfg.Validate()
-		if err == nil {
-			t.Errorf("config %+v accepted, want %s rejection", tc.cfg, tc.field)
-			continue
-		}
-		ce, ok := err.(*ConfigError)
-		if !ok {
-			t.Errorf("config %+v: error %T, want *ConfigError", tc.cfg, err)
-			continue
-		}
-		if ce.Field != tc.field {
-			t.Errorf("config %+v rejected on %s, want %s", tc.cfg, ce.Field, tc.field)
-		}
-	}
-	// NewController refuses an invalid config outright.
-	if _, err := NewController(Config{TripScore: 2}); err == nil {
-		t.Error("NewController accepted TripScore = 2")
-	}
-}

@@ -1,19 +1,20 @@
 // Package fleet is the multi-region controller: it runs a persistent
 // job across several simulated regions (each with its own price trace
 // and chaos profile) on a shared slot clock, scores each region's
-// health from its observability counters, and trips a per-region
-// circuit breaker when a region degrades. A tripped job is drained
-// (request cancelled, checkpoint exported), migrated to the healthiest
-// sibling region — paying the recovery time t_r plus a configurable
-// migration penalty — and re-priced there with the paper's persistent
-// optimum. Only when every breaker is open, or Eq. 14 declares the job
-// infeasible in every region, does the controller escalate to
-// on-demand (§3.2's completion-control playbook, applied fleet-wide).
+// health from the event counts its own region and client keep, and
+// trips a per-region circuit breaker when a region degrades. A tripped
+// job is drained (request cancelled, checkpoint exported), migrated to
+// the healthiest sibling region — paying the recovery time t_r plus a
+// fixed 60 s migration penalty — and re-priced there with the paper's
+// persistent optimum. Only when every breaker is open, or Eq. 14
+// declares the job infeasible in every region, does the controller
+// escalate to on-demand (§3.2's completion-control playbook, applied
+// fleet-wide).
 //
 // Determinism contract: members are scored, selected, and ticked in
 // their construction order; health scores are plain float arithmetic
 // over counter deltas; nothing reads the wall clock or an unseeded
-// RNG. Two runs over the same traces, seeds, and config produce
+// RNG. Two runs over the same traces and seeds produce
 // byte-identical failover schedules (Report.Schedule) and metric
 // snapshots. With a single member and a fault-free substrate the
 // controller is bit-identical to driving the member's client directly
@@ -65,38 +66,37 @@ func (s BreakerState) String() string {
 // breaker trips; the controller catches it and migrates the job.
 var ErrBreakerOpen = errors.New("fleet: active region's circuit breaker opened")
 
-// Config tunes the controller. The zero value gets the defaults below.
-type Config struct {
-	// HealthWindow is the leaky-integrator horizon, in slots, of the
-	// health score's rate terms (default 36 slots = 3 hours).
-	HealthWindow int
+// The controller's tuning (DESIGN.md §8). The invariant checkers
+// audit recorded runs against the exported three.
+const (
+	// healthWindow is the leaky-integrator horizon, in slots, of the
+	// health score's rate terms (3 hours).
+	healthWindow = 36
 	// TripScore is the health score at which the active member's
-	// breaker trips (default 0.5; scores live in [0,1]).
-	TripScore float64
-	// OpenSlots is how long a tripped breaker stays open before the
-	// region may host a probationary leg (default 72 slots = 6 hours).
-	OpenSlots int
-	// ProbeSlots is how long a half-open region must host the job
-	// without tripping before its breaker closes (default 36 slots).
-	ProbeSlots int
+	// breaker trips; scores live in [0,1].
+	TripScore = 0.5
+	// openSlots is how long a tripped breaker stays open before the
+	// region may host a probationary leg (6 hours).
+	openSlots = 72
+	// probeSlots is how long a half-open region must host the job
+	// without tripping before its breaker closes.
+	probeSlots = 36
 	// OutageTrip is the capacity-outage hard trip: this many
 	// consecutive slots with blocked launches open the breaker
-	// regardless of the score (default 3).
-	OutageTrip int
-	// MigrationPenalty is extra work, in hours, charged on top of the
-	// recovery time t_r each time a checkpointed job moves regions —
-	// the cost of copying state across the WAN (default 0).
-	MigrationPenalty timeslot.Hours
-	// MaxMigrations caps cross-region moves per job before the
-	// controller escalates to on-demand (default 8).
-	MaxMigrations int
-	// HealthWeights weights the five health-score terms
-	// [apiFaultRate, staleRate, rejectedRate, blockedStreak,
-	// outbidStreak] (DESIGN.md §8). The zero vector gets the defaults
-	// {0.35, 0.15, 0.10, 0.30, 0.10}; a custom vector must be
-	// non-negative and sum to 1 within 1% so scores stay in [0,1] and
-	// TripScore keeps its meaning.
-	HealthWeights [5]float64
+	// regardless of the score.
+	OutageTrip = 3
+	// maxMigrations caps cross-region moves per job before the
+	// controller escalates to on-demand.
+	maxMigrations = 8
+	// MigrationPenalty is the extra work, in hours (60 s), charged on
+	// top of the recovery time t_r each time a checkpointed job moves
+	// regions: the cost of copying its state across the WAN.
+	MigrationPenalty timeslot.Hours = 60.0 / 3600
+)
+
+// Config attaches observers to the controller. The zero value runs it
+// unobserved.
+type Config struct {
 	// Metrics, when non-nil, receives the controller's own telemetry
 	// (fleet.* metrics). It is deliberately separate from the members'
 	// registries so an attached fleet never perturbs their snapshots.
@@ -118,93 +118,6 @@ type Config struct {
 	OnSlot func(slot int)
 }
 
-// defaultHealthWeights are the DESIGN.md §8 weights for the five
-// health-score terms.
-var defaultHealthWeights = [5]float64{0.35, 0.15, 0.10, 0.30, 0.10}
-
-// ConfigError reports one invalid controller configuration field.
-type ConfigError struct {
-	// Field names the offending field.
-	Field string
-	// Value is the rejected value.
-	Value float64
-	// Reason says what constraint it violates.
-	Reason string
-}
-
-func (e *ConfigError) Error() string {
-	return fmt.Sprintf("fleet: invalid %s = %v: %s", e.Field, e.Value, e.Reason)
-}
-
-// Validate checks the config for values withDefaults used to paper
-// over: negative windows, penalties, or trip thresholds, a trip score
-// outside (0, 1], and a health-weight vector that is negative or does
-// not sum to 1 (within 1%). Zero fields are fine — they take the
-// documented defaults. NewController validates; the member-count check
-// (a fleet needs at least one region) stays in NewController because a
-// Config does not know its members.
-func (c Config) Validate() error {
-	durations := []struct {
-		name string
-		v    int
-	}{
-		{"HealthWindow", c.HealthWindow},
-		{"OpenSlots", c.OpenSlots},
-		{"ProbeSlots", c.ProbeSlots},
-		{"OutageTrip", c.OutageTrip},
-		{"MaxMigrations", c.MaxMigrations},
-	}
-	for _, d := range durations {
-		if d.v < 0 {
-			return &ConfigError{Field: d.name, Value: float64(d.v), Reason: "negative duration"}
-		}
-	}
-	if c.TripScore < 0 || c.TripScore > 1 {
-		return &ConfigError{Field: "TripScore", Value: c.TripScore, Reason: "outside (0, 1]"}
-	}
-	if c.MigrationPenalty < 0 {
-		return &ConfigError{Field: "MigrationPenalty", Value: float64(c.MigrationPenalty), Reason: "negative penalty"}
-	}
-	if c.HealthWeights != [5]float64{} {
-		sum := 0.0
-		for i, w := range c.HealthWeights {
-			if w < 0 {
-				return &ConfigError{Field: fmt.Sprintf("HealthWeights[%d]", i), Value: w, Reason: "negative weight"}
-			}
-			sum += w
-		}
-		if sum < 0.99 || sum > 1.01 {
-			return &ConfigError{Field: "HealthWeights", Value: sum, Reason: "weights must sum to 1 (±1%)"}
-		}
-	}
-	return nil
-}
-
-func (c Config) withDefaults() Config {
-	if c.HealthWindow <= 0 {
-		c.HealthWindow = 36
-	}
-	if c.TripScore <= 0 {
-		c.TripScore = 0.5
-	}
-	if c.OpenSlots <= 0 {
-		c.OpenSlots = 72
-	}
-	if c.ProbeSlots <= 0 {
-		c.ProbeSlots = 36
-	}
-	if c.OutageTrip <= 0 {
-		c.OutageTrip = 3
-	}
-	if c.MaxMigrations <= 0 {
-		c.MaxMigrations = 8
-	}
-	if c.HealthWeights == ([5]float64{}) {
-		c.HealthWeights = defaultHealthWeights
-	}
-	return c
-}
-
 // Member is one region under the controller: the region, a client
 // bound to it, and an ID used in events, metric names, and schedules.
 type Member struct {
@@ -219,21 +132,21 @@ type Member struct {
 	Client *client.Client
 }
 
-// counterSample is one reading of the member counters the health score
-// is built from. All reads go through the non-creating accessors so
-// scoring never materializes metrics in a registry it does not own.
+// counterSample is one reading of the member's own event counts, the
+// health score's inputs.
 type counterSample struct {
 	apiFaults, blocked, outbid, accepted, rejected, stale int64
 }
 
-func sampleCounters(reg *obs.Registry) counterSample {
+func sampleCounters(m Member) counterSample {
+	rc, cc := m.Region.Counts(), m.Client.Counts()
 	return counterSample{
-		apiFaults: reg.CounterValue("cloud.api_faults"),
-		blocked:   reg.CounterValue("cloud.bids.blocked"),
-		outbid:    reg.CounterValue("cloud.bids.outbid"),
-		accepted:  reg.CounterValue("cloud.bids.accepted"),
-		rejected:  reg.CounterValue("client.quotes.rejected"),
-		stale:     reg.CounterValue("client.ecdf.stale_serves"),
+		apiFaults: rc.APIFaults,
+		blocked:   rc.Blocked,
+		outbid:    rc.Outbid,
+		accepted:  rc.Accepted,
+		rejected:  cc.RejectedQuotes,
+		stale:     cc.StaleServes,
 	}
 }
 
@@ -255,14 +168,17 @@ type member struct {
 	infeasible bool // Eq. 14 failed here during the current run
 	tripped    bool // set when the breaker opened in the current tick
 	orphans    []string
+
+	// fleet.health.<id> and fleet.breaker.<id> in the fleet registry
+	health, breaker *obs.Gauge
 }
 
 // Controller supervises a fleet of members and runs jobs across them.
 type Controller struct {
-	cfg     Config
 	members []*member
 	met     *obs.Registry
 	rec     *event.Recorder
+	onSlot  func(slot int)
 
 	active        int // index hosting the current leg; -1 between legs
 	escalated     bool
@@ -275,18 +191,14 @@ type Controller struct {
 // NewController builds a controller over the members, in order. Member
 // order is part of the determinism contract: scoring ties and
 // selection ties break toward the earlier member. Each member's client
-// gets the controller installed as its Ticker and fallback Delegate,
-// and members without a metrics registry get a fresh one (health
-// scoring reads the member's counters, so a blind member would never
-// trip on soft signals).
+// gets the controller installed as its Ticker and fallback Delegate.
+// Health scoring reads each member's own region and client counts, so
+// a member's registry, shared or absent, never steers a decision.
 func NewController(cfg Config, members ...Member) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if len(members) == 0 {
 		return nil, errors.New("fleet: no members")
 	}
-	f := &Controller{cfg: cfg.withDefaults(), met: cfg.Metrics, rec: cfg.Trace, active: -1}
+	f := &Controller{met: cfg.Metrics, rec: cfg.Trace, onSlot: cfg.OnSlot, active: -1}
 	seen := make(map[string]bool, len(members))
 	for i, m := range members {
 		if m.Region == nil || m.Client == nil {
@@ -303,16 +215,14 @@ func NewController(cfg Config, members ...Member) (*Controller, error) {
 		}
 		seen[m.ID] = true
 		m.Region.SetID(m.ID)
-		if m.Client.Metrics == nil {
-			m.Client.SetMetrics(obs.New())
-		}
 		if cfg.Trace != nil {
 			m.Client.SetTrace(cfg.Trace)
 		}
-		mm := &member{Member: m, last: sampleCounters(m.Client.Metrics)}
-		f.members = append(f.members, mm)
+		f.members = append(f.members, &member{Member: m, last: sampleCounters(m)})
 	}
 	for _, m := range f.members {
+		m.health = f.met.Gauge("fleet.health." + m.ID)
+		m.breaker = f.met.Gauge("fleet.breaker." + m.ID)
 		m.Client.Ticker = f.Tick
 		m.Client.Delegate = delegate{f}
 	}
@@ -363,8 +273,8 @@ func (f *Controller) Tick() error {
 	}
 	f.retryOrphans()
 	f.observe()
-	if f.cfg.OnSlot != nil {
-		f.cfg.OnSlot(f.now())
+	if f.onSlot != nil {
+		f.onSlot(f.now())
 	}
 	if f.active >= 0 && !f.escalated && f.members[f.active].tripped {
 		return ErrBreakerOpen
@@ -386,9 +296,9 @@ func (f *Controller) Skip(n int) error {
 // the slot the fleet just ticked into.
 func (f *Controller) observe() {
 	slot := f.now()
-	decay := 1 - 1/float64(f.cfg.HealthWindow)
+	decay := 1 - 1/float64(healthWindow)
 	for i, m := range f.members {
-		cur := sampleCounters(m.Client.Metrics)
+		cur := sampleCounters(m.Member)
 		d := counterSample{
 			apiFaults: cur.apiFaults - m.last.apiFaults,
 			blocked:   cur.blocked - m.last.blocked,
@@ -414,15 +324,15 @@ func (f *Controller) observe() {
 		if d.outbid > 0 {
 			m.outbidStreak++
 		}
-		m.score = healthScore(f.cfg, m)
+		m.score = healthScore(m)
 
 		m.tripped = false
 		switch m.state {
 		case Open:
-			if slot-m.openedAt >= f.cfg.OpenSlots {
+			if slot-m.openedAt >= openSlots {
 				m.state = breakerStep(m.state, BreakerInput{QuarantineElapsed: true})
-				m.probeLeft = f.cfg.ProbeSlots
-				f.event(slot, "probe", m.ID, fmt.Sprintf("quarantine elapsed after %d slots", f.cfg.OpenSlots))
+				m.probeLeft = probeSlots
+				f.event(slot, "probe", m.ID, fmt.Sprintf("quarantine elapsed after %d slots", openSlots))
 				f.traceTransition(m, slot, "quarantine-elapsed")
 			}
 		case HalfOpen:
@@ -433,41 +343,38 @@ func (f *Controller) observe() {
 				if m.probeLeft == 0 {
 					m.state = breakerStep(m.state, BreakerInput{ProbeSurvived: true})
 					m.accAPI, m.accStale, m.accRejected = 0, 0, 0
-					f.event(slot, "close", m.ID, fmt.Sprintf("probe survived %d slots", f.cfg.ProbeSlots))
+					f.event(slot, "close", m.ID, fmt.Sprintf("probe survived %d slots", probeSlots))
 					f.traceTransition(m, slot, "probe-survived")
 				}
 			}
 		}
 		if i == f.active && !f.escalated && m.state != Open {
-			if m.blockedStreak >= f.cfg.OutageTrip {
+			if m.blockedStreak >= OutageTrip {
 				f.trip(i, fmt.Sprintf("capacity outage: %d consecutive blocked slots", m.blockedStreak))
-			} else if m.score >= f.cfg.TripScore {
-				f.trip(i, fmt.Sprintf("health score %.4f >= %.4f", m.score, f.cfg.TripScore))
+			} else if m.score >= TripScore {
+				f.trip(i, fmt.Sprintf("health score %.4f >= %.4f", m.score, TripScore))
 			}
 		}
-		f.met.Gauge("fleet.health." + m.ID).Set(m.score)
-		f.met.Gauge("fleet.breaker." + m.ID).Set(float64(m.state))
+		m.health.Set(m.score)
+		m.breaker.Set(float64(m.state))
 	}
 }
 
 // healthScore folds a member's fault signals into [0,1]: weighted
 // saturating terms for API-fault, stale-estimate, and corrupt-quote
-// rates plus the blocked-launch and out-bid streaks, under the
-// config's HealthWeights (DESIGN.md §8).
-func healthScore(cfg Config, m *member) float64 {
+// rates plus the blocked-launch and out-bid streaks (DESIGN.md §8).
+func healthScore(m *member) float64 {
 	sat := func(x, n float64) float64 {
 		if x >= n {
 			return 1
 		}
 		return x / n
 	}
-	ot := float64(cfg.OutageTrip)
-	w := cfg.HealthWeights
-	return w[0]*sat(m.accAPI, ot) +
-		w[1]*sat(m.accStale, 2) +
-		w[2]*sat(m.accRejected, float64(cfg.HealthWindow)) +
-		w[3]*sat(float64(m.blockedStreak), ot) +
-		w[4]*sat(float64(m.outbidStreak), 2*ot)
+	return 0.35*sat(m.accAPI, OutageTrip) +
+		0.15*sat(m.accStale, 2) +
+		0.10*sat(m.accRejected, healthWindow) +
+		0.30*sat(float64(m.blockedStreak), OutageTrip) +
+		0.10*sat(float64(m.outbidStreak), 2*OutageTrip)
 }
 
 // trip opens member i's breaker.
@@ -477,7 +384,7 @@ func (f *Controller) trip(i int, why string) {
 	m.openedAt = f.now()
 	m.tripped = true
 	f.met.Counter("fleet.trips").Inc()
-	f.met.Gauge("fleet.breaker." + m.ID).Set(float64(Open))
+	m.breaker.Set(float64(Open))
 	f.event(f.now(), "trip", m.ID, why)
 	f.traceTransition(m, f.now(), why)
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/instances"
 	"repro/internal/job"
 	"repro/internal/obs"
-	"repro/internal/obs/event"
 	"repro/internal/timeslot"
 	"repro/internal/trace"
 )
@@ -35,8 +34,8 @@ func flatTrace(t *testing.T, slots int, price float64, spikeAt, spikeLen int, sp
 	return tr
 }
 
-// newMember wraps a trace in a region + instrumented client.
-func newMember(t *testing.T, id string, tr *trace.Trace) Member {
+// bareMember wraps a trace in a region + client with no registry.
+func bareMember(t *testing.T, id string, tr *trace.Trace) Member {
 	t.Helper()
 	r, err := cloud.NewRegion(tr)
 	if err != nil {
@@ -46,8 +45,15 @@ func newMember(t *testing.T, id string, tr *trace.Trace) Member {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetMetrics(obs.New())
 	return Member{ID: id, Region: r, Client: c}
+}
+
+// newMember wraps a trace in a region + instrumented client.
+func newMember(t *testing.T, id string, tr *trace.Trace) Member {
+	t.Helper()
+	m := bareMember(t, id, tr)
+	m.Client.SetMetrics(obs.New())
+	return m
 }
 
 var fleetSpec = job.Spec{ID: "fleet-job", Type: instances.R3XLarge, Exec: 1, Recovery: timeslot.Seconds(30)}
@@ -137,21 +143,107 @@ func TestSingleRegionEquivalence(t *testing.T) {
 // home on cheap prices, a price spike at slot 60 out-bids it, and from
 // that same slot a permanent region-wide outage (rate 1, pinned by
 // RegionOutageAfter) blocks every relaunch — while a clean sibling
-// stays up.
-func outageFleet(t *testing.T, fleetMet *obs.Registry, rec *event.Recorder) (*Controller, Member, Member) {
+// stays up. install gives the member clients their registries.
+func outageFleet(t *testing.T, cfg Config, install func(home, away *client.Client)) (*Controller, Member, Member) {
 	t.Helper()
-	home := newMember(t, "home", flatTrace(t, 400, 0.03, 60, 3, 0.50))
-	away := newMember(t, "away", flatTrace(t, 400, 0.03, 0, 0, 0))
+	home := bareMember(t, "home", flatTrace(t, 400, 0.03, 60, 3, 0.50))
+	away := bareMember(t, "away", flatTrace(t, 400, 0.03, 0, 0, 0))
+	install(home.Client, away.Client)
 	inj, err := chaos.New(chaos.Config{Seed: 11, RegionOutageRate: 1, RegionOutageAfter: 60, RegionOutageSlots: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj.Arm(home.Region, nil)
-	ctl, err := NewController(Config{OutageTrip: 3, MigrationPenalty: timeslot.Seconds(60), Metrics: fleetMet, Trace: rec}, home, away)
+	ctl, err := NewController(cfg, home, away)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ctl, home, away
+}
+
+// perMemberRegistries gives each member client a registry of its own.
+func perMemberRegistries(home, away *client.Client) {
+	home.SetMetrics(obs.New())
+	away.SetMetrics(obs.New())
+}
+
+// TestRegistryLayoutDoesNotSteerBreakers runs the forced-outage fleet
+// under three member-registry layouts: one per member, none, and one
+// shared by both members. The breakers read each member's own region
+// and client counts, so every layout gives the same schedule, bill and
+// escalation, and the same health score and breaker state for each
+// member at every slot. A breaker that read the shared registry would
+// see the home region's blocked launches as the sibling's and trip it.
+func TestRegistryLayoutDoesNotSteerBreakers(t *testing.T) {
+	type slotState struct {
+		health  [2]float64
+		breaker [2]BreakerState
+	}
+	type result struct {
+		schedule  string
+		cost      float64
+		escalated bool
+		slots     []slotState
+	}
+	layouts := []struct {
+		name    string
+		install func(home, away *client.Client)
+	}{
+		{"per-member", perMemberRegistries},
+		{"none", func(home, away *client.Client) {}},
+		{"shared", func(home, away *client.Client) {
+			reg := obs.New()
+			home.SetMetrics(reg)
+			away.SetMetrics(reg)
+		}},
+	}
+
+	var want result
+	for i, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			var got result
+			var ctl *Controller
+			ctl, home, away := outageFleet(t, Config{OnSlot: func(int) {
+				got.slots = append(got.slots, slotState{
+					health:  [2]float64{ctl.Health("home"), ctl.Health("away")},
+					breaker: [2]BreakerState{ctl.Breaker("home"), ctl.Breaker("away")},
+				})
+			}}, l.install)
+			if l.name == "none" && (home.Client.Metrics != nil || away.Client.Metrics != nil) {
+				t.Fatal("NewController installed a registry on a member without one")
+			}
+			if err := ctl.Skip(50); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := ctl.RunPersistent(fleetSpec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.schedule, got.cost, got.escalated = rep.Schedule(), rep.FleetCost, rep.Escalated
+			if i == 0 {
+				want = got
+				if want.escalated || !strings.Contains(want.schedule, "capacity outage") {
+					t.Fatalf("scenario drifted: escalated=%v schedule:\n%s", want.escalated, want.schedule)
+				}
+				return
+			}
+			if got.schedule != want.schedule {
+				t.Errorf("schedule differs from one registry per member:\n--- %s\n%s--- per-member\n%s",
+					l.name, got.schedule, want.schedule)
+			}
+			if got.cost != want.cost || got.escalated != want.escalated {
+				t.Errorf("FleetCost %v escalated %v, want %v, %v", got.cost, got.escalated, want.cost, want.escalated)
+			}
+			if len(got.slots) != len(want.slots) {
+				t.Fatalf("%d slots observed, want %d", len(got.slots), len(want.slots))
+			}
+			for s := range got.slots {
+				if got.slots[s] != want.slots[s] {
+					t.Fatalf("slot %d: health/breaker %+v, want %+v", s, got.slots[s], want.slots[s])
+				}
+			}
+		})
+	}
 }
 
 // TestForcedOutageFailsOver: the job launches at home, is out-bid by a
@@ -161,7 +253,7 @@ func outageFleet(t *testing.T, fleetMet *obs.Registry, rec *event.Recorder) (*Co
 // strictly cheaper than the all-on-demand escape hatch.
 func TestForcedOutageFailsOver(t *testing.T) {
 	met := obs.New()
-	ctl, home, away := outageFleet(t, met, nil)
+	ctl, home, away := outageFleet(t, Config{Metrics: met}, perMemberRegistries)
 	if err := ctl.Skip(50); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +313,7 @@ func TestForcedOutageFailsOver(t *testing.T) {
 func TestFailoverScheduleDeterministic(t *testing.T) {
 	run := func() (string, string) {
 		met := obs.New()
-		ctl, _, _ := outageFleet(t, met, nil)
+		ctl, _, _ := outageFleet(t, Config{Metrics: met}, perMemberRegistries)
 		if err := ctl.Skip(50); err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +382,7 @@ func TestEscalatesWhenEveryRegionIsDown(t *testing.T) {
 // TestBreakerReopensHalfOpen: the quarantine elapses and an open
 // breaker moves to half-open, making the region a probe candidate.
 func TestBreakerReopensHalfOpen(t *testing.T) {
-	ctl, _, _ := outageFleet(t, nil, nil)
+	ctl, _, _ := outageFleet(t, Config{}, perMemberRegistries)
 	if err := ctl.Skip(50); err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +392,7 @@ func TestBreakerReopensHalfOpen(t *testing.T) {
 	if got := ctl.Breaker("home"); got != Open {
 		t.Fatalf("home breaker = %v, want open", got)
 	}
-	if err := ctl.Skip(ctl.cfg.OpenSlots + 1); err != nil {
+	if err := ctl.Skip(openSlots + 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctl.Breaker("home"); got != HalfOpen {
@@ -311,12 +403,11 @@ func TestBreakerReopensHalfOpen(t *testing.T) {
 // TestHealthScoreBounds: the score saturates in [0,1] and the breaker
 // stringer covers every state.
 func TestHealthScoreBounds(t *testing.T) {
-	cfg := Config{}.withDefaults()
 	m := &member{accAPI: 1e9, accStale: 1e9, accRejected: 1e9, blockedStreak: 1 << 20, outbidStreak: 1 << 20}
-	if s := healthScore(cfg, m); s < 0.999 || s > 1.001 {
+	if s := healthScore(m); s < 0.999 || s > 1.001 {
 		t.Errorf("saturated score = %v, want 1", s)
 	}
-	if s := healthScore(cfg, &member{}); s != 0 {
+	if s := healthScore(&member{}); s != 0 {
 		t.Errorf("idle score = %v, want 0", s)
 	}
 	for _, st := range []BreakerState{Closed, Open, HalfOpen, BreakerState(9)} {

@@ -126,7 +126,7 @@ func (f *Controller) RunPersistent(spec job.Spec) (Report, error) {
 runLoop:
 	for {
 		idx := f.pick(-1)
-		if idx < 0 || f.migrations > f.cfg.MaxMigrations {
+		if idx < 0 || f.migrations > maxMigrations {
 			leg, err := f.escalate(spec, legExec)
 			if err != nil {
 				return rep, err
@@ -285,11 +285,11 @@ func (f *Controller) drain(m *member, spec job.Spec, legSpec job.Spec) (job.Outc
 	}
 	newExec := legSpec.Exec
 	if progressed := float64(durable) < float64(legSpec.Exec)-1e-9; progressed {
-		newExec = durable + f.cfg.MigrationPenalty + spec.Recovery
+		newExec = durable + MigrationPenalty + spec.Recovery
 		f.pendingImport = &checkpoint.Record{
 			JobID:       spec.ID,
 			Slot:        f.now(),
-			Remaining:   durable + f.cfg.MigrationPenalty,
+			Remaining:   durable + MigrationPenalty,
 			Resumptions: rec.Resumptions,
 		}
 	} else if err == nil {

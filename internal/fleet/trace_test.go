@@ -14,7 +14,7 @@ import (
 // transition carrying the six-element health-score vector.
 func TestTraceCausality(t *testing.T) {
 	rec := event.NewRecorder(event.Config{Unbounded: true})
-	ctl, _, _ := outageFleet(t, nil, rec)
+	ctl, _, _ := outageFleet(t, Config{Trace: rec}, perMemberRegistries)
 	if err := ctl.Skip(50); err != nil {
 		t.Fatal(err)
 	}

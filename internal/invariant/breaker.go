@@ -20,13 +20,12 @@ const scoreEps = 1e-9
 // capacity hard trip must carry a blocked streak at or above
 // OutageTrip, quarantine release and probe survival must say so.
 type breakerChecker struct {
-	p     Params
 	state map[string]fleet.BreakerState // per member; zero value is Closed
 	vs    []Violation
 }
 
-func newBreakerChecker(p Params) *breakerChecker {
-	return &breakerChecker{p: p, state: make(map[string]fleet.BreakerState)}
+func newBreakerChecker() *breakerChecker {
+	return &breakerChecker{state: make(map[string]fleet.BreakerState)}
 }
 
 func (c *breakerChecker) Name() string            { return "breaker-legality" }
@@ -73,13 +72,13 @@ func (c *breakerChecker) Observe(ev event.Event) {
 	case fleet.Open:
 		switch {
 		case strings.HasPrefix(ev.Cause, "health score "):
-			if score < c.p.TripScore-scoreEps {
-				c.fail(ev, "soft trip recorded score %v below TripScore %v", score, c.p.TripScore)
+			if score < fleet.TripScore-scoreEps {
+				c.fail(ev, "soft trip recorded score %v below TripScore %v", score, fleet.TripScore)
 			}
 		case strings.HasPrefix(ev.Cause, "capacity outage: "):
-			if blockedStreak < float64(c.p.OutageTrip) {
+			if blockedStreak < fleet.OutageTrip {
 				c.fail(ev, "capacity hard trip with blocked streak %v below OutageTrip %d",
-					blockedStreak, c.p.OutageTrip)
+					blockedStreak, fleet.OutageTrip)
 			}
 		case ev.Cause == "breaker-open" || ev.Cause == "fallback-vetoed" ||
 			strings.HasPrefix(ev.Cause, "transient: "):

@@ -50,7 +50,7 @@ func RunSchedule(sc Scenario, idx int, sched chaos.Schedule, replay bool) Schedu
 		res.Err = err.Error()
 		return res
 	}
-	res.Violations = NewSuite(first.State.Params).Verify(first.Events, first.State)
+	res.Violations = NewSuite().Verify(first.Events, first.State)
 	if replay {
 		second, err := sc.Run(sched)
 		if err != nil {

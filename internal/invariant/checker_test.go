@@ -23,7 +23,7 @@ func healthVec(blockedStreak, score float64) []float64 {
 
 func breakerViolations(t *testing.T, evs ...event.Event) []Violation {
 	t.Helper()
-	c := newBreakerChecker(Params{TripScore: 0.5, OutageTrip: 3})
+	c := newBreakerChecker()
 	for _, ev := range evs {
 		c.Observe(ev)
 	}
@@ -117,13 +117,7 @@ func checkpointViolations(t *testing.T, evs ...event.Event) []Violation {
 	for _, ev := range evs {
 		c.Observe(ev)
 	}
-	c.Finish(&RunState{
-		Spec: job.Spec{ID: "j", Exec: 1},
-		Params: Params{
-			MigrationPenalty: timeslot.Seconds(60),
-			Recovery:         timeslot.Seconds(30),
-		},
-	})
+	c.Finish(&RunState{Spec: job.Spec{ID: "j", Exec: 1, Recovery: timeslot.Seconds(30)}})
 	return c.Violations()
 }
 

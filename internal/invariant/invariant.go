@@ -42,7 +42,6 @@ import (
 	"repro/internal/job"
 	"repro/internal/obs"
 	"repro/internal/obs/event"
-	"repro/internal/timeslot"
 )
 
 // Violation is one invariant breach. The zero Region means the
@@ -69,20 +68,6 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%s] slot %d %s: %s", v.Checker, v.Slot, where, v.Detail)
 }
 
-// Params carries the controller tuning the checkers verify against.
-// They mirror fleet.Config's documented defaults; a scenario with a
-// custom controller must pass its own values.
-type Params struct {
-	// TripScore is the health score at which a breaker trips.
-	TripScore float64
-	// OutageTrip is the consecutive-blocked-slots hard trip.
-	OutageTrip int
-	// MigrationPenalty is the per-migration work surcharge.
-	MigrationPenalty timeslot.Hours
-	// Recovery is the job's per-interruption recovery time t_r.
-	Recovery timeslot.Hours
-}
-
 // MemberState is one fleet member's final simulator state, handed to
 // the checkers after the run.
 type MemberState struct {
@@ -100,11 +85,11 @@ type MemberState struct {
 }
 
 // RunState is everything a Finish-time checker may inspect: the job
-// as submitted, the controller parameters, every member's final
-// state, and the fleet report.
+// as submitted, every member's final state, and the fleet report. The
+// checkers verify against the controller's fixed tuning (fleet.TripScore,
+// fleet.OutageTrip, fleet.MigrationPenalty) and the job's own t_r.
 type RunState struct {
 	Spec    job.Spec
-	Params  Params
 	Members []MemberState
 	Report  fleet.Report
 }
@@ -132,12 +117,12 @@ type Suite struct {
 }
 
 // NewSuite builds a fresh checker suite for one run.
-func NewSuite(p Params) *Suite {
+func NewSuite() *Suite {
 	return &Suite{checkers: []Checker{
 		newBillingChecker(),
 		newLivenessChecker(),
 		newCheckpointChecker(),
-		newBreakerChecker(p),
+		newBreakerChecker(),
 	}}
 }
 

@@ -3,6 +3,7 @@ package invariant
 import (
 	"fmt"
 
+	"repro/internal/fleet"
 	"repro/internal/obs/event"
 )
 
@@ -45,8 +46,8 @@ func (c *checkpointChecker) fail(slot int, detail string, args ...any) {
 }
 
 func (c *checkpointChecker) Finish(st *RunState) {
-	penalty := float64(st.Params.MigrationPenalty)
-	recovery := float64(st.Params.Recovery)
+	penalty := float64(fleet.MigrationPenalty)
+	recovery := float64(st.Spec.Recovery)
 	allowance := float64(st.Spec.Exec)
 	lastExport := 0.0
 	sawExport := false

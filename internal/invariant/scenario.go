@@ -44,9 +44,6 @@ type Scenario struct {
 	Exec timeslot.Hours
 	// Recovery is the per-interruption recovery time t_r (default 30s).
 	Recovery timeslot.Hours
-	// MigrationPenalty is the fleet's cross-region move surcharge
-	// (default 60s).
-	MigrationPenalty timeslot.Hours
 	// Mutate, when non-nil, corrupts the final run state before the
 	// checkers see it. It exists for mutation tests — proving a
 	// deliberately seeded defect is caught and shrunk — and must be
@@ -78,9 +75,6 @@ func (sc Scenario) withDefaults() Scenario {
 	}
 	if sc.Recovery <= 0 {
 		sc.Recovery = timeslot.Seconds(30)
-	}
-	if sc.MigrationPenalty <= 0 {
-		sc.MigrationPenalty = timeslot.Seconds(60)
 	}
 	return sc
 }
@@ -161,11 +155,7 @@ func (sc Scenario) Run(sched chaos.Schedule) (*RunResult, error) {
 		states[i] = MemberState{ID: id, Region: region, Volume: cl.Volume,
 			Metrics: cl.Metrics, Injector: inj}
 	}
-	ctl, err := fleet.NewController(fleet.Config{
-		MigrationPenalty: sc.MigrationPenalty,
-		Metrics:          met,
-		Trace:            rec,
-	}, members...)
+	ctl, err := fleet.NewController(fleet.Config{Metrics: met, Trace: rec}, members...)
 	if err != nil {
 		return nil, err
 	}
@@ -178,19 +168,7 @@ func (sc Scenario) Run(sched chaos.Schedule) (*RunResult, error) {
 		return nil, fmt.Errorf("invariant: scenario run under %d faults: %w", len(sched), err)
 	}
 
-	st := &RunState{
-		Spec: spec,
-		// The scenario runs a zero-value fleet.Config, so the checkers
-		// verify against its documented defaults.
-		Params: Params{
-			TripScore:        0.5,
-			OutageTrip:       3,
-			MigrationPenalty: sc.MigrationPenalty,
-			Recovery:         sc.Recovery,
-		},
-		Members: states,
-		Report:  rep,
-	}
+	st := &RunState{Spec: spec, Members: states, Report: rep}
 	if sc.Mutate != nil {
 		sc.Mutate(st)
 	}

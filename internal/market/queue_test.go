@@ -3,6 +3,7 @@ package market
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/arrivals"
@@ -181,6 +182,38 @@ func TestSimulatorStartsAtExplicitLoad(t *testing.T) {
 	}
 	if res.Loads[0] != 123 {
 		t.Errorf("initial load %v, want 123", res.Loads[0])
+	}
+}
+
+// TestSimulatorRejectsInfiniteArrivalMean: Pareto arrivals with shape
+// 0.5 have no finite mean, so the default initial load, the
+// equilibrium load for that mean, is not finite either. Run reports it
+// instead of pricing every slot NaN; an explicit InitialLoad still
+// runs.
+func TestSimulatorRejectsInfiniteArrivalMean(t *testing.T) {
+	p := r3xProvider()
+	lamMin, err := p.ParetoArrivalMin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := dist.NewPareto(0.5, lamMin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim := Simulator{Provider: p, Arrivals: arrivals.NewIID(par)}
+	res, err := sim.Run(10, rand.New(rand.NewSource(3)))
+	if err == nil || !strings.Contains(err.Error(), "arrival mean") {
+		t.Fatalf("Run = %v prices, error %v; want an error naming the arrival mean", res.Prices, err)
+	}
+	sim.InitialLoad = 10
+	res, err = sim.Run(10, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, price := range res.Prices {
+		if math.IsNaN(price) {
+			t.Fatalf("explicit InitialLoad: price %d is NaN", i)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package market
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/arrivals"
@@ -22,7 +23,8 @@ type Simulator struct {
 	Arrivals arrivals.Process
 	// InitialLoad is L(0). When zero, the simulator starts at the
 	// equilibrium load for the mean arrival volume, skipping the
-	// transient.
+	// transient; Run fails when that load is not finite (e.g. Pareto
+	// arrivals with shape ≤ 1 have no finite mean).
 	InitialLoad float64
 	// Warmup discards this many leading slots from the result.
 	Warmup int
@@ -84,6 +86,9 @@ func (s Simulator) Run(n int, r *rand.Rand) (SimResult, error) {
 	if load <= 0 {
 		lam, _ := s.Arrivals.MeanVar()
 		load = s.Provider.EquilibriumLoad(lam)
+		if math.IsNaN(load) || math.IsInf(load, 0) {
+			return SimResult{}, fmt.Errorf("market: arrival mean %v gives no finite initial load; set InitialLoad", lam)
+		}
 	}
 	res := SimResult{
 		Prices:   make([]float64, 0, n),

@@ -75,9 +75,10 @@ func (r *Registry) Counter(name string) *Counter {
 
 // CounterValue returns the named counter's current count without
 // creating the metric: an unregistered name reads 0 and leaves the
-// registry untouched. Health scorers poll registries they do not own
-// through this — a plain Counter(name) call would materialize the
-// metric and perturb byte-identical snapshot comparisons.
+// registry untouched, so reading a result back (a test, a sweep's
+// summary row) never adds a metric to a snapshot it then compares.
+// Nil-safe. Decisions inside a run read their inputs from the
+// component that counts them, never from a registry by name.
 func (r *Registry) CounterValue(name string) int64 {
 	if r == nil {
 		return 0
@@ -86,18 +87,6 @@ func (r *Registry) CounterValue(name string) int64 {
 	c := r.counters[name]
 	r.mu.Unlock()
 	return c.Value()
-}
-
-// GaugeValue returns the named gauge's current value without creating
-// the metric (0 for unregistered names, nil-safe like CounterValue).
-func (r *Registry) GaugeValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	g := r.gauges[name]
-	r.mu.Unlock()
-	return g.Value()
 }
 
 // Gauge returns the named gauge, creating it on first use. A nil

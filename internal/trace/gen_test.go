@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/arrivals"
@@ -179,6 +180,28 @@ func TestGenerateFullDynamics(t *testing.T) {
 	acEq := stats.Autocorrelation(eq.Prices, []int{1})[0]
 	if acFull < acEq {
 		t.Errorf("full-dynamics lag-1 autocorrelation %v not above equilibrium %v", acFull, acEq)
+	}
+}
+
+// TestGenerateFullDynamicsInfiniteArrivalMean: with both Pareto
+// shapes at 0.5 the arrival mixture has no finite mean. The queue
+// model cannot start at its equilibrium load and says so, naming the
+// arrival mean, instead of generating NaN prices; the i.i.d. model
+// needs no mean and still prices every slot.
+func TestGenerateFullDynamicsInfiniteArrivalMean(t *testing.T) {
+	SetMemoCapacity(0)
+	defer SetMemoCapacity(DefaultMemoCapacity)
+	c, err := CalibrationFor(instances.R3XLarge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.PlateauAlpha, c.TailAlpha = 0.5, 0.5
+	_, err = c.Generate(GenOptions{Days: 1, FullDynamics: true})
+	if err == nil || !strings.Contains(err.Error(), "arrival mean") {
+		t.Errorf("FullDynamics error %v, want one naming the arrival mean", err)
+	}
+	if _, err := c.Generate(GenOptions{Days: 1}); err != nil {
+		t.Errorf("i.i.d. generation: %v", err)
 	}
 }
 

@@ -480,7 +480,9 @@ type (
 	FleetController = fleet.Controller
 	// FleetMember binds a region and its client under one ID.
 	FleetMember = fleet.Member
-	// FleetConfig tunes breaker thresholds and migration accounting.
+	// FleetConfig attaches observers to a fleet controller: its own
+	// metrics registry, a flight recorder and a per-slot hook. The
+	// breaker thresholds and the 60 s migration penalty are fixed.
 	FleetConfig = fleet.Config
 	// FleetReport is a fleet run: legs, failover schedule, merged outcome.
 	FleetReport = fleet.Report
