@@ -1,8 +1,10 @@
 # Standard checks. `make check` is the pre-merge gate: gofmt + vet (the root
-# module and the perfbench module) + the full test suite under the race
-# detector (the chaos loop and the parallel experiment harness must stay
-# race-clean) + a shuffled-order pass (no test may lean on package-level
-# state left by an earlier test).
+# module and the perfbench module) + the wall-clock scan of the
+# slot-indexed core + a race pass over the observability layer, then the
+# full test suite under the race detector (the chaos loop and the
+# parallel experiment harness must stay race-clean) + a shuffled-order
+# pass (no test may lean on package-level state left by an earlier test)
+# + the quick perf gate + the resilience smoke campaign.
 
 GO ?= go
 
@@ -57,15 +59,15 @@ no-wallclock:
 
 check: fmt vet perfbench-vet no-wallclock race-obs race shuffle perfgate resilcheck
 
-# Short fuzz pass over both history-parser targets, the
-# fault-schedule shrinker, the strategy deciders, the quote-request
-# decoder + serving path + HTTP handler, the tsdb chunk decoder, the
-# branch-free order-statistic searches, the sample and run sorts
-# against sort.Float64s and slices.SortFunc, the windowed ECDF's
-# run-length Fill and batch Slide, the Prop. 5 grid's
-# one-call-per-price-step scan against its brute-force form, the
-# Pareto transform's exp∘log fast path, and the lane kernel's bulk-loop
-# bound.
+# Short fuzz pass over both history-parser targets, the region's
+# price-history window, the fault-schedule shrinker, the strategy
+# deciders, the quote-request decoder + serving path + HTTP handler,
+# the tsdb chunk decoder, the branch-free order-statistic searches,
+# the sample and run sorts against sort.Float64s and slices.SortFunc,
+# the windowed ECDF's run-length Fill and batch Slide, the Prop. 5
+# grid's one-call-per-price-step scan against its brute-force form,
+# the Pareto transform's exp∘log fast path, and the lane kernel's
+# bulk-loop bound.
 fuzz:
 	$(GO) test -fuzz=FuzzSearchEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzSortSample -fuzztime=30s ./internal/dist/
@@ -75,6 +77,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzSlideEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzReadCSV$$ -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadCSVCorrupted -fuzztime=30s ./internal/trace/
+	$(GO) test -fuzz=FuzzPriceHistory -fuzztime=30s ./internal/cloud/
 	$(GO) test -fuzz=FuzzFaultSchedule -fuzztime=30s ./internal/invariant/
 	$(GO) test -fuzz=FuzzStrategyDecision -fuzztime=30s ./internal/strategy/
 	$(GO) test -fuzz=FuzzQuoteRequest -fuzztime=30s ./internal/serve/
@@ -92,25 +95,28 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # The committed performance record (BENCH.json): singles (ns/op,
-# allocs/op) for the core operations and the quote hot path, legacy vs
-# shipped speedups, instrumented-vs-Noop overheads (macro budget
-# < 5%), and the quote p99 sample. Commit the refreshed record after
-# an intentional performance change; DESIGN.md §10 lists its gates.
+# allocs/op) for the core operations and the quote hot path, the Table 3
+# trace-memo speedup, the fleet run and the client's market step as
+# multiples of a sort yardstick, instrumented-vs-Noop overheads (macro
+# budget < 5%), and the quote p99 sample. Commit the refreshed record
+# after an intentional performance change; DESIGN.md §10 lists its
+# gates.
 bench-record:
 	$(GO) run ./cmd/perfgate -out BENCH.json
 
-# Struct-of-arrays fleet engine benchmarks (in-package: SoA run, the
-# same fleet ticked slot by slot, and the array-of-structs reference
-# twin, allocs reported). The committed fleet-scale numbers live in
-# BENCH.json (lanes.fleet_tick and the lanes.fleet speedup) and are
-# enforced by `make check` through perfgate's ratio + min-speedup
-# gates.
+# Struct-of-arrays fleet engine benchmarks (in-package: the lane-major
+# run and the same fleet ticked slot by slot, allocs reported). The
+# committed fleet numbers live in BENCH.json (the lanes.fleet_tick
+# single and the lanes.fleet_run pair); `make check` holds the pair
+# under its ceiling through perfgate.
 bench-lanes:
 	$(GO) test -bench 'BenchmarkFleet' -benchmem ./internal/lanes/
 
 # Perf regression gate, part of `make check`: a quick re-measure held
-# to the committed BENCH.json — speedup ratios, allocation ceilings,
-# and the 0-alloc quote path and flight-recorder emit.
+# to the committed BENCH.json and to perfgate's constant ceilings — the
+# trace-memo speedup ratio, the fleet run's and market step's ratios to
+# the sort yardstick, allocation ceilings, and the 0-alloc quote path
+# and flight-recorder emit.
 perfgate:
 	$(GO) run ./cmd/perfgate -quick -gate BENCH.json
 

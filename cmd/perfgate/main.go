@@ -1,23 +1,22 @@
 // Command perfgate measures the hot paths the paper's §7 evaluation
 // runs through and holds them to the committed record, BENCH.json.
-// The record has one schema in four parts:
+// The record has one schema in five parts:
 //
 //   - singles: the shipped implementation's ns/op, allocs/op and B/op
 //     for the region tick, the client's monitored per-slot market step,
 //     the Prop. 5 bid, the Table 3 macro run, the 10⁴-lane fleet run,
 //     and each hot branch of the quote server;
-//   - speedups: the legacy implementation of an operation against the
-//     shipped one — the per-slot ECDF rebuild against the incremental
-//     window, the region + tracker fleet replay against the lanes
-//     engine, Table 3 with the trace memo off against on;
+//   - speedups: Table 3 with the trace memo off against on;
+//   - normalized: the 2,000-lane fleet run and the client's per-slot
+//     market step, each timed as a multiple of a sort yardstick that
+//     runs no repository code;
 //   - overheads: the Noop default against a live metrics registry,
 //     flight recorder or tsdb scrape plane, for micro operations and
 //     end-to-end runs;
 //   - quote: served-quote throughput and a wall-clock p99 sample, kept
 //     for trend-watching and not gated (both depend on the machine).
 //
-// Every gate (see check) is a ratio or an allocation count, so a record
-// measured on one machine constrains a run on any other.
+// Every gate (see check) is a ratio or an allocation count.
 //
 // Usage:
 //
@@ -30,6 +29,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -43,9 +44,6 @@ const (
 	// may worsen, relative to the committed ratio, before the gate
 	// fails.
 	ratioTolerance = 0.10
-	// minSpeedup is the acceptance bar of the market.slot_ecdf and
-	// lanes.fleet speedups.
-	minSpeedup = 2.0
 	// minMemoSpeedup: Table 3 with a warm trace memo must be no slower
 	// than with the memo off, and must allocate less.
 	minMemoSpeedup = 1.0
@@ -58,6 +56,11 @@ const (
 	// maxMacroOverheadPct is the end-to-end budget of instrumentation
 	// (metrics, flight recorder, tsdb scrape) over the Noop default.
 	maxMacroOverheadPct = 5.0
+	// maxFleetRunRatio and maxMarketStepRatio cap the normalized
+	// pairs' median ratios in both modes: each is 1.5× its median over
+	// 40 quick runs on a 2-vCPU Xeon VM (DESIGN.md §10).
+	maxFleetRunRatio   = 1.468
+	maxMarketStepRatio = 0.003926
 )
 
 // Measurement sizes for the full record and for -quick.
@@ -73,8 +76,14 @@ const (
 	// much faster.
 	quickReps      = 3
 	quickBenchtime = "50ms"
+	// normalizedReps is the normalized pairs' rep count in both modes:
+	// with three, one rep that a burst of load hit on one side only
+	// could move the median ratio by half.
+	normalizedReps = 7
 	// fleetLanes sizes the lanes.fleet_tick single. The record is
-	// fleet-scale; the CI re-measure needs far fewer lanes.
+	// fleet-scale; the CI re-measure needs far fewer lanes, and the
+	// lanes.fleet_run pair runs that many in both modes, so that one
+	// ceiling holds both.
 	fleetLanes, quickFleetLanes = 10_000, 2_000
 	// p99Samples is how many served quotes the p99 is taken over.
 	p99Samples, quickP99Samples = 200_000, 20_000
@@ -105,6 +114,18 @@ type Speedup struct {
 	Ratio        float64 `json:"ratio"`
 }
 
+// Normalized times an operation against the sort yardstick, rep by
+// rep at GOMAXPROCS 1, so the fleet run's shard count stays out of the
+// ratio. Ratio is the median over reps of the operation's ns/op over
+// the yardstick's in the same rep; the two Results are each side's
+// fastest rep.
+type Normalized struct {
+	Name      string  `json:"name"`
+	Yardstick Result  `json:"yardstick"`
+	Op        Result  `json:"op"`
+	Ratio     float64 `json:"ratio"`
+}
+
 // Overhead compares an operation under the Noop default against the
 // same operation instrumented. DeltaNsPerOp is the median of the
 // per-rep paired differences (instrumented − noop). Micro pairs
@@ -132,10 +153,11 @@ type Quote struct {
 
 // Report is the BENCH.json document.
 type Report struct {
-	Singles   []Result   `json:"singles"`
-	Speedups  []Speedup  `json:"speedups"`
-	Overheads []Overhead `json:"overheads"`
-	Quote     Quote      `json:"quote"`
+	Singles    []Result     `json:"singles"`
+	Speedups   []Speedup    `json:"speedups"`
+	Normalized []Normalized `json:"normalized"`
+	Overheads  []Overhead   `json:"overheads"`
+	Quote      Quote        `json:"quote"`
 }
 
 // run benchmarks fn once, from a trace memo reset to one canonical
@@ -179,19 +201,19 @@ func single(name string, fn func(*testing.B), reps int) Result {
 	return r
 }
 
-// pair measures two implementations of one operation as a
-// paired-difference design: each rep runs both sides back to back,
-// alternating which goes first, so both land in the same thermal and
-// frequency window, and delta is the median of the per-rep
-// differences (b − a, in ns/op). Fastest-of-N on each side
-// independently is biased on a drifting machine — each side's best
-// window is a different window; pairing cancels the drift, and the
-// median sheds reps that a background process polluted. The returned
-// per-side results are each side's fastest rep.
-func pair(name, aSide, bSide string, a, b func(*testing.B), reps int) (ra, rb Result, delta float64) {
+// pair measures two operations as a paired design: each rep runs both
+// sides back to back, alternating which goes first, so both land in
+// the same thermal and frequency window, and the result is the median
+// over reps of stat(a's ns/op, b's ns/op) — a difference or a ratio.
+// Fastest-of-N on each side independently is biased on a drifting
+// machine — each side's best window is a different window; pairing
+// cancels the drift, and the median sheds reps that a background
+// process polluted. The returned per-side results are each side's
+// fastest rep.
+func pair(name, aSide, bSide string, a, b func(*testing.B), reps int, stat func(a, b float64) float64) (ra, rb Result, median float64) {
 	ra, rb = Result{Name: name + "/" + aSide}, Result{Name: name + "/" + bSide}
-	deltas := make([]float64, reps)
-	for i := range deltas {
+	stats := make([]float64, reps)
+	for i := range stats {
 		var x, y testing.BenchmarkResult
 		if i%2 == 0 {
 			x, y = run(ra.Name, a), run(rb.Name, b)
@@ -199,23 +221,43 @@ func pair(name, aSide, bSide string, a, b func(*testing.B), reps int) (ra, rb Re
 			y, x = run(rb.Name, b), run(ra.Name, a)
 		}
 		ra, rb = better(ra, x, i == 0), better(rb, y, i == 0)
-		deltas[i] = nsPerOp(y) - nsPerOp(x)
+		stats[i] = stat(nsPerOp(x), nsPerOp(y))
 	}
-	sort.Float64s(deltas)
-	return ra, rb, deltas[reps/2] // the median: every reps constant is odd
+	sort.Float64s(stats)
+	return ra, rb, stats[reps/2] // every reps constant is odd
 }
 
+func delta(a, b float64) float64 { return b - a }
+
 func speedup(name string, macro bool, baseline, optimized func(*testing.B), reps int) Speedup {
-	a, b, delta := pair(name, "baseline", "optimized", baseline, optimized, reps)
-	return Speedup{Name: name, Macro: macro, Baseline: a, Optimized: b, DeltaNsPerOp: -delta,
+	a, b, d := pair(name, "baseline", "optimized", baseline, optimized, reps, delta)
+	return Speedup{Name: name, Macro: macro, Baseline: a, Optimized: b, DeltaNsPerOp: -d,
 		SpeedupX: a.NsPerOp / b.NsPerOp, Ratio: b.NsPerOp / a.NsPerOp}
 }
 
+// normalizedGates are the operations timed against the sort
+// yardstick, each with the ceiling on its median ratio.
+var normalizedGates = []struct {
+	name    string
+	op      func(*testing.B)
+	ceiling float64
+}{
+	{"lanes.fleet_run", fleetRun(quickFleetLanes), maxFleetRunRatio},
+	{"client.market_step", benchMarket, maxMarketStepRatio},
+}
+
+// normalized pairs op with the sort yardstick at GOMAXPROCS 1.
+func normalized(name string, op func(*testing.B), reps int) Normalized {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	y, o, ratio := pair(name, "yardstick", "op", yardstick, op, reps, func(y, o float64) float64 { return o / y })
+	return Normalized{Name: name, Yardstick: y, Op: o, Ratio: ratio}
+}
+
 func overhead(name string, macro bool, noop, instrumented func(*testing.B), reps int) Overhead {
-	a, b, delta := pair(name, "noop", "instrumented", noop, instrumented, reps)
-	o := Overhead{Name: name, Macro: macro, Noop: a, Instrumented: b, DeltaNsPerOp: delta}
+	a, b, d := pair(name, "noop", "instrumented", noop, instrumented, reps, delta)
+	o := Overhead{Name: name, Macro: macro, Noop: a, Instrumented: b, DeltaNsPerOp: d}
 	if macro {
-		o.OverheadPct = 100 * delta / a.NsPerOp
+		o.OverheadPct = 100 * d / a.NsPerOp
 	}
 	return o
 }
@@ -238,12 +280,13 @@ func measure(quick bool) (Report, error) {
 			single("lanes.fleet_tick", fleetRun(lanesN), n),
 		},
 		Speedups: []Speedup{
-			speedup("market.slot_ecdf", false, slotECDFBaseline, slotECDFOptimized, n),
-			speedup("lanes.fleet", false, fleetBaseline, fleetRun(fleetPairLanes), n),
 			speedup("experiments.table3", true, table3Baseline, table3Optimized, n),
 		},
-		Overheads: overheads(oReps, quick),
 	}
+	for _, g := range normalizedGates {
+		rep.Normalized = append(rep.Normalized, normalized(g.name, g.op, normalizedReps))
+	}
+	rep.Overheads = overheads(oReps, quick)
 	singles, quote, err := quotes(n, samples)
 	if err != nil {
 		return Report{}, err
@@ -301,18 +344,23 @@ func check(fresh Report, committed *Report, quick bool) []string {
 		}
 	}
 	for _, s := range fresh.Speedups {
-		switch s.Name {
-		case "market.slot_ecdf", "lanes.fleet":
-			if s.SpeedupX < minSpeedup {
-				fail("%s: speedup %.2fx is below the %gx bar", s.Name, s.SpeedupX, minSpeedup)
-			}
-		case "experiments.table3":
-			if s.SpeedupX < minMemoSpeedup {
-				fail("%s: trace memo speedup %.2fx is below %gx", s.Name, s.SpeedupX, minMemoSpeedup)
-			}
-			if s.Optimized.AllocsPerOp >= s.Baseline.AllocsPerOp {
-				fail("%s: trace memo allocs/op did not drop (%d -> %d)", s.Name, s.Baseline.AllocsPerOp, s.Optimized.AllocsPerOp)
-			}
+		if s.Name != "experiments.table3" {
+			continue
+		}
+		if s.SpeedupX < minMemoSpeedup {
+			fail("%s: trace memo speedup %.2fx is below %gx", s.Name, s.SpeedupX, minMemoSpeedup)
+		}
+		if s.Optimized.AllocsPerOp >= s.Baseline.AllocsPerOp {
+			fail("%s: trace memo allocs/op did not drop (%d -> %d)", s.Name, s.Baseline.AllocsPerOp, s.Optimized.AllocsPerOp)
+		}
+	}
+	for _, g := range normalizedGates {
+		i := slices.IndexFunc(fresh.Normalized, func(n Normalized) bool { return n.Name == g.name })
+		switch {
+		case i < 0:
+			fail("%s: normalized pair not measured", g.name)
+		case fresh.Normalized[i].Ratio > g.ceiling:
+			fail("%s: median ratio %.4g to the sort yardstick exceeds the ceiling %g", g.name, fresh.Normalized[i].Ratio, g.ceiling)
 		}
 	}
 	for _, o := range fresh.Overheads {
@@ -366,6 +414,10 @@ func show(rep Report, committed *Report) {
 	for _, s := range rep.Speedups {
 		fmt.Printf("%-28s baseline %14.1f ns/op   optimized %14.1f ns/op   speedup %5.2fx   allocs %d -> %d\n",
 			s.Name, s.Baseline.NsPerOp, s.Optimized.NsPerOp, s.SpeedupX, s.Baseline.AllocsPerOp, s.Optimized.AllocsPerOp)
+	}
+	for i, n := range rep.Normalized {
+		fmt.Printf("%-28s yardstick %13.1f ns/op   op %14.1f ns/op   median ratio %.4g   ceiling %g\n",
+			n.Name, n.Yardstick.NsPerOp, n.Op.NsPerOp, n.Ratio, normalizedGates[i].ceiling)
 	}
 	for _, o := range rep.Overheads {
 		fmt.Printf("%-28s noop %14.1f ns/op   instrumented %14.1f ns/op   ", o.Name, o.Noop.NsPerOp, o.Instrumented.NsPerOp)

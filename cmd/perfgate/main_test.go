@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -44,6 +45,16 @@ func singleIn(t *testing.T, rep *Report, name string) *Result {
 	return nil
 }
 
+func normalizedIn(t *testing.T, rep *Report, name string) *Normalized {
+	for i := range rep.Normalized {
+		if rep.Normalized[i].Name == name {
+			return &rep.Normalized[i]
+		}
+	}
+	t.Fatalf("no normalized pair %s in the record", name)
+	return nil
+}
+
 func overheadIn(t *testing.T, rep *Report, name string) *Overhead {
 	for i := range rep.Overheads {
 		if rep.Overheads[i].Name == name {
@@ -64,6 +75,16 @@ func TestCheckCatchesEachGate(t *testing.T) {
 			s := speedupIn(t, fresh, name)
 			s.Ratio *= 1.11
 			s.SpeedupX /= 1.11
+		}
+	}
+	overCeiling := func(name string, ceiling float64) mutation {
+		return func(t *testing.T, fresh, _ *Report) {
+			normalizedIn(t, fresh, name).Ratio = ceiling * 1.001
+		}
+	}
+	notMeasured := func(name string) mutation {
+		return func(t *testing.T, fresh, _ *Report) {
+			fresh.Normalized = slices.DeleteFunc(fresh.Normalized, func(n Normalized) bool { return n.Name == name })
 		}
 	}
 	speedupOf := func(name string, x float64) mutation {
@@ -90,11 +111,11 @@ func TestCheckCatchesEachGate(t *testing.T) {
 		quick  bool
 		want   string
 	}{
-		{"slot_ecdf ratio +11%", slower("market.slot_ecdf"), false, "market.slot_ecdf: ratio"},
-		{"lanes.fleet ratio +11%", slower("lanes.fleet"), false, "lanes.fleet: ratio"},
 		{"table3 ratio +11%", slower("experiments.table3"), false, "experiments.table3: ratio"},
-		{"slot_ecdf below 2x", speedupOf("market.slot_ecdf", 1.99), false, "market.slot_ecdf: speedup 1.99x"},
-		{"lanes.fleet below 2x", speedupOf("lanes.fleet", 1.99), false, "lanes.fleet: speedup 1.99x"},
+		{"fleet_run over its ceiling", overCeiling("lanes.fleet_run", maxFleetRunRatio), true, "lanes.fleet_run: median ratio"},
+		{"market_step over its ceiling", overCeiling("client.market_step", maxMarketStepRatio), true, "client.market_step: median ratio"},
+		{"fleet_run not measured", notMeasured("lanes.fleet_run"), true, "lanes.fleet_run: normalized pair not measured"},
+		{"market_step not measured", notMeasured("client.market_step"), true, "client.market_step: normalized pair not measured"},
 		{"table3 memo ratio > 1", speedupOf("experiments.table3", 0.99), false, "experiments.table3: trace memo speedup"},
 		{"table3 memo allocs not lower", func(t *testing.T, fresh, _ *Report) {
 			s := speedupIn(t, fresh, "experiments.table3")
@@ -118,8 +139,8 @@ func TestCheckCatchesEachGate(t *testing.T) {
 		{"macro overhead 5.01%", macroOverhead, false, "experiments.servedrill+tsdb: macro overhead +5.01%"},
 		{"macro overhead 5.01% in quick mode", macroOverhead, true, ""},
 		{"committed speedup not measured", func(t *testing.T, fresh, _ *Report) {
-			fresh.Speedups = fresh.Speedups[:1]
-		}, false, "lanes.fleet: speedup in the committed record but not measured"},
+			fresh.Speedups = nil
+		}, false, "experiments.table3: speedup in the committed record but not measured"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -105,69 +107,14 @@ func benchMarket(b *testing.B) {
 	}
 }
 
-// benchPrices returns the benchmark trace's raw price series.
-func benchPrices(b *testing.B) []float64 {
+// benchPersistentBid: the Prop. 5 optimal persistent bid against a
+// fixed two-month ECDF.
+func benchPersistentBid(b *testing.B) {
 	tr, err := trace.Generate(instances.R3XLarge, trace.GenOptions{Days: benchDays, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tr.Prices
-}
-
-// evalMarket prices the §7.1 persistent job against an ECDF — the
-// shared downstream work of both slot_ecdf arms.
-func evalMarket(b *testing.B, e *dist.Empirical) {
-	m := core.Market{Price: e, OnDemand: 0.35}
-	if _, err := m.PersistentBid(core.Job{Exec: 1, Recovery: timeslot.Seconds(30)}); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// slotECDFBaseline is the legacy per-slot market evaluation: rebuild
-// the two-month empirical distribution from scratch (copy + sort +
-// moments + histogram) every slot, then bid.
-func slotECDFBaseline(b *testing.B) {
-	prices := benchPrices(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hi := historySlots + i%(len(prices)-historySlots)
-		e, err := dist.NewEmpirical(prices[hi-historySlots:hi], 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		evalMarket(b, e)
-	}
-}
-
-// slotECDFOptimized is the shipped path: push the one new price into
-// the incremental windowed ECDF, snapshot, and bid.
-func slotECDFOptimized(b *testing.B) {
-	prices := benchPrices(b)
-	win, err := dist.NewWindowedECDF(historySlots, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := win.Fill(prices[:historySlots]); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := win.Push(prices[historySlots+i%(len(prices)-historySlots)]); err != nil {
-			b.Fatal(err)
-		}
-		e, err := win.Snapshot(0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		evalMarket(b, e)
-	}
-}
-
-// benchPersistentBid: the Prop. 5 optimal persistent bid against a
-// fixed two-month ECDF.
-func benchPersistentBid(b *testing.B) {
-	prices := benchPrices(b)
-	e, err := dist.NewEmpirical(prices[:historySlots], 0)
+	e, err := dist.NewEmpirical(tr.Prices[:historySlots], 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -230,11 +177,6 @@ func fleetConfig(lanesN int) lanes.Config {
 	}
 }
 
-// fleetPairLanes sizes the lanes.fleet pair: small enough that the
-// legacy side finishes in a sane benchtime, large enough that both
-// sides spend their time in the simulation.
-const fleetPairLanes = 256
-
 // fleetRun is the shipped struct-of-arrays engine end to end at
 // lanesN lanes: market build (shared live-window quote grid) plus the
 // sharded lane-major run over every lane × slot.
@@ -253,17 +195,20 @@ func fleetRun(lanesN int) func(*testing.B) {
 	}
 }
 
-// fleetBaseline is the legacy per-client machinery at the pair's
-// scale: one region carrying every request/instance object, a full
-// tracker sweep per slot, one O(n log n) ECDF snapshot per lane
-// quote. TestReferenceEquivalence pins the two sides byte-identical.
-func fleetBaseline(b *testing.B) {
-	cfg := fleetConfig(fleetPairLanes)
+// yardstick copies 65,536 float64 values drawn from a fixed seed and
+// sorts the copy with slices.Sort: a fixed amount of CPU work that runs
+// no repository code, so no change to the repository moves it. The
+// normalized gates time their operations as multiples of it.
+func yardstick(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	src, xs := make([]float64, 1<<16), make([]float64, 1<<16)
+	for i := range src {
+		src[i] = r.Float64()
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lanes.RunReference(cfg); err != nil {
-			b.Fatal(err)
-		}
+		copy(xs, src)
+		slices.Sort(xs)
 	}
 }
 

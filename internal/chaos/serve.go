@@ -179,6 +179,28 @@ func (s ServeSchedule) GoString() string {
 	return b.String()
 }
 
+// DrillSchedule is the canonical serving-fault timeline that serve's
+// e2e drill and the serve drill experiment run: a feed stall long
+// enough to walk the ladder down to refuse, build failures that hold
+// recovery back (and trip the watchdog), skewed client clocks, a
+// delayed swap, and a price spike that poisons the window until Eq. 14
+// genuinely fails. The drill adds a request burst at slot 210, which
+// is not a fault but serve.DrillConfig.BurstSlot:
+//
+//	slots 60–139   feed stall        → fresh → stale → refuse
+//	slots 144–167  build failures    → recovery held back, watchdog trips
+//	slot  200–203  client clock skew → deadline sheds
+//	slot  210      request burst     → capacity sheds (DrillConfig)
+//	slot  240      delayed swap      → lands at 248, versions stay monotone
+//	slots 260–419  price spike ×20   → Eq. 14 infeasibility refused
+var DrillSchedule = ServeSchedule{
+	{Slot: 60, Kind: ServeFeedStall, Slots: 80},
+	{Slot: 144, Kind: ServeBuildFail, Slots: 24},
+	{Slot: 200, Kind: ServeClockSkew, Slots: 4},
+	{Slot: 240, Kind: ServeBuildDelay, Slots: 1},
+	{Slot: 260, Kind: ServePriceSpike, Slots: 160},
+}
+
 // ServeStats counts delivered serving faults, by kind of consultation
 // that hit an active episode.
 type ServeStats struct {

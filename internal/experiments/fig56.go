@@ -76,13 +76,20 @@ type cell struct {
 	market core.Market
 }
 
-// cellWindows recycles the cells' price-monitor windows, ~460 KB each
-// once PartialMean has built its prefix sums. A cell reads its window
-// only while its step runs: reports and decisions keep core.Bid values,
-// never the window, and Fill plus the lazy rebuilds overwrite every
-// field a query reads. So sweepCells returns each window when its
-// cell's step returns, and a later cell refills it.
-var cellWindows sync.Pool
+// cellWindows is a free list of the cells' price-monitor windows,
+// ~460 KB each once PartialMean has built its prefix sums. A cell reads
+// its window only while its step runs: reports and decisions keep
+// core.Bid values, never the window, and Fill plus the lazy rebuilds
+// overwrite every field a query reads. So sweepCells returns each
+// window when its cell's step returns, and a later cell refills it. A
+// window enters the list only when the cell that took it out or built
+// it returns, so the list never holds more windows than cells ran at
+// once; and unlike a sync.Pool, which a GC empties, it keeps them from
+// one sweep to the next.
+var cellWindows struct {
+	sync.Mutex
+	free []*dist.WindowedECDF
+}
 
 // sweepCells runs step on every (type, run) cell of the §7.1 sweep
 // through one worker pool. A cell's trace seed and its submit offset
@@ -110,7 +117,7 @@ func sweepCells(o Opts, step func(ti, run int, c *cell) error) error {
 // builds the client's clean-path F_π estimate at the submit slot: the
 // two-month window Region.PriceHistory returns there, Filled into a
 // windowed ECDF sized as the price monitor sizes it. The window comes
-// from cellWindows when one of that size is free.
+// from cellWindows when the one last returned there has that size.
 func newCell(typ instances.Type, gen trace.GenOptions, submit int) (*cell, error) {
 	spec, err := instances.Lookup(typ)
 	if err != nil {
@@ -126,7 +133,14 @@ func newCell(typ instances.Type, gen trace.GenOptions, submit int) (*cell, error
 		return nil, err
 	}
 	capacity := max(min(tr.Grid.CeilSlots(client.DefaultHistoryWindow), tr.Len()), 1)
-	win, _ := cellWindows.Get().(*dist.WindowedECDF)
+	var win *dist.WindowedECDF
+	cellWindows.Lock()
+	if n := len(cellWindows.free); n > 0 {
+		win = cellWindows.free[n-1]
+		cellWindows.free[n-1] = nil
+		cellWindows.free = cellWindows.free[:n-1]
+	}
+	cellWindows.Unlock()
 	if win == nil || win.Cap() != capacity {
 		if win, err = dist.NewWindowedECDF(capacity, 0); err != nil {
 			return nil, err
@@ -143,7 +157,9 @@ func newCell(typ instances.Type, gen trace.GenOptions, submit int) (*cell, error
 // release returns the cell's window to cellWindows. The cell's market
 // view is unusable afterwards.
 func (c *cell) release() {
-	cellWindows.Put(c.win)
+	cellWindows.Lock()
+	cellWindows.free = append(cellWindows.free, c.win)
+	cellWindows.Unlock()
 	c.win, c.market.Price = nil, nil
 }
 

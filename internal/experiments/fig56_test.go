@@ -3,11 +3,14 @@ package experiments
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/client"
 	"repro/internal/cloud"
+	"repro/internal/dist"
 	"repro/internal/strategy"
 	"repro/internal/trace"
 )
@@ -153,5 +156,39 @@ func TestMemoHoldsDefaultSweep(t *testing.T) {
 	}
 	if misses != misses5 {
 		t.Errorf("Figure 6 regenerated %d traces Figure 5 had generated", misses-misses5)
+	}
+}
+
+// TestCellWindowsSurviveGC runs Figure 5, collects garbage twice, and
+// runs it again. At GOMAXPROCS 1 one cell runs at a time, so each cell
+// of the second run must take the window the cell before it returned:
+// every window on the free list afterwards was there before. A
+// sync.Pool, which two collections empty, made the second run build a
+// new window.
+func TestCellWindowsSurviveGC(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	free := func() []*dist.WindowedECDF {
+		cellWindows.Lock()
+		defer cellWindows.Unlock()
+		return slices.Clone(cellWindows.free)
+	}
+	o := Opts{Seed: 1, Runs: 3}
+	if _, err := Figure5(o); err != nil {
+		t.Fatal(err)
+	}
+	before := free()
+	if len(before) == 0 {
+		t.Fatal("Figure 5 returned no window to the free list")
+	}
+	runtime.GC()
+	runtime.GC()
+	if _, err := Figure5(o); err != nil {
+		t.Fatal(err)
+	}
+	after := free()
+	for _, w := range after {
+		if !slices.Contains(before, w) {
+			t.Fatalf("the second Figure 5 built a new window: %d windows on the free list before it, %d after", len(before), len(after))
+		}
 	}
 }

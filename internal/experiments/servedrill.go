@@ -58,33 +58,12 @@ type ServeOutcomeRow struct {
 	Count   uint64
 }
 
-// serveDrillInjector converts the canonical drill timeline into a
-// chaos schedule.
-func serveDrillInjector() (*chaos.ServeInjector, error) {
-	kinds := map[string]chaos.ServeFaultKind{
-		"feed-stall":  chaos.ServeFeedStall,
-		"build-fail":  chaos.ServeBuildFail,
-		"build-delay": chaos.ServeBuildDelay,
-		"clock-skew":  chaos.ServeClockSkew,
-		"price-spike": chaos.ServePriceSpike,
-	}
-	var sched chaos.ServeSchedule
-	for _, f := range serve.DefaultDrillFaults() {
-		k, ok := kinds[f.Kind]
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown drill fault kind %q", f.Kind)
-		}
-		sched = append(sched, chaos.ServeFaultAt{Slot: f.Slot, Kind: k, Slots: f.Slots})
-	}
-	return chaos.NewServeSchedule(sched)
-}
-
 // ServeDrillRun executes the drill and its replay and verifies the
 // invariants.
 func ServeDrillRun(o Opts) (ServeDrillResult, error) {
 	o = o.withDefaults()
 	run := func(metered bool) (*serve.DrillResult, error) {
-		inj, err := serveDrillInjector()
+		inj, err := chaos.NewServeSchedule(chaos.DrillSchedule)
 		if err != nil {
 			return nil, err
 		}

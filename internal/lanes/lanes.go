@@ -346,7 +346,8 @@ func NewEngine(markets []Market, lanes []Lane) (*Engine, error) {
 
 // laneParams derives lane i's immutable parameters from its RNG
 // stream. Draw order is part of the determinism contract (stagger,
-// then bid spread); the reference engine replays the same function.
+// then bid spread); TestQuoteGridMatchesSnapshots replays the same
+// function to check every lane's bid against a fresh snapshot quote.
 func laneParams(cfg Config, i, maxStagger, markets int) (market int, kind uint8, start int, bidF float64) {
 	r := newLaneRNG(cfg.Seed, i)
 	market = i % markets

@@ -639,42 +639,19 @@ func resumePoints(t *testing.T, cfg Config) map[string]int {
 	return points
 }
 
-// TestReferenceEquivalence pins the SoA engine against its
-// array-of-structs twin: same config, byte-identical report. The twin
-// recomputes every quote from a fresh ECDF snapshot, so this also
-// re-proves the live-window quote grid equals the legacy rebuild. It
-// runs at the test window and at a 1e300-hour window, more slots than
-// an int holds, which both engines must read as the whole horizon.
-func TestReferenceEquivalence(t *testing.T) {
-	for _, window := range []timeslot.Hours{testConfig().Window, 1e300} {
-		cfg := testConfig()
-		cfg.Window = window
-		render, jsonRep, _ := fleetBytes(t, cfg, false)
-		ref, err := RunReference(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ref.Render(); got != render {
-			t.Errorf("window %v h: reference Render diverged:\n%s\nvs\n%s", float64(window), got, render)
-		}
-		if got := ref.JSON(); !bytes.Equal(got, jsonRep) {
-			t.Errorf("window %v h: reference JSON diverged:\n%s\nvs\n%s", float64(window), got, jsonRep)
-		}
-	}
-}
-
 // TestQuoteGridMatchesSnapshots proves the live-window quote grid
 // directly. The first shape is cmd/perfgate's fleetConfig: two markets,
 // 61 days, a 240-hour window and daily quotes. The others, with fewer
 // lanes, vary what buildMarket slides into its window per epoch:
 // i.i.d. prices (DwellSlots 1, so no runs), the default 61-day window
 // (capacity = horizon, never evicting), a stride that does not divide
-// the window (QuoteEvery 100), and epochs longer than a 4-hour window
-// (every batch replaces the window). At every quote epoch, the grid's
-// one-time and persistent quotes must equal OneTimeBid and
-// PersistentBid on a fresh NewEmpirical of the window's live samples at
-// that slot, bit for bit, and every lane New builds must bid its
-// epoch's snapshot quote times its spread.
+// the window (QuoteEvery 100), epochs longer than a 4-hour window
+// (every batch replaces the window), and a 1e300-hour window, more
+// slots than an int holds, which must read as the whole horizon. At
+// every quote epoch, the grid's one-time and persistent quotes must
+// equal OneTimeBid and PersistentBid on a fresh NewEmpirical of the
+// window's live samples at that slot, bit for bit, and every lane New
+// builds must bid its epoch's snapshot quote times its spread.
 func TestQuoteGridMatchesSnapshots(t *testing.T) {
 	fleet := Config{
 		Types:      []instances.Type{instances.R3XLarge, instances.C34XL},
@@ -695,6 +672,7 @@ func TestQuoteGridMatchesSnapshots(t *testing.T) {
 		{"default 61-day window", func(c *Config) { c.Window = 0 }},
 		{"stride 100", func(c *Config) { c.QuoteEvery = 100 }},
 		{"epochs longer than the window", func(c *Config) { c.Window, c.QuoteEvery = 4, 96 }},
+		{"a 1e300-hour window", func(c *Config) { c.Window = 1e300 }},
 	}
 	grid := timeslot.NewGrid(timeslot.DefaultSlot)
 	for i, sh := range shapes {
@@ -887,20 +865,5 @@ func BenchmarkFleetTick(b *testing.B) {
 			b.Fatal(err)
 		}
 		tickToEnd(b, e)
-	}
-}
-
-// BenchmarkFleetReference measures the legacy per-client machinery
-// (region + tracker sweep + snapshot quotes) at the same scale — the
-// lanes.fleet speedup in cmd/perfgate is the ratio of these two.
-func BenchmarkFleetReference(b *testing.B) {
-	cfg := benchConfig(512)
-	trace.ResetMemo()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunReference(cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

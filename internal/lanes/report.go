@@ -71,30 +71,19 @@ type Report struct {
 // Report reduces the lane arrays into the fleet summary. Serial and
 // in lane-index order by construction — never called from a shard.
 func (e *Engine) Report() *Report {
-	return reduceReport(e.markets, e.horizon, e.N(), func(i int) (int, uint8, job.Outcome, bool) {
-		return int(e.market[i]), e.kind[i], e.Outcome(i), e.status[i] == laneFailed
-	})
-}
-
-// reduceReport folds per-lane outcomes into the fleet report. One
-// shared implementation — the engine and the legacy reference both
-// reduce through it, in lane-index order with identical float
-// accumulation, so a byte-level report comparison tests only the
-// simulations.
-func reduceReport(markets []marketData, horizon, n int, lane func(i int) (market int, kind uint8, out job.Outcome, failed bool)) *Report {
-	rows := make([]Row, len(markets)*2)
+	rows := make([]Row, len(e.markets)*2)
 	for i := range rows {
-		rows[i].Type = markets[i/2].typ
+		rows[i].Type = e.markets[i/2].typ
 		rows[i].Kind = kindName(uint8(i % 2))
 	}
-	for i := 0; i < n; i++ {
-		mi, kind, out, failed := lane(i)
-		r := &rows[mi*2+int(kind)]
+	for i := 0; i < e.N(); i++ {
+		out := e.Outcome(i)
+		r := &rows[int(e.market[i])*2+int(e.kind[i])]
 		r.Lanes++
 		if out.Completed {
 			r.Completed++
 		}
-		if failed {
+		if e.status[i] == laneFailed {
 			r.Failed++
 		}
 		r.Interruptions += out.Interruptions
@@ -103,12 +92,12 @@ func reduceReport(markets []marketData, horizon, n int, lane func(i int) (market
 		r.IdleHours += float64(out.IdleTime)
 		r.RecoveryHours += float64(out.RecoveryTime)
 	}
-	rep := &Report{Lanes: n, Horizon: horizon}
+	rep := &Report{Lanes: e.N(), Horizon: e.horizon}
 	for i := range rows {
 		r := &rows[i]
 		if r.RunHours > 0 {
 			r.PricePerRunHour = r.Cost / r.RunHours
-			if od := markets[i/2].onDemand; od > 0 {
+			if od := e.markets[i/2].onDemand; od > 0 {
 				r.OnDemandRatio = r.PricePerRunHour / od
 			}
 		}

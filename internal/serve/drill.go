@@ -322,38 +322,3 @@ func Drill(cfg DrillConfig) (*DrillResult, error) {
 	}
 	return res, nil
 }
-
-// DefaultDrillSchedule is the canonical fault timeline the e2e drill
-// and the serve experiment run: a feed stall long enough to walk the
-// ladder down to refuse, build failures that hold recovery back (and
-// trip the watchdog), a delayed swap, skewed client clocks, a
-// capacity burst (paired with DrillConfig.BurstSlot), and a price
-// spike that poisons the window until Eq. 14 genuinely fails. It is
-// expressed as plain data so callers without the chaos package can
-// still read the timeline; chaos.NewServeSchedule consumes the same
-// shape.
-//
-//	slots 60–139   feed stall        → fresh → stale → refuse
-//	slots 144–167  build failures    → recovery held back, watchdog trips
-//	slot  200–203  client clock skew → deadline sheds
-//	slot  210      request burst     → capacity sheds (DrillConfig)
-//	slot  240      delayed swap      → lands at 248, versions stay monotone
-//	slots 260–419  price spike ×20   → Eq. 14 infeasibility refused
-type DrillFault struct {
-	Slot  int
-	Kind  string
-	Slots int
-}
-
-// DefaultDrillFaults returns the canonical timeline (see
-// DefaultDrillSchedule's comment). Kind strings match the
-// chaos.ServeFaultKind names.
-func DefaultDrillFaults() []DrillFault {
-	return []DrillFault{
-		{Slot: 60, Kind: "feed-stall", Slots: 80},
-		{Slot: 144, Kind: "build-fail", Slots: 24},
-		{Slot: 200, Kind: "clock-skew", Slots: 4},
-		{Slot: 240, Kind: "build-delay", Slots: 1},
-		{Slot: 260, Kind: "price-spike", Slots: 160},
-	}
-}

@@ -8,26 +8,11 @@ import (
 	"repro/internal/serve"
 )
 
-// drillSchedule converts the canonical drill timeline into a chaos
-// injector.
+// drillSchedule builds an injector that delivers the canonical drill
+// timeline, chaos.DrillSchedule.
 func drillSchedule(t *testing.T) *chaos.ServeInjector {
 	t.Helper()
-	kinds := map[string]chaos.ServeFaultKind{
-		"feed-stall":  chaos.ServeFeedStall,
-		"build-fail":  chaos.ServeBuildFail,
-		"build-delay": chaos.ServeBuildDelay,
-		"clock-skew":  chaos.ServeClockSkew,
-		"price-spike": chaos.ServePriceSpike,
-	}
-	var sched chaos.ServeSchedule
-	for _, f := range serve.DefaultDrillFaults() {
-		k, ok := kinds[f.Kind]
-		if !ok {
-			t.Fatalf("unknown drill fault kind %q", f.Kind)
-		}
-		sched = append(sched, chaos.ServeFaultAt{Slot: f.Slot, Kind: k, Slots: f.Slots})
-	}
-	inj, err := chaos.NewServeSchedule(sched)
+	inj, err := chaos.NewServeSchedule(chaos.DrillSchedule)
 	if err != nil {
 		t.Fatal(err)
 	}

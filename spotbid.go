@@ -407,14 +407,8 @@ type (
 	LanesRow    = lanes.Row
 )
 
-// Lane engine constructors. NewLanes builds the engine and its
-// live-window quote grid; RunLanesReference replays the same fleet on
-// the legacy per-client machinery (byte-identical report, for
-// verification and benchmarking).
-var (
-	NewLanes          = lanes.New
-	RunLanesReference = lanes.RunReference
-)
+// NewLanes builds the lane engine and its live-window quote grid.
+var NewLanes = lanes.New
 
 // The pluggable bidding-strategy engine (see internal/strategy): the
 // Strategy interface the client delegates every bid decision to, the
