@@ -66,8 +66,9 @@ check: fmt vet perfbench-vet no-wallclock race-obs race shuffle perfgate resilch
 # the sample and run sorts against sort.Float64s and slices.SortFunc,
 # the windowed ECDF's run-length Fill and batch Slide, the Prop. 5
 # grid's one-call-per-price-step scan against its brute-force form,
-# the Pareto transform's exp∘log fast path, and the lane kernel's
-# bulk-loop bound.
+# the Pareto transform's exp∘log fast path, the lane kernel's
+# bulk-loop bound, and the flight recorder's stored series against one
+# Emit per change.
 fuzz:
 	$(GO) test -fuzz=FuzzSearchEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzSortSample -fuzztime=30s ./internal/dist/
@@ -83,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzQuoteRequest -fuzztime=30s ./internal/serve/
 	$(GO) test -fuzz=FuzzTSDBDecode -fuzztime=30s ./internal/obs/tsdb/
 	$(GO) test -fuzz=FuzzBulkSlots -fuzztime=30s ./internal/lanes/
+	$(GO) test -fuzz=FuzzRecorderMatchesEmit -fuzztime=30s ./internal/obs/event/
 
 # Resilience smoke campaign (deterministic seed): the full default
 # fault-schedule grid plus random schedules under all five invariant
@@ -115,8 +117,9 @@ bench-lanes:
 # Perf regression gate, part of `make check`: a quick re-measure held
 # to the committed BENCH.json and to perfgate's constant ceilings — the
 # trace-memo speedup ratio, the fleet run's and market step's ratios to
-# the sort yardstick, allocation ceilings, and the 0-alloc quote path
-# and flight-recorder emit.
+# the sort yardstick, allocation ceilings, the 0-alloc quote path, and
+# the 0-alloc emit of the recorder callers build (event.NewRecorder,
+# reset every 4,096 emits).
 perfgate:
 	$(GO) run ./cmd/perfgate -quick -gate BENCH.json
 

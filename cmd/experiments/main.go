@@ -62,9 +62,7 @@ func main() {
 		opts.Metrics = obs.New()
 	}
 	if *traceOn || *traceOut != "" || isFlagSet("trace-format") {
-		// Unbounded: an experiment export wants the whole stream, not
-		// the flight recorder's overwrite-oldest window.
-		opts.Trace = event.NewRecorder(event.Config{Unbounded: true})
+		opts.Trace = event.NewRecorder()
 	}
 	if *tsdbOut != "" {
 		opts.TSDB = tsdb.New(tsdb.Config{})

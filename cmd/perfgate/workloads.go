@@ -226,23 +226,42 @@ func runs[T any](exp func(experiments.Opts) (T, error), attach func(*experiments
 	}
 }
 
+// resetEvery is how many emits or spans the recorder micro pairs
+// record between Resets: the recorder's kept storage absorbs them, so
+// the loops time steady-state appends, not slice growth.
+const resetEvery = 4096
+
+// emitLoop and spanLoop benchmark one event emit, or one span begun
+// and ended, on rec (event.Noop for the Noop side).
+func emitLoop(rec *event.Recorder) func(*testing.B) {
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if i%resetEvery == 0 {
+				rec.Reset()
+			}
+			rec.Emit(&event.Event{Slot: i, Kind: event.PriceSet, Region: "bench", Value: 0.03})
+		}
+	}
+}
+
+func spanLoop(rec *event.Recorder) func(*testing.B) {
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if i%resetEvery == 0 {
+				rec.Reset()
+			}
+			rec.EndSpan(rec.BeginSpan("bench", "job", "region", i), i+3)
+		}
+	}
+}
+
 // overheads measures the instrumented-vs-Noop pairs; quick measures
-// only event.emit.
+// only event.emit. Every recorder pair builds the recorder that
+// product callers build, event.NewRecorder(); its emits must append
+// without a single allocation.
 func overheads(reps int, quick bool) []Overhead {
-	// Bounded ring, the production flight-recorder configuration: emits
-	// must land in the preallocated arena without a single allocation.
-	ring := event.NewRecorder(event.Config{})
-	emit := overhead("event.emit", false,
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				event.Noop.Emit(&event.Event{Slot: i, Kind: event.PriceSet, Region: "bench", Value: 0.03})
-			}
-		},
-		func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ring.Emit(&event.Event{Slot: i, Kind: event.PriceSet, Region: "bench", Value: 0.03})
-			}
-		}, reps)
+	rec := event.NewRecorder()
+	emit := overhead("event.emit", false, emitLoop(event.Noop), emitLoop(rec), reps)
 	if quick {
 		return []Overhead{emit}
 	}
@@ -255,9 +274,6 @@ func overheads(reps int, quick bool) []Overhead {
 
 	noop := func(*experiments.Opts) {}
 	metered := func(o *experiments.Opts) { o.Metrics = obs.New() }
-	// Steady-state flight recorder: one bounded ring reused across
-	// runs, the always-on production configuration.
-	rec := event.NewRecorder(event.Config{})
 	return []Overhead{
 		overhead("counter.inc", false,
 			func(b *testing.B) {
@@ -293,17 +309,7 @@ func overheads(reps int, quick bool) []Overhead {
 				}
 			}, reps),
 		emit,
-		overhead("event.span", false,
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					event.Noop.EndSpan(event.Noop.BeginSpan("bench", "job", "region", i), i+3)
-				}
-			},
-			func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					ring.EndSpan(ring.BeginSpan("bench", "job", "region", i), i+3)
-				}
-			}, reps),
+		overhead("event.span", false, spanLoop(event.Noop), spanLoop(rec), reps),
 		overhead("experiments.table3", true, runs(experiments.Table3, noop), runs(experiments.Table3, metered), reps),
 		// A fresh store per run: the per-run cost includes the store,
 		// matching how the sweeps attach one.
@@ -319,6 +325,8 @@ func overheads(reps int, quick bool) []Overhead {
 				metered(o)
 				o.TSDB = tsdb.New(tsdb.Config{})
 			}), reps),
+		// One recorder, reset before each run, so a run records into the
+		// storage the runs before it kept.
 		overhead("experiments.table3+trace", true, runs(experiments.Table3, noop),
 			runs(experiments.Table3, func(o *experiments.Opts) {
 				rec.Reset()

@@ -64,7 +64,7 @@ func main() {
 	traceFormatSet := false
 	flag.Visit(func(f *flag.Flag) { traceFormatSet = traceFormatSet || f.Name == "trace-format" })
 	if *traceOn || *traceOut != "" || traceFormatSet {
-		opts.Trace = event.NewRecorder(event.Config{Unbounded: true})
+		opts.Trace = event.NewRecorder()
 	}
 	if *dynamics != "full" && *dynamics != "equilibrium" {
 		fatalf("unknown -dynamics %q (want equilibrium or full)", *dynamics)

@@ -468,7 +468,7 @@ func TestFleetExamplesPinned(t *testing.T) {
 	}
 	for _, ex := range []struct{ pkg, sha string }{
 		{"./examples/failover", "c9b0f84287f7a62a5c4b57906835f2b4cb717fa1dd90ce41b1e8f55b69441048"},
-		{"./examples/flightrecorder", "5179fcb2e7910bd0a802b1b86ffdb4ddee5e0fddb93b4ae41b4d4a962881310c"},
+		{"./examples/flightrecorder", "f126063ff4ae42f399e70299ab89c5e13d56a6779ec7dffef76ee3dd3fca7961"},
 	} {
 		sum := sha256.Sum256([]byte(runCmd(t, buildPkg(t, ex.pkg))))
 		if got := hex.EncodeToString(sum[:]); got != ex.sha {

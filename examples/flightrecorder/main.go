@@ -38,9 +38,7 @@ func main() {
 	const typ = spotbid.R3XLarge
 	const historySlots = 61 * 288 // two months of 5-minute slots
 
-	// Unbounded: a demo export wants the whole stream. Production
-	// supervisors would use the default bounded flight recorder.
-	rec := spotbid.NewRecorder(spotbid.TraceConfig{Unbounded: true})
+	rec := spotbid.NewRecorder()
 
 	members := make([]spotbid.FleetMember, *regions)
 	for i := range members {
@@ -91,8 +89,7 @@ func main() {
 	fmt.Printf("completed=%v migrations=%d escalated=%v fleet bill $%.4f\n\n",
 		rep.Outcome.Completed, rep.Migrations, rep.Escalated, rep.FleetCost)
 
-	fmt.Printf("flight recorder: %d events, %d spans (%d overwritten)\n\n",
-		rec.Len(), len(rec.Spans()), rec.Dropped())
+	fmt.Printf("flight recorder: %d events, %d spans\n\n", rec.Len(), len(rec.Spans()))
 	fmt.Println("per-slot timeline:")
 	if err := rec.WriteTimeline(os.Stdout); err != nil {
 		log.Fatal(err)

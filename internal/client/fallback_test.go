@@ -253,7 +253,7 @@ func TestFallbackSubmitExhaustedAsksDelegate(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.SetMetrics(obs.New())
-		rec := event.NewRecorder(event.Config{Unbounded: true})
+		rec := event.NewRecorder()
 		c.SetTrace(rec)
 		del := &recordingDelegate{allow: allow}
 		c.Delegate = del

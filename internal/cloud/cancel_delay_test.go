@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/instances"
+	"repro/internal/obs/event"
 	"repro/internal/trace"
 )
 
@@ -26,6 +27,8 @@ func TestCancelRacesDelayedOutbid(t *testing.T) {
 	// against a 0.04 bid. The 3-slot notice delay would land at slot 5.
 	r := region(t, []float64{0.03, 0.03, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05})
 	r.SetInjector(delayInjector{delay: 3})
+	rec := event.NewRecorder()
+	r.SetTrace(rec)
 	reqs, err := r.RequestSpotInstances(instances.R3XLarge, 0.04, Persistent, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -67,20 +70,11 @@ func TestCancelRacesDelayedOutbid(t *testing.T) {
 	if req.State != Cancelled {
 		t.Errorf("stale notice overrode the cancel: state %v", req.State)
 	}
-	var userTerms, outbids int
-	for _, ev := range r.Events() {
-		if ev.RequestID != req.ID {
-			continue
-		}
-		switch ev.Kind {
-		case EvUserTerminate:
-			userTerms++
-		case EvOutbid:
-			outbids++
-		}
+	if n := len(instancesOf(r, req)); n != 1 || req.Interruptions != 0 {
+		t.Errorf("%d instances, %d interruptions; want one instance and no out-bid", n, req.Interruptions)
 	}
-	if userTerms != 1 || outbids != 0 {
-		t.Errorf("terminations: user=%d outbid=%d, want exactly one user termination", userTerms, outbids)
+	if delayed, outbids := recorded(rec, event.OutBidDelayed, req.ID), recorded(rec, event.OutBid, req.ID); delayed != 1 || outbids != 0 {
+		t.Errorf("recorded %d delayed notices and %d out-bids, want 1 and 0", delayed, outbids)
 	}
 	if got := r.TotalCost(); got != costAtCancel {
 		t.Errorf("billing continued after cancel: %v -> %v", costAtCancel, got)
@@ -93,6 +87,8 @@ func TestCancelRacesDelayedOutbid(t *testing.T) {
 func TestDelayedOutbidLandsWithoutCancel(t *testing.T) {
 	r := region(t, []float64{0.03, 0.03, 0.05, 0.05, 0.05, 0.05, 0.05, 0.05})
 	r.SetInjector(delayInjector{delay: 3})
+	rec := event.NewRecorder()
+	r.SetTrace(rec)
 	reqs, err := r.RequestSpotInstances(instances.R3XLarge, 0.04, Persistent, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -113,13 +109,33 @@ func TestDelayedOutbidLandsWithoutCancel(t *testing.T) {
 	if inst.TerminatedSlot != 5 {
 		t.Errorf("terminated at slot %d, want 5 (out-bid at 2 + 3-slot delay)", inst.TerminatedSlot)
 	}
-	var outbids int
-	for _, ev := range r.Events() {
-		if ev.RequestID == req.ID && ev.Kind == EvOutbid {
-			outbids++
+	if n := len(instancesOf(r, req)); n != 1 || req.Interruptions != 1 {
+		t.Errorf("%d instances, %d interruptions; want one instance, out-bid once", n, req.Interruptions)
+	}
+	if outbids := recorded(rec, event.OutBid, req.ID); outbids != 1 {
+		t.Errorf("recorded %d out-bids, want exactly 1", outbids)
+	}
+}
+
+// instancesOf returns the instances req launched, in launch order.
+func instancesOf(r *Region, req *SpotRequest) []*Instance {
+	var out []*Instance
+	for _, inst := range r.Instances() {
+		if inst.RequestID == req.ID {
+			out = append(out, inst)
 		}
 	}
-	if outbids != 1 {
-		t.Errorf("outbid events = %d, want exactly 1", outbids)
+	return out
+}
+
+// recorded counts rec's events of kind k about request id: a delayed
+// notice names the request as its subject, an out-bid as its cause.
+func recorded(rec *event.Recorder, k event.Kind, id string) int {
+	n := 0
+	for _, ev := range rec.Events() {
+		if ev.Kind == k && (ev.Subject == id || ev.Cause == id) {
+			n++
+		}
 	}
+	return n
 }

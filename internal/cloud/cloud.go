@@ -140,48 +140,6 @@ type Instance struct {
 	hourPrice float64
 }
 
-// EventKind labels simulator events.
-type EventKind int
-
-const (
-	// EvLaunch: a request fulfilled, an instance started.
-	EvLaunch EventKind = iota
-	// EvOutbid: the provider terminated an instance whose bid fell
-	// below the spot price.
-	EvOutbid
-	// EvUserTerminate: the user terminated an instance.
-	EvUserTerminate
-	// EvCancel: the user cancelled a request.
-	EvCancel
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EvLaunch:
-		return "launch"
-	case EvOutbid:
-		return "outbid"
-	case EvUserTerminate:
-		return "user-terminate"
-	case EvCancel:
-		return "cancel"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event records one lifecycle transition.
-type Event struct {
-	Slot       int
-	Kind       EventKind
-	RequestID  string
-	InstanceID string
-	// Price is the spot price at the event's slot (0 for on-demand
-	// events).
-	Price float64
-}
-
 // ErrEndOfTrace reports that the region's price traces are exhausted:
 // the simulation horizon is over.
 var ErrEndOfTrace = errors.New("cloud: price trace exhausted")
@@ -201,7 +159,6 @@ type Region struct {
 	insts    map[string]*Instance
 	order    []string    // request IDs in submission order, for determinism
 	instOrd  []*Instance // every instance in creation order, for determinism
-	events   []Event
 	nextReq  int
 	nextInst int
 	horizon  int // min trace length
@@ -311,9 +268,6 @@ func (r *Region) PriceHistory(t instances.Type, h timeslot.Hours) (*trace.Trace,
 	}
 	return out, nil
 }
-
-// Events returns the event log (shared; callers must not modify).
-func (r *Region) Events() []Event { return r.events }
 
 // Request returns a spot request by ID. Unknown IDs report an error
 // wrapping ErrNotFound.
@@ -467,7 +421,6 @@ func (r *Region) CancelSpotRequest(id string) error {
 	if r.met != nil {
 		r.met.cancelled.Inc()
 	}
-	r.events = append(r.events, Event{Slot: r.clock.Now(), Kind: EvCancel, RequestID: id})
 	return nil
 }
 
@@ -490,7 +443,6 @@ func (r *Region) LaunchOnDemand(t instances.Type) (*Instance, error) {
 	if r.met != nil {
 		r.met.odLaunches.Inc()
 	}
-	r.events = append(r.events, Event{Slot: r.clock.Now(), Kind: EvLaunch, InstanceID: inst.ID})
 	return inst, nil
 }
 
@@ -528,7 +480,6 @@ func (r *Region) terminate(inst *Instance) {
 			req.State = Closed
 		}
 	}
-	r.events = append(r.events, Event{Slot: r.clock.Now(), Kind: EvUserTerminate, RequestID: inst.RequestID, InstanceID: inst.ID})
 }
 
 // Tick advances the region one slot and settles the market: out-bid
@@ -580,7 +531,9 @@ func (r *Region) Tick() error {
 		r.outbid(req, slot, price)
 	}
 
-	// 2. Launch open requests that now clear the price.
+	// 2. Launch open requests that now clear the price, counting the
+	// requests left open.
+	open := 0
 	for _, id := range r.order {
 		req := r.requests[id]
 		if req.State != Open {
@@ -588,9 +541,11 @@ func (r *Region) Tick() error {
 		}
 		price := r.traces[req.Type].At(slot)
 		if req.Bid < price {
+			open++
 			continue
 		}
 		if r.inj != nil && r.inj.LaunchBlocked(req.Type, slot) {
+			open++
 			r.counts.Blocked++
 			if r.met != nil {
 				r.met.blocked.Inc()
@@ -623,16 +578,17 @@ func (r *Region) Tick() error {
 			r.evt.rec.Emit(&event.Event{Kind: event.BidAccepted, Slot: slot,
 				Region: r.id, Subject: inst.ID, Cause: id, Value: price})
 		}
-		r.events = append(r.events, Event{Slot: slot, Kind: EvLaunch, RequestID: id, InstanceID: inst.ID, Price: price})
 	}
 
 	// 3. Billing: every instance running through this slot pays,
 	// per-slot or into its open billing hour (billing.go), in creation
 	// order, so the metered charges sum in the same order every run.
+	running := 0
 	for _, inst := range r.instOrd {
 		if !inst.Running {
 			continue
 		}
+		running++
 		inst.RunSlots++
 		before := inst.Cost
 		if inst.Spot {
@@ -646,7 +602,7 @@ func (r *Region) Tick() error {
 			}
 		}
 	}
-	r.observeSlot(slot)
+	r.observeSlot(slot, open, running)
 	return nil
 }
 
@@ -675,5 +631,4 @@ func (r *Region) outbid(req *SpotRequest, slot int, price float64) {
 	case OneTime:
 		req.State = Closed // exits the system
 	}
-	r.events = append(r.events, Event{Slot: slot, Kind: EvOutbid, RequestID: req.ID, InstanceID: inst.ID, Price: price})
 }

@@ -3,9 +3,11 @@ package cloud
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/instances"
+	"repro/internal/obs/event"
 	"repro/internal/timeslot"
 	"repro/internal/trace"
 )
@@ -279,32 +281,46 @@ func TestSpotPriceAndHistory(t *testing.T) {
 	}
 }
 
+// TestEventLog: a persistent request's launch, out-bid and relaunch
+// show in its request and instance records and, in the same order, in
+// an attached flight recorder's BidAccepted and OutBid events.
 func TestEventLog(t *testing.T) {
 	r := region(t, []float64{0.03, 0.03, 0.05, 0.03})
+	rec := event.NewRecorder()
+	r.SetTrace(rec)
 	reqs, _ := r.RequestSpotInstances(instances.R3XLarge, 0.04, Persistent, 1)
+	req := reqs[0]
 	r.Tick() // launch
 	r.Tick() // outbid
 	r.Tick() // relaunch
-	kinds := []EventKind{}
-	for _, ev := range r.Events() {
-		if ev.RequestID == reqs[0].ID {
+	var kinds []event.Kind
+	for _, ev := range rec.Events() {
+		if ev.Cause == req.ID { // launches and out-bids name their request
 			kinds = append(kinds, ev.Kind)
 		}
 	}
-	want := []EventKind{EvLaunch, EvOutbid, EvLaunch}
-	if len(kinds) != len(want) {
-		t.Fatalf("events = %v", kinds)
+	if want := []event.Kind{event.BidAccepted, event.OutBid, event.BidAccepted}; !slices.Equal(kinds, want) {
+		t.Fatalf("recorded %v, want %v", kinds, want)
 	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Errorf("event %d = %v, want %v", i, kinds[i], want[i])
-		}
+	if req.State != Active || req.Interruptions != 1 {
+		t.Errorf("request %v with %d interruptions, want active with 1", req.State, req.Interruptions)
+	}
+	insts := instancesOf(r, req)
+	if len(insts) != 2 {
+		t.Fatalf("instances %+v, want two", insts)
+	}
+	first, second := insts[0], insts[1]
+	if first.LaunchedSlot != 1 || first.TerminatedSlot != 2 || !first.ProviderTerminated {
+		t.Errorf("first instance %+v, want launched at 1, out-bid at 2", first)
+	}
+	if second.LaunchedSlot != 3 || !second.Running || req.InstanceID != second.ID {
+		t.Errorf("second instance %+v, want the request's running relaunch at 3", second)
 	}
 }
 
 func TestBillingConservation(t *testing.T) {
 	// Total cost equals Σ over running instances of slot price —
-	// replayed independently from the event log and run counters.
+	// replayed independently from the trace and run counters.
 	prices := []float64{0.03, 0.031, 0.05, 0.03, 0.04, 0.03, 0.03}
 	r := region(t, prices)
 	r.RequestSpotInstances(instances.R3XLarge, 0.035, Persistent, 2)
@@ -321,13 +337,12 @@ func TestBillingConservation(t *testing.T) {
 
 func TestStringers(t *testing.T) {
 	for _, s := range []string{OneTime.String(), Persistent.String(), Open.String(),
-		Active.String(), Closed.String(), Cancelled.String(), EvLaunch.String(),
-		EvOutbid.String(), EvUserTerminate.String(), EvCancel.String()} {
+		Active.String(), Closed.String(), Cancelled.String()} {
 		if s == "" {
 			t.Error("empty stringer")
 		}
 	}
-	if RequestKind(9).String() == "" || RequestState(9).String() == "" || EventKind(9).String() == "" {
+	if RequestKind(9).String() == "" || RequestState(9).String() == "" {
 		t.Error("unknown values need fallback strings")
 	}
 }

@@ -90,8 +90,9 @@ func (r *Region) SetMetrics(m *obs.Registry) {
 }
 
 // observeSlot publishes the settled slot's market state: spot prices,
-// queue length (open requests), and running-instance count.
-func (r *Region) observeSlot(slot int) {
+// queue length (the open requests Tick left), and running-instance
+// count (the instances Tick billed).
+func (r *Region) observeSlot(slot, open, running int) {
 	rm := r.met
 	if rm == nil {
 		return
@@ -99,17 +100,6 @@ func (r *Region) observeSlot(slot int) {
 	rm.slots.Inc()
 	for t, g := range rm.price {
 		g.Set(r.traces[t].At(slot))
-	}
-	var open, running int
-	for _, id := range r.order {
-		if r.requests[id].State == Open {
-			open++
-		}
-	}
-	for _, inst := range r.instOrd {
-		if inst.Running {
-			running++
-		}
 	}
 	rm.queueOpen.Set(float64(open))
 	rm.running.Set(float64(running))

@@ -60,3 +60,79 @@ func TestMeteredChargeSumIsDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// blockAt delays out-bid notices like delayInjector and also refuses
+// every launch at one slot.
+type blockAt struct {
+	delayInjector
+	slot int
+}
+
+func (b blockAt) LaunchBlocked(t instances.Type, slot int) bool { return slot == b.slot }
+
+// TestSlotGaugesMatchRecords: after every Tick, cloud.queue.open and
+// cloud.instances.running equal a count over Requests() and
+// Instances(), through a blocked launch, a cancel, a user termination,
+// an on-demand launch, and delayed out-bids, one of which lands on a
+// slot where its request relaunches at once.
+func TestSlotGaugesMatchRecords(t *testing.T) {
+	prices := []float64{0.03, 0.03, 0.03, 0.05, 0.05, 0.05, 0.03, 0.03, 0.05, 0.03, 0.03, 0.03}
+	r, err := NewRegion(flatTrace(t, prices))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.SetInjector(blockAt{delayInjector{delay: 2}, 1}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.New()
+	r.SetMetrics(reg)
+	persistent, err := r.RequestSpotInstances(instances.R3XLarge, 0.04, Persistent, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneTime, err := r.RequestSpotInstances(instances.R3XLarge, 0.04, OneTime, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.RequestSpotInstances(instances.R3XLarge, 0.02, Persistent, 1); err != nil {
+		t.Fatal(err)
+	}
+	onDemand, err := r.LaunchOnDemand(instances.R3XLarge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	actions := map[int]func() error{
+		2: func() error { return r.CancelSpotRequest(persistent[0].ID) },
+		3: func() error { return r.TerminateInstance(persistent[1].InstanceID) },
+		4: func() error { _, err := r.LaunchOnDemand(instances.R3XLarge); return err },
+		7: func() error { return r.TerminateInstance(onDemand.ID) },
+	}
+	var maxOpen, maxRunning int
+	for r.Tick() == nil {
+		open, running := 0, 0
+		for _, req := range r.Requests() {
+			if req.State == Open {
+				open++
+			}
+		}
+		for _, inst := range r.Instances() {
+			if inst.Running {
+				running++
+			}
+		}
+		gotOpen, gotRunning := reg.Gauge("cloud.queue.open").Value(), reg.Gauge("cloud.instances.running").Value()
+		if gotOpen != float64(open) || gotRunning != float64(running) {
+			t.Fatalf("slot %d: gauges open %v, running %v; records %d, %d", r.Now(), gotOpen, gotRunning, open, running)
+		}
+		maxOpen, maxRunning = max(maxOpen, open), max(maxRunning, running)
+		if act := actions[r.Now()]; act != nil {
+			if err := act(); err != nil {
+				t.Fatalf("slot %d: %v", r.Now(), err)
+			}
+		}
+	}
+	if oneTime[0].State != Closed || persistent[2].Interruptions != 2 || maxOpen < 5 || maxRunning < 4 {
+		t.Fatalf("scenario drifted: one-time %v, %d interruptions, max open %d, max running %d",
+			oneTime[0].State, persistent[2].Interruptions, maxOpen, maxRunning)
+	}
+}

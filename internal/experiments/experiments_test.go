@@ -117,7 +117,7 @@ func TestTable3GeneratesOncePerType(t *testing.T) {
 	defer trace.ResetMemo()
 	o := fastOpts
 	o.Metrics = obs.New()
-	o.Trace = event.NewRecorder(event.Config{Unbounded: true})
+	o.Trace = event.NewRecorder()
 	o.TSDB = tsdb.New(tsdb.Config{})
 	if _, err := Table3(o); err != nil {
 		t.Fatal(err)

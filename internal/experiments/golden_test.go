@@ -72,7 +72,7 @@ func renderGoldens(t *testing.T) map[string][]byte {
 	out := map[string][]byte{}
 
 	met := obs.New()
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	db := tsdb.New(tsdb.Config{})
 	o := goldenOpts()
 	o.Metrics = met

@@ -24,7 +24,7 @@ type chaosObservation struct {
 func observeChaosSweep(t *testing.T, o Opts) chaosObservation {
 	t.Helper()
 	met := obs.New()
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	o.Metrics = met
 	o.Trace = rec
 	res, err := ChaosSweep(o)

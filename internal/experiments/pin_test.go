@@ -32,12 +32,12 @@ func checkDigest(t *testing.T, name string, got []byte, want string) {
 	}
 }
 
-// instrumented runs an experiment with a fresh registry and an
-// unbounded recorder and returns its three outputs.
+// instrumented runs an experiment with a fresh registry and a fresh
+// recorder and returns its three outputs.
 func instrumented(t *testing.T, o Opts, run func(Opts) (string, error)) (render, metrics, jsonl []byte) {
 	t.Helper()
 	met := obs.New()
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	o.Metrics, o.Trace = met, rec
 	out, err := run(o)
 	if err != nil {

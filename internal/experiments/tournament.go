@@ -88,14 +88,14 @@ func tournamentSpec(typ instances.Type) job.Spec {
 }
 
 // tournamentAudit runs a cell's seed-0 configuration once more on a
-// private unbounded recorder, verifies the run against the invariant
+// private recorder, verifies the run against the invariant
 // suite, and returns its determinism fingerprint.
 func tournamentAudit(spec job.Spec, name string, rate float64, seed int64, offset, days int) (*invariant.RunResult, error) {
 	strat, err := strategy.New(name)
 	if err != nil {
 		return nil, err
 	}
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	met := obs.New()
 	rep, _, member, err := runChaos(spec, strat, rate, seed, offset, days, met, rec)
 	if err != nil {

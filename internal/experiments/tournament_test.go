@@ -86,7 +86,7 @@ func TestTournamentLeague(t *testing.T) {
 func TestTournamentPreservesExperimentBytes(t *testing.T) {
 	run := func() (string, []byte, []byte) {
 		met := obs.New()
-		rec := event.NewRecorder(event.Config{Unbounded: true})
+		rec := event.NewRecorder()
 		res, err := Tournament(Opts{Runs: 1, Metrics: met, Trace: rec})
 		if err != nil {
 			t.Fatal(err)

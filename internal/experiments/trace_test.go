@@ -25,8 +25,8 @@ func tracedFailover(t *testing.T, rec *event.Recorder) fleet.Report {
 // must export byte-identical JSONL and Chrome-trace files, and the
 // recorder must not perturb the run it is observing.
 func TestFailoverTraceDeterminism(t *testing.T) {
-	r1 := event.NewRecorder(event.Config{Unbounded: true})
-	r2 := event.NewRecorder(event.Config{Unbounded: true})
+	r1 := event.NewRecorder()
+	r2 := event.NewRecorder()
 	repA := tracedFailover(t, r1)
 	repB := tracedFailover(t, r2)
 	repPlain := tracedFailover(t, nil)
@@ -68,7 +68,7 @@ func TestFailoverTraceDeterminism(t *testing.T) {
 // to repetition 0, so the trace is deterministic regardless of
 // goroutine interleaving — and the sweep's numbers are unchanged.
 func TestSweepTracePolicy(t *testing.T) {
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	traced, err := ChaosSweep(Opts{Seed: 5, Runs: 2, Days: 63, Trace: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +84,7 @@ func TestSweepTracePolicy(t *testing.T) {
 		t.Fatal("sweep emitted no events")
 	}
 
-	rec2 := event.NewRecorder(event.Config{Unbounded: true})
+	rec2 := event.NewRecorder()
 	if _, err := ChaosSweep(Opts{Seed: 5, Runs: 2, Days: 63, Trace: rec2}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // chain in emission order within the migration slot, and the breaker
 // transition carrying the six-element health-score vector.
 func TestTraceCausality(t *testing.T) {
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	ctl, _, _ := outageFleet(t, Config{Trace: rec}, perMemberRegistries)
 	if err := ctl.Skip(50); err != nil {
 		t.Fatal(err)
@@ -57,9 +57,8 @@ func TestTraceCausality(t *testing.T) {
 		t.Fatalf("leg spans = %d, want 2 (home leg + away leg)", legs)
 	}
 
-	// Every attributed event resolves to a surviving span (unbounded
-	// mode: nothing was overwritten). Span 0 marks events outside any
-	// job — the price stream before submission.
+	// Every attributed event resolves to a recorded span. Span 0 marks
+	// events outside any job — the price stream before submission.
 	evs := rec.Events()
 	for _, ev := range evs {
 		if ev.Span == 0 {

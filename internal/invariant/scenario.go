@@ -121,7 +121,7 @@ func (sc Scenario) Run(sched chaos.Schedule) (*RunResult, error) {
 		byMember[idx] = append(byMember[idx], f)
 	}
 
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	met := obs.New()
 	members := make([]fleet.Member, sc.Regions)
 	states := make([]MemberState, sc.Regions)

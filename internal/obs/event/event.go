@@ -15,10 +15,10 @@
 //     every method is nil-safe and returns immediately, so
 //     uninstrumented seeded runs stay byte-identical to
 //     pre-instrumentation output.
-//   - The bounded mode is a flight recorder: a fixed-capacity ring
-//     buffer over a preallocated arena, overwrite-oldest, zero
-//     allocations per Emit — always cheap enough to leave on. The
-//     unbounded mode keeps everything, for experiments and exports.
+//   - One storage mode: the recorder keeps every event and span it is
+//     given, appending into storage that Reset keeps. A per-slot value
+//     series (EmitSeries, the price stream) is stored as the series
+//     and expanded into its events only when they are read.
 //
 // Causality is modelled Dapper-style: every event belongs to a span,
 // spans form a tree rooted at the job (the fleet controller opens the
@@ -121,12 +121,7 @@ func (k Kind) String() string {
 // SpanID identifies a span. 0 is "no span".
 type SpanID uint64
 
-// Event is one recorded happening. The field order is deliberate: the
-// struct is exactly 128 bytes — two cache lines — with the fields a
-// steady emit site always rewrites (Slot, Value, Span, Kind, plus the
-// usually-constant Region/Job headers) in the first line and the
-// rarely-changing rest (Subject, Cause, Vec, Seq) in the second, so
-// the hot emit path typically dirties a single line of the arena.
+// Event is one recorded happening.
 type Event struct {
 	// Slot is the simulated slot the event happened in.
 	Slot int
@@ -149,16 +144,14 @@ type Event struct {
 	// Cause is a human-readable why ("" when self-evident).
 	Cause string
 	// Vec carries a kind-specific vector (e.g. the health-score terms
-	// attached to a BreakerTransition), kept out of line so the
-	// ubiquitous vec-less events cost no extra arena traffic. The
-	// recorder takes ownership: emitters must not mutate the slice
-	// afterwards. Emitting a vec event costs its caller one small
-	// allocation; every hot-path event kind emits with a nil Vec.
+	// attached to a BreakerTransition). The recorder takes ownership:
+	// emitters must not mutate the slice afterwards. Emitting a vec
+	// event costs its caller one small allocation; every hot-path event
+	// kind emits with a nil Vec.
 	Vec []float64
 	// Seq is the global emission order (0-based). Within a slot it is
 	// the causal order: the single-goroutine simulation emits in
-	// program order. In bounded mode Emit does not store it — the ring
-	// position encodes it — and accessors reconstruct it on read.
+	// program order.
 	Seq uint64
 }
 
@@ -181,40 +174,6 @@ type Span struct {
 // Open reports whether the span has not ended.
 func (s Span) Open() bool { return s.EndSlot < 0 }
 
-// Default capacities of the bounded (flight-recorder) mode.
-const (
-	// DefaultCapacity is the event ring size: at the cloud layer's
-	// emission rates this holds hours to a day of simulated activity.
-	// It is deliberately small — a 1024-slot arena is 128 KB, which
-	// stays L2-resident, and that cache residency (not the store
-	// count) is what keeps an always-on emit in the single-digit
-	// nanoseconds next to a memory-hungry experiment.
-	DefaultCapacity = 1024
-	// DefaultSpanCapacity is the span ring size. Spans are orders of
-	// magnitude rarer than events (one per job, one per leg), so the
-	// span ring practically never wraps before the event ring does —
-	// which is what keeps surviving events' span chains resolvable.
-	DefaultSpanCapacity = 512
-)
-
-// Config tunes a Recorder. The zero value is the bounded
-// flight-recorder default.
-type Config struct {
-	// Capacity is the event ring size (default DefaultCapacity),
-	// rounded up to the next power of two so the ring index is a mask
-	// rather than a division on the emit hot path. Ignored when
-	// Unbounded.
-	Capacity int
-	// SpanCapacity is the span ring size (default
-	// DefaultSpanCapacity), rounded up likewise. Ignored when
-	// Unbounded.
-	SpanCapacity int
-	// Unbounded keeps every event and span instead of overwriting the
-	// oldest — the experiment/export mode. Emit may then allocate
-	// (amortized slice growth).
-	Unbounded bool
-}
-
 // Noop is the nil recorder: every operation on it is a no-op. It
 // exists for documentation; passing a literal nil *Recorder is
 // equivalent.
@@ -224,163 +183,84 @@ var Noop *Recorder
 // *Recorder is the Noop recorder. Not synchronized: a recorder belongs
 // to one goroutine at a time (see the package comment).
 type Recorder struct {
-	unbounded bool
+	events []Event  // single emits, in Seq order
+	series []series // EmitSeries calls, in Seq order
+	n      uint64   // events recorded; Seq of the next event
 
-	events    []Event // ring arena (len == capacity) or growing slice
-	eventMask uint64  // capacity−1; ring index is Seq&eventMask
-	emitted   uint64  // events ever emitted; Seq of the next event
-
-	spans    []Span // ring arena or growing slice
-	spanMask uint64 // capacity−1
-	begun    uint64 // spans ever begun; ID of the last span
-
+	spans []Span   // in ID order: span id is spans[id-1]
 	stack []SpanID // current-span stack; top is the current span
 }
 
-// NewRecorder builds a recorder. Bounded mode preallocates both
-// arenas up front so the emit path never allocates.
-func NewRecorder(cfg Config) *Recorder {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCapacity
-	}
-	if cfg.SpanCapacity <= 0 {
-		cfg.SpanCapacity = DefaultSpanCapacity
-	}
-	r := &Recorder{unbounded: cfg.Unbounded, stack: make([]SpanID, 0, 16)}
-	if !cfg.Unbounded {
-		r.events = make([]Event, nextPow2(cfg.Capacity))
-		r.eventMask = uint64(len(r.events)) - 1
-		r.spans = make([]Span, nextPow2(cfg.SpanCapacity))
-		r.spanMask = uint64(len(r.spans)) - 1
-	}
-	return r
+// series is one EmitSeries call as given: the template, its Span
+// filled and its Seq that of the series' first event, and the
+// caller's values.
+type series struct {
+	tmpl   Event
+	values []float64
 }
 
-// nextPow2 returns the smallest power of two ≥ n (n ≥ 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// NewRecorder builds an empty recorder.
+func NewRecorder() *Recorder { return &Recorder{} }
 
-// / Emit records one event: a zero Span is filled with the current
-// span, and the event's Seq is assigned in emission order (in bounded
-// mode it is not even stored — the ring position encodes it, and the
-// accessors reconstruct it on read). In bounded mode the oldest event
-// is overwritten once the ring is full; nothing is allocated either
-// way, and the argument is only read — callers may reuse one Event as
-// a template across emits. A nil recorder ignores the call.
+// Emit records one event: a zero Span is filled with the current span,
+// and the event's Seq is assigned in emission order. The argument is
+// only read — callers may reuse one Event as a template across emits.
+// A nil recorder ignores the call.
 func (r *Recorder) Emit(ev *Event) {
 	if r == nil {
 		return
 	}
-	span := ev.Span
-	if span == 0 && len(r.stack) > 0 {
-		span = r.stack[len(r.stack)-1]
+	e := *ev
+	if e.Span == 0 && len(r.stack) > 0 {
+		e.Span = r.stack[len(r.stack)-1]
 	}
-	if r.unbounded {
-		e := *ev
-		e.Seq, e.Span = r.emitted, span
-		r.events = append(r.events, e)
-		r.emitted++
-		return
-	}
-	// Field-wise store rather than a whole-struct assignment, with the
-	// pointer-carrying fields written conditionally: a steady emit
-	// site (one region's price stream, one client's leg events)
-	// writes the same handful of constants lap after lap, and
-	// skipping the rewrite of an identical string or nil Vec skips a
-	// GC write barrier. The == fast path is a pointer compare for
-	// identical constants.
-	dst := &r.events[r.emitted&r.eventMask]
-	dst.Slot = ev.Slot
-	dst.Kind = ev.Kind
-	dst.Span = span
-	if dst.Region != ev.Region {
-		dst.Region = ev.Region
-	}
-	if dst.Job != ev.Job {
-		dst.Job = ev.Job
-	}
-	if dst.Subject != ev.Subject {
-		dst.Subject = ev.Subject
-	}
-	if dst.Cause != ev.Cause {
-		dst.Cause = ev.Cause
-	}
-	dst.Value = ev.Value
-	if dst.Vec != nil || ev.Vec != nil {
-		dst.Vec = ev.Vec
-	}
-	r.emitted++
+	e.Seq = r.n
+	r.events = append(r.events, e)
+	r.n++
 }
 
-// EmitSeries emits tmpl once per change in a per-slot value series:
-// element i becomes one event with Slot i and Value series[i]
-// whenever it differs from element i-1 (element 0 always does). The
-// result is byte-identical to calling Emit per change, but the span
-// fill, mode test, and ring bookkeeping are hoisted out of the loop,
-// so the per-event cost is a compare and a partial arena store. The
-// price-trace generator uses it: per-slot price streams are by far
-// the densest event source, and under i.i.d. pricing every slot is a
-// change. A nil recorder ignores the call.
-func (r *Recorder) EmitSeries(tmpl Event, series []float64) {
-	if r == nil || len(series) == 0 {
+// EmitSeries records tmpl once per change in a per-slot value series:
+// element i becomes one event with Slot i and Value values[i] whenever
+// it differs from element i-1 (element 0 always does). The events read
+// back exactly as per-change Emit calls would, but the call stores only
+// the template, with its span filled here, and the slice: it costs one
+// pass that counts the changes. The recorder takes ownership of values,
+// as of a Vec: callers must not mutate it afterwards. The price-trace
+// generator passes its memoized prices, which nothing mutates: per-slot
+// price streams are by far the densest event source, and under i.i.d.
+// pricing every slot is a change. A nil recorder ignores the call.
+func (r *Recorder) EmitSeries(tmpl Event, values []float64) {
+	if r == nil || len(values) == 0 {
 		return
 	}
 	if tmpl.Span == 0 && len(r.stack) > 0 {
 		tmpl.Span = r.stack[len(r.stack)-1]
 	}
-	last := math.NaN() // NaN != NaN, so slot 0 always emits
-	if r.unbounded {
-		for i, v := range series {
-			if v == last {
-				continue
-			}
-			last = v
-			tmpl.Slot, tmpl.Value, tmpl.Seq = i, v, r.emitted
-			r.events = append(r.events, tmpl)
-			r.emitted++
+	tmpl.Seq = r.n
+	r.series = append(r.series, series{tmpl: tmpl, values: values})
+	n, last := r.n, math.NaN() // NaN != NaN, so element 0 always counts
+	for _, v := range values {
+		if v != last {
+			n++
 		}
-		return
+		last = v
 	}
-	events, mask, n := r.events, r.eventMask, r.emitted
-	// Once this call has lapped the ring, every arena slot already
-	// holds the template's constant fields, and only Slot and Value
-	// need storing — two words per event.
-	full := n + uint64(len(events))
-	for i, v := range series {
+	r.n = n
+}
+
+// appendTo appends the series' events to out, in Seq order.
+func (s *series) appendTo(out []Event) []Event {
+	ev, last := s.tmpl, math.NaN()
+	for i, v := range s.values {
 		if v == last {
 			continue
 		}
 		last = v
-		dst := &events[n&mask]
-		if n < full {
-			dst.Kind = tmpl.Kind
-			dst.Span = tmpl.Span
-			if dst.Region != tmpl.Region {
-				dst.Region = tmpl.Region
-			}
-			if dst.Job != tmpl.Job {
-				dst.Job = tmpl.Job
-			}
-			if dst.Subject != tmpl.Subject {
-				dst.Subject = tmpl.Subject
-			}
-			if dst.Cause != tmpl.Cause {
-				dst.Cause = tmpl.Cause
-			}
-			if dst.Vec != nil || tmpl.Vec != nil {
-				dst.Vec = tmpl.Vec
-			}
-		}
-		dst.Slot = i
-		dst.Value = v
-		n++
+		ev.Slot, ev.Value = i, v
+		out = append(out, ev)
+		ev.Seq++
 	}
-	r.emitted = n
+	return out
 }
 
 // BeginSpan opens a span under the current span (a root when none is
@@ -394,23 +274,18 @@ func (r *Recorder) BeginSpan(name, job, region string, slot int) SpanID {
 	if len(r.stack) > 0 {
 		parent = r.stack[len(r.stack)-1]
 	}
-	r.begun++
-	sp := Span{ID: SpanID(r.begun), Parent: parent, Name: name, Job: job,
-		Region: region, StartSlot: slot, EndSlot: -1}
-	if r.unbounded {
-		r.spans = append(r.spans, sp)
-	} else {
-		r.spans[(r.begun-1)&r.spanMask] = sp
-	}
-	r.stack = append(r.stack, sp.ID)
-	return sp.ID
+	id := SpanID(len(r.spans) + 1)
+	r.spans = append(r.spans, Span{ID: id, Parent: parent, Name: name, Job: job,
+		Region: region, StartSlot: slot, EndSlot: -1})
+	r.stack = append(r.stack, id)
+	return id
 }
 
 // EndSpan closes the span at endSlot and pops the current-span stack
 // back to the span's parent. Ending a span that still has open
 // children abandons them (they are popped too — the crash-teardown
-// semantics a flight recorder wants). Unknown, evicted, or zero IDs
-// are ignored, as is a second End.
+// semantics a flight recorder wants). Unknown or zero IDs are ignored,
+// as is a second End.
 func (r *Recorder) EndSpan(id SpanID, endSlot int) {
 	if r == nil || id == 0 {
 		return
@@ -426,22 +301,12 @@ func (r *Recorder) EndSpan(id SpanID, endSlot int) {
 	}
 }
 
-// lookup returns the live storage of span id, nil when evicted or
-// never begun.
+// lookup returns the live storage of span id, nil when never begun.
 func (r *Recorder) lookup(id SpanID) *Span {
-	if id == 0 || uint64(id) > r.begun {
+	if id == 0 || uint64(id) > uint64(len(r.spans)) {
 		return nil
 	}
-	var sp *Span
-	if r.unbounded {
-		sp = &r.spans[id-1]
-	} else {
-		sp = &r.spans[(uint64(id)-1)&r.spanMask]
-	}
-	if sp.ID != id {
-		return nil // overwritten by a younger span
-	}
-	return sp
+	return &r.spans[id-1]
 }
 
 // Current reports the current span (0 when none is open). A nil
@@ -456,58 +321,39 @@ func (r *Recorder) Current() SpanID {
 	return r.stack[len(r.stack)-1]
 }
 
-// Events returns a copy of the surviving events in emission (Seq)
-// order. A nil recorder returns nil.
+// Events returns a copy of the events in emission (Seq) order, each
+// series expanded in its place among the single emits. A nil recorder
+// returns nil.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
 	}
-	if r.unbounded {
-		out := make([]Event, len(r.events))
-		copy(out, r.events)
-		return out
+	out, singles := make([]Event, 0, r.n), r.events
+	for i := range r.series {
+		s := &r.series[i]
+		k := 0
+		for k < len(singles) && singles[k].Seq < s.tmpl.Seq {
+			k++
+		}
+		out = s.appendTo(append(out, singles[:k]...))
+		singles = singles[k:]
 	}
-	cap64 := uint64(len(r.events))
-	n := r.emitted
-	start := uint64(0)
-	if n > cap64 {
-		start = n - cap64
-	}
-	out := make([]Event, 0, n-start)
-	for seq := start; seq < n; seq++ {
-		ev := r.events[seq&r.eventMask]
-		ev.Seq = seq // not stored on emit; the ring position encodes it
-		out = append(out, ev)
-	}
-	return out
+	return append(out, singles...)
 }
 
-// Spans returns a copy of the surviving spans in begin (ID) order. A
-// nil recorder returns nil.
+// Spans returns a copy of the spans in begin (ID) order. A nil
+// recorder returns nil.
 func (r *Recorder) Spans() []Span {
 	if r == nil {
 		return nil
 	}
-	if r.unbounded {
-		out := make([]Span, len(r.spans))
-		copy(out, r.spans)
-		return out
-	}
-	cap64 := uint64(len(r.spans))
-	n := r.begun
-	start := uint64(0)
-	if n > cap64 {
-		start = n - cap64
-	}
-	out := make([]Span, 0, n-start)
-	for i := start; i < n; i++ {
-		out = append(out, r.spans[i%cap64])
-	}
+	out := make([]Span, len(r.spans))
+	copy(out, r.spans)
 	return out
 }
 
-// SpanByID returns the span (false when evicted, never begun, or on
-// the nil recorder).
+// SpanByID returns the span (false when never begun, or on the nil
+// recorder).
 func (r *Recorder) SpanByID(id SpanID) (Span, bool) {
 	if r == nil {
 		return Span{}, false
@@ -519,57 +365,22 @@ func (r *Recorder) SpanByID(id SpanID) (Span, bool) {
 	return *sp, true
 }
 
-// Emitted reports the number of events ever emitted (survivors plus
-// dropped).
-func (r *Recorder) Emitted() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.emitted
-}
-
-// Dropped reports how many events the ring has overwritten (always 0
-// in unbounded mode).
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	if r.unbounded {
-		return 0
-	}
-	if cap64 := uint64(len(r.events)); r.emitted > cap64 {
-		return r.emitted - cap64
-	}
-	return 0
-}
-
-// Len reports the number of surviving events.
+// Len reports the number of recorded events.
 func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	if r.unbounded {
-		return len(r.events)
-	}
-	if cap64 := uint64(len(r.events)); r.emitted > cap64 {
-		return int(cap64)
-	}
-	return int(r.emitted)
+	return int(r.n)
 }
 
-// Reset discards all events, spans, and the current-span stack while
-// keeping the arenas, so a bounded recorder can be reused without
-// reallocating.
+// Reset discards all events, spans, and the current-span stack. It
+// keeps the storage, so a reused recorder appends without
+// reallocating, and drops its references to the series it was given.
 func (r *Recorder) Reset() {
 	if r == nil {
 		return
 	}
-	if r.unbounded {
-		r.events, r.spans = nil, nil
-	}
-	// Bounded arenas are left as-is: resetting the counters alone makes
-	// every stale slot unreachable (Events reads Seq < emitted, lookup
-	// rejects id > begun), so Reset is O(1).
-	r.emitted, r.begun = 0, 0
-	r.stack = r.stack[:0]
+	clear(r.series)
+	r.events, r.series, r.spans, r.stack = r.events[:0], r.series[:0], r.spans[:0], r.stack[:0]
+	r.n = 0
 }

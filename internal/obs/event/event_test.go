@@ -4,9 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
-	"unsafe"
 )
 
 // TestNilRecorderIsNoop: every method on a nil recorder must be safe
@@ -19,7 +20,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 		t.Fatalf("nil BeginSpan = %d, want 0", id)
 	}
 	r.EndSpan(id, 1)
-	if r.Current() != 0 || r.Len() != 0 || r.Emitted() != 0 || r.Dropped() != 0 {
+	if r.Current() != 0 || r.Len() != 0 {
 		t.Fatal("nil recorder reported non-zero state")
 	}
 	if r.Events() != nil || r.Spans() != nil {
@@ -52,7 +53,7 @@ func TestNilRecorderIsNoop(t *testing.T) {
 // TestSpanStackAttribution: events with a zero Span inherit the
 // current span, and the stack nests/unwinds correctly.
 func TestSpanStackAttribution(t *testing.T) {
-	r := NewRecorder(Config{Unbounded: true})
+	r := NewRecorder()
 	root := r.BeginSpan("job:j", "j", "", 0)
 	r.Emit(&Event{Kind: Drain, Slot: 1})
 	leg := r.BeginSpan("leg:spot", "j", "home", 1)
@@ -87,7 +88,7 @@ func TestSpanStackAttribution(t *testing.T) {
 // TestEndSpanAbandonsChildren: ending a parent with open children
 // pops the children too (crash-teardown semantics).
 func TestEndSpanAbandonsChildren(t *testing.T) {
-	r := NewRecorder(Config{Unbounded: true})
+	r := NewRecorder()
 	root := r.BeginSpan("job:j", "j", "", 0)
 	r.BeginSpan("leg:spot", "j", "home", 0)
 	r.EndSpan(root, 3)
@@ -102,138 +103,83 @@ func TestEndSpanAbandonsChildren(t *testing.T) {
 	}
 }
 
-// TestRingWraparound: a capacity-8 ring that sees 20 events keeps
-// exactly the last 8, in Seq order, and reports the rest dropped —
-// and the surviving events' span chain stays reconstructable.
-func TestRingWraparound(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 8, SpanCapacity: 8})
-	root := r.BeginSpan("job:j", "j", "", 0)
-	for i := 0; i < 20; i++ {
-		r.Emit(&Event{Kind: PriceSet, Slot: i, Value: float64(i)})
-	}
-	evs := r.Events()
-	if len(evs) != 8 || r.Len() != 8 {
-		t.Fatalf("survivors = %d, want 8", len(evs))
-	}
-	if r.Dropped() != 12 || r.Emitted() != 20 {
-		t.Fatalf("dropped=%d emitted=%d, want 12/20", r.Dropped(), r.Emitted())
-	}
-	for i, ev := range evs {
-		want := uint64(12 + i)
-		if ev.Seq != want || ev.Slot != int(want) {
-			t.Fatalf("survivor %d: seq=%d slot=%d, want %d", i, ev.Seq, ev.Slot, want)
-		}
-		// Span-tree reconstructability: every survivor's span resolves.
-		sp, ok := r.SpanByID(ev.Span)
-		if !ok || sp.ID != root {
-			t.Fatalf("survivor %d: span %d did not resolve to root", i, ev.Span)
-		}
-	}
-}
-
-// TestSpanRingEviction: span lookups for overwritten spans fail
-// cleanly instead of resolving to the wrong span.
-func TestSpanRingEviction(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 8, SpanCapacity: 2})
-	a := r.BeginSpan("a", "", "", 0)
-	r.EndSpan(a, 0)
-	b := r.BeginSpan("b", "", "", 1)
-	r.EndSpan(b, 1)
-	c := r.BeginSpan("c", "", "", 2) // overwrites a's arena slot
-	if _, ok := r.SpanByID(a); ok {
-		t.Fatal("evicted span resolved")
-	}
-	if sp, ok := r.SpanByID(c); !ok || sp.Name != "c" {
-		t.Fatalf("live span did not resolve: %+v ok=%v", sp, ok)
-	}
-	spans := r.Spans()
-	if len(spans) != 2 || spans[0].ID != b || spans[1].ID != c {
-		t.Fatalf("Spans() = %+v, want [b c]", spans)
-	}
-}
-
-// TestEmitZeroAlloc: the bounded emit path must not allocate — the
-// flight recorder's always-on guarantee.
+// TestEmitZeroAlloc: once a Reset has kept its storage, an emit
+// appends into it without allocating.
 func TestEmitZeroAlloc(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 64})
+	r := NewRecorder()
 	ev := Event{Kind: PriceSet, Slot: 1, Region: "home", Subject: "r3.xlarge", Value: 0.03}
+	for i := 0; i < 256; i++ {
+		r.Emit(&ev)
+	}
+	r.Reset()
 	if allocs := testing.AllocsPerRun(200, func() { r.Emit(&ev) }); allocs != 0 {
 		t.Fatalf("Emit allocates %v per op, want 0", allocs)
 	}
 }
 
-// TestEmitSeriesEquivalence: the batch path must produce exactly the
-// events of per-change Emit calls — including across a ring lap,
-// where it switches to the two-word fast path — in both modes.
-func TestEmitSeriesEquivalence(t *testing.T) {
-	series := []float64{0.03, 0.03, 0.05, 0.05, 0.05, 0.03, 0.07, 0.07, 0.04, 0.04, 0.09, 0.02, 0.02, 0.06}
-	tmpl := Event{Kind: PriceSet, Region: "generator", Subject: "r3.xlarge"}
-	for _, cfg := range []Config{
-		{Unbounded: true},
-		{Capacity: 4, SpanCapacity: 4}, // series has 9 changes: laps the ring
-	} {
-		batch := NewRecorder(cfg)
-		loop := NewRecorder(cfg)
-		// A current span on both, so the batch path's span fill is covered.
-		batch.BeginSpan("job:j", "j", "", 0)
-		loop.BeginSpan("job:j", "j", "", 0)
-		batch.EmitSeries(tmpl, series)
-		last := series[0] + 1
-		for i, p := range series {
-			if p == last {
-				continue
-			}
-			last = p
-			ev := tmpl
-			ev.Slot, ev.Value = i, p
-			loop.Emit(&ev)
+// emitEach records a series the long way, one Emit per change: what
+// EmitSeries must read back as.
+func emitEach(r *Recorder, tmpl Event, values []float64) {
+	last := math.NaN()
+	for i, v := range values {
+		if v == last {
+			continue
 		}
-		a, b := batch.Events(), loop.Events()
-		if len(a) == 0 || len(a) != len(b) {
-			t.Fatalf("cfg %+v: %d batch events vs %d loop events", cfg, len(a), len(b))
-		}
-		for i := range a {
-			if a[i].Seq != b[i].Seq || a[i].Slot != b[i].Slot || a[i].Value != b[i].Value ||
-				a[i].Kind != b[i].Kind || a[i].Span != b[i].Span ||
-				a[i].Region != b[i].Region || a[i].Subject != b[i].Subject {
-				t.Fatalf("cfg %+v event %d: batch %+v != loop %+v", cfg, i, a[i], b[i])
-			}
-		}
-		if batch.Emitted() != loop.Emitted() || batch.Dropped() != loop.Dropped() {
-			t.Fatalf("cfg %+v: emitted/dropped diverge: %d/%d vs %d/%d",
-				cfg, batch.Emitted(), batch.Dropped(), loop.Emitted(), loop.Dropped())
-		}
+		last = v
+		ev := tmpl
+		ev.Slot, ev.Value = i, v
+		r.Emit(&ev)
 	}
 }
 
-// TestEmitSeriesZeroAlloc: the bounded batch path shares Emit's
-// always-on guarantee.
+// TestEmitSeriesEquivalence: two series interleaved with single emits
+// and a span change read back exactly as the per-change Emit calls —
+// each series in its place in Seq order, its events in the span that
+// was current at the call.
+func TestEmitSeriesEquivalence(t *testing.T) {
+	a := []float64{0.03, 0.03, 0.05, 0.05, 0.05, 0.03, 0.07, 0.07}
+	b := []float64{0.04, 0.04, 0.09, 0.02, 0.02, 0.06}
+	tmpl := Event{Kind: PriceSet, Region: "generator", Subject: "r3.xlarge"}
+	var leg SpanID
+	play := func(r *Recorder, series func(*Recorder, Event, []float64)) {
+		r.BeginSpan("job:j", "j", "", 0)
+		r.Emit(&Event{Kind: BidSubmitted, Slot: 0, Subject: "req-0"})
+		series(r, tmpl, a)
+		r.Emit(&Event{Kind: BidAccepted, Slot: 1, Subject: "inst-0"})
+		leg = r.BeginSpan("leg:spot", "j", "home", 2)
+		other := tmpl
+		other.Subject = "c3.4xlarge"
+		series(r, other, b)
+		r.EndSpan(leg, 5)
+		r.Emit(&Event{Kind: OutBid, Slot: 5})
+	}
+	batch, loop := NewRecorder(), NewRecorder()
+	play(batch, (*Recorder).EmitSeries)
+	play(loop, emitEach)
+	got, want := batch.Events(), loop.Events()
+	if len(want) != 11 || batch.Len() != len(want) {
+		t.Fatalf("batch Len %d, %d loop events; want 11", batch.Len(), len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("batch events differ from per-change emits:\n got %+v\nwant %+v", got, want)
+	}
+	if got[6].Subject != "c3.4xlarge" || got[6].Span != leg {
+		t.Fatalf("second series' first event %+v, want subject c3.4xlarge in span %d", got[6], leg)
+	}
+}
+
+// TestEmitSeriesZeroAlloc: once a Reset has kept its storage, a series
+// is stored without allocating.
 func TestEmitSeriesZeroAlloc(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 64})
+	r := NewRecorder()
 	tmpl := Event{Kind: PriceSet, Region: "home", Subject: "r3.xlarge"}
 	series := []float64{0.03, 0.04, 0.05, 0.03, 0.06, 0.07, 0.03}
+	for i := 0; i < 128; i++ {
+		r.EmitSeries(tmpl, series)
+	}
+	r.Reset()
 	if allocs := testing.AllocsPerRun(100, func() { r.EmitSeries(tmpl, series) }); allocs != 0 {
 		t.Fatalf("EmitSeries allocates %v per op, want 0", allocs)
-	}
-}
-
-// TestEventLayout: Event is sized to two cache lines, with the fields
-// the hot emit path always stores in the first — the layout the emit
-// optimizations (and the 128 KB L2-resident default arena) assume. A
-// new field means revisiting DefaultCapacity and the field order in
-// Emit, not just this constant.
-func TestEventLayout(t *testing.T) {
-	if unsafe.Sizeof(uintptr(0)) != 8 {
-		t.Skip("layout is specified for 64-bit platforms")
-	}
-	if got := unsafe.Sizeof(Event{}); got != 128 {
-		t.Fatalf("sizeof(Event) = %d, want 128 (two cache lines)", got)
-	}
-	if off := unsafe.Offsetof(Event{}.Subject); off < 64 {
-		t.Fatalf("Subject at offset %d: rarely-stored fields belong in the second line", off)
-	}
-	if off := unsafe.Offsetof(Event{}.Region); off >= 64 {
-		t.Fatalf("Region at offset %d: hot fields belong in the first line", off)
 	}
 }
 
@@ -256,8 +202,8 @@ func populate(r *Recorder) {
 // the format's Exporter (and a second identically built recorder),
 // yields byte-identical output in every format.
 func TestExportDeterminism(t *testing.T) {
-	r1 := NewRecorder(Config{Unbounded: true})
-	r2 := NewRecorder(Config{Unbounded: true})
+	r1 := NewRecorder()
+	r2 := NewRecorder()
 	populate(r1)
 	populate(r2)
 	for _, f := range []struct {
@@ -301,7 +247,7 @@ func TestExportDeterminism(t *testing.T) {
 // JSON — the object form with a traceEvents array whose entries all
 // carry name/ph/pid/tid, "X" entries ts+dur, and "i" entries ts+s.
 func TestChromeTraceSchema(t *testing.T) {
-	r := NewRecorder(Config{Unbounded: true})
+	r := NewRecorder()
 	populate(r)
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -367,16 +313,16 @@ func TestChromeTraceSchema(t *testing.T) {
 }
 
 // TestTimelineRendering: smoke-check the text renderer — slot stamps,
-// kind names, span labels, drop notice.
+// kind names, span labels.
 func TestTimelineRendering(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 4, SpanCapacity: 4})
+	r := NewRecorder()
 	populate(r)
 	var buf bytes.Buffer
 	if err := r.WriteTimeline(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"slot 000110", "migrate", "earlier events overwritten"} {
+	for _, want := range []string{"slot 000110", "migrate", "[leg:persistent]"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("timeline missing %q:\n%s", want, out)
 		}
@@ -398,17 +344,31 @@ func TestKindNames(t *testing.T) {
 	}
 }
 
-// TestReset: a reset bounded recorder reuses its arenas and starts
-// clean.
+// TestReset: a reset recorder starts clean, numbers its events and
+// spans from 0 and 1 again, drops its references to the series it was
+// given, and records the next trace into the storage it kept.
 func TestReset(t *testing.T) {
-	r := NewRecorder(Config{Capacity: 8, SpanCapacity: 4})
+	r := NewRecorder()
 	populate(r)
+	r.EmitSeries(Event{Kind: PriceSet}, []float64{0.03, 0.04})
 	r.Reset()
-	if r.Len() != 0 || r.Emitted() != 0 || r.Current() != 0 || len(r.Spans()) != 0 {
+	if r.Len() != 0 || r.Current() != 0 || len(r.Spans()) != 0 || len(r.Events()) != 0 {
 		t.Fatal("reset recorder not clean")
 	}
-	r.Emit(&Event{Kind: PriceSet, Slot: 1})
-	if evs := r.Events(); len(evs) != 1 || evs[0].Seq != 0 {
-		t.Fatalf("post-reset emit: %+v", r.Events())
+	if r.series[:1][0].values != nil {
+		t.Fatal("reset kept a reference to a series")
+	}
+	series := []float64{0.03, 0.04}
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset()
+		r.BeginSpan("job:j", "j", "", 1)
+		r.Emit(&Event{Kind: PriceSet, Slot: 1})
+		r.EmitSeries(Event{Kind: PriceSet}, series)
+	})
+	if allocs != 0 {
+		t.Fatalf("a reset recorder allocates %v per trace, want 0", allocs)
+	}
+	if evs := r.Events(); len(evs) != 3 || evs[0].Seq != 0 || evs[0].Span != 1 || r.Spans()[0].ID != 1 {
+		t.Fatalf("post-reset trace: events %+v, spans %+v", evs, r.Spans())
 	}
 }

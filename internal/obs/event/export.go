@@ -56,8 +56,8 @@ type jsonlEvent struct {
 	Vec     []float64 `json:"vec,omitempty"`
 }
 
-// WriteJSONL writes the trace as JSON Lines: first every surviving
-// span in ID order, then every surviving event in Seq order — a
+// WriteJSONL writes the trace as JSON Lines: first every span in ID
+// order, then every event in Seq order — a
 // stable sort that makes two exports of the same seeded run
 // byte-identical. A nil recorder writes nothing.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
@@ -251,11 +251,6 @@ func (r *Recorder) WriteTimeline(w io.Writer) error {
 		}
 		if _, err := fmt.Fprintf(w, "slot %06d %s%-18s %s%s\n",
 			ev.Slot, indent, ev.Kind, strings.Join(detail, " "), where); err != nil {
-			return err
-		}
-	}
-	if d := r.Dropped(); d > 0 {
-		if _, err := fmt.Fprintf(w, "… %d earlier events overwritten by the flight recorder\n", d); err != nil {
 			return err
 		}
 	}

@@ -38,7 +38,7 @@ func feed(t *testing.T, db *DB, eng *Engine, lo, hi int, goodTot, badTot *float6
 
 func TestSLOFiresAndResolves(t *testing.T) {
 	db := New(Config{})
-	rec := event.NewRecorder(event.Config{Capacity: 128})
+	rec := event.NewRecorder()
 	eng, err := NewEngine(db, rec, synthSLO())
 	if err != nil {
 		t.Fatal(err)

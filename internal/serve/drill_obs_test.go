@@ -15,7 +15,7 @@ import (
 func obsDrill(t *testing.T) (*serve.DrillResult, *tsdb.DB, *event.Recorder) {
 	t.Helper()
 	db := tsdb.New(tsdb.Config{})
-	rec := event.NewRecorder(event.Config{Capacity: 1 << 10})
+	rec := event.NewRecorder()
 	res, err := serve.Drill(serve.DrillConfig{Faults: drillSchedule(t), TSDB: db, Events: rec})
 	if err != nil {
 		t.Fatal(err)

@@ -334,7 +334,9 @@ func (c Calibration) generate(opt GenOptions) (*Trace, error) {
 // never the memo. The market.* series of a FullDynamics generation are
 // the exception: the queue simulator records them only inside
 // Generate. On a trace the generator did not return, RecordGeneration
-// records its slots, its prices and their PriceSet series.
+// records its slots, its prices and their PriceSet series. rec keeps
+// t.Prices itself as the series (event.Recorder.EmitSeries), so they
+// must not change afterwards; generated prices never do.
 func (t *Trace) RecordGeneration(m *obs.Registry, rec *event.Recorder) {
 	if t.dwell > 1 {
 		m.Counter("trace.dwell_switches").Add(t.switches)
@@ -343,9 +345,9 @@ func (t *Trace) RecordGeneration(m *obs.Registry, rec *event.Recorder) {
 		m.Counter("trace.slots_generated").Add(int64(len(t.Prices)))
 		m.Histogram("trace.price_usd", obs.PriceBuckets).ObserveBatch(t.Prices)
 	}
-	// One PriceSet per price change; the batch path keeps tracing off
-	// the generator's critical path even under i.i.d. pricing, where
-	// every slot changes.
+	// One PriceSet per price change, stored as the series: tracing
+	// stays off the generator's critical path even under i.i.d.
+	// pricing, where every slot changes.
 	rec.EmitSeries(event.Event{Kind: event.PriceSet, Region: "generator", Subject: string(t.Type)}, t.Prices)
 }
 

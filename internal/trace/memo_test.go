@@ -17,7 +17,7 @@ import (
 func generateInstrumented(t *testing.T, opt GenOptions) (*Trace, []byte, []byte) {
 	t.Helper()
 	met := obs.New()
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	opt.Metrics = met
 	opt.Trace = rec
 	tr, err := Generate(instances.R3XLarge, opt)
@@ -257,12 +257,12 @@ func TestRecordGenerationMatchesGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			met, rec := obs.New(), event.NewRecorder(event.Config{Unbounded: true})
+			met, rec := obs.New(), event.NewRecorder()
 			quiet.RecordGeneration(met, rec)
 			gotSnap, gotJSONL := recorded(t, met, rec, false)
 
 			ref := opt
-			ref.Metrics, ref.Trace = obs.New(), event.NewRecorder(event.Config{Unbounded: true})
+			ref.Metrics, ref.Trace = obs.New(), event.NewRecorder()
 			if _, err := Generate(instances.R3XLarge, ref); err != nil {
 				t.Fatal(err)
 			}
@@ -293,7 +293,7 @@ func TestMemoRejectsInvalidSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.PlateauAlpha, c.TailAlpha = 0.5, 0.5
-	rec := event.NewRecorder(event.Config{Unbounded: true})
+	rec := event.NewRecorder()
 	for call := 1; call <= 2; call++ {
 		if _, err := c.Generate(GenOptions{Days: 1, FullDynamics: true, Trace: rec}); err == nil {
 			t.Fatalf("call %d: an invalid series was accepted", call)
@@ -302,8 +302,8 @@ func TestMemoRejectsInvalidSeries(t *testing.T) {
 			t.Fatalf("call %d: memo hits %d, misses %d; want 0, %d", call, hits, misses, call)
 		}
 	}
-	if rec.Emitted() != 0 {
-		t.Fatalf("the recorder got %d events from an invalid series", rec.Emitted())
+	if rec.Len() != 0 {
+		t.Fatalf("the recorder got %d events from an invalid series", rec.Len())
 	}
 	met := obs.New()
 	if _, err := c.Generate(GenOptions{Days: 1, FullDynamics: true, Metrics: met}); err == nil {

@@ -505,8 +505,6 @@ type (
 	// TraceRecorder is the flight recorder; a nil *TraceRecorder is
 	// the no-op default.
 	TraceRecorder = event.Recorder
-	// TraceConfig tunes capacity and bounded/unbounded mode.
-	TraceConfig = event.Config
 	// TraceEvent is one recorded event; TraceSpan one causal-tree node.
 	TraceEvent = event.Event
 	TraceSpan  = event.Span
@@ -514,8 +512,8 @@ type (
 	TraceEventKind = event.Kind
 )
 
-// NewRecorder builds a flight recorder (bounded ring buffer by
-// default; Unbounded for full experiment exports).
+// NewRecorder builds an empty flight recorder, which keeps every event
+// and span it is given until Reset.
 var NewRecorder = event.NewRecorder
 
 // Flight-recorder event kinds.
