@@ -7,9 +7,9 @@
 //     the Prop. 5 bid, the Table 3 macro run, the 10⁴-lane fleet run,
 //     and each hot branch of the quote server;
 //   - speedups: Table 3 with the trace memo off against on;
-//   - normalized: the 2,000-lane fleet run and the client's per-slot
-//     market step, each timed as a multiple of a sort yardstick that
-//     runs no repository code;
+//   - normalized: the 2,000-lane fleet run, the client's per-slot
+//     market step and the §7.1 cell window build, each timed as a
+//     multiple of a sort yardstick that runs no repository code;
 //   - overheads: the Noop default against a live metrics registry,
 //     flight recorder or tsdb scrape plane, for micro operations and
 //     end-to-end runs;
@@ -56,11 +56,12 @@ const (
 	// maxMacroOverheadPct is the end-to-end budget of instrumentation
 	// (metrics, flight recorder, tsdb scrape) over the Noop default.
 	maxMacroOverheadPct = 5.0
-	// maxFleetRunRatio and maxMarketStepRatio cap the normalized
-	// pairs' median ratios in both modes: each is 1.5× its median over
-	// 40 quick runs on a 2-vCPU Xeon VM (DESIGN.md §10).
+	// maxFleetRunRatio, maxMarketStepRatio and maxCellWindowRatio cap
+	// the normalized pairs' median ratios in both modes: each is 1.5×
+	// its median over 40 quick runs on a 2-vCPU Xeon VM (DESIGN.md §10).
 	maxFleetRunRatio   = 1.468
 	maxMarketStepRatio = 0.003926
+	maxCellWindowRatio = 0.01784
 )
 
 // Measurement sizes for the full record and for -quick.
@@ -244,6 +245,7 @@ var normalizedGates = []struct {
 }{
 	{"lanes.fleet_run", fleetRun(quickFleetLanes), maxFleetRunRatio},
 	{"client.market_step", benchMarket, maxMarketStepRatio},
+	{"dist.cell_window", cellWindow, maxCellWindowRatio},
 }
 
 // normalized pairs op with the sort yardstick at GOMAXPROCS 1.

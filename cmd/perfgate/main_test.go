@@ -114,8 +114,10 @@ func TestCheckCatchesEachGate(t *testing.T) {
 		{"table3 ratio +11%", slower("experiments.table3"), false, "experiments.table3: ratio"},
 		{"fleet_run over its ceiling", overCeiling("lanes.fleet_run", maxFleetRunRatio), true, "lanes.fleet_run: median ratio"},
 		{"market_step over its ceiling", overCeiling("client.market_step", maxMarketStepRatio), true, "client.market_step: median ratio"},
+		{"cell_window over its ceiling", overCeiling("dist.cell_window", maxCellWindowRatio), true, "dist.cell_window: median ratio"},
 		{"fleet_run not measured", notMeasured("lanes.fleet_run"), true, "lanes.fleet_run: normalized pair not measured"},
 		{"market_step not measured", notMeasured("client.market_step"), true, "client.market_step: normalized pair not measured"},
+		{"cell_window not measured", notMeasured("dist.cell_window"), true, "dist.cell_window: normalized pair not measured"},
 		{"table3 memo ratio > 1", speedupOf("experiments.table3", 0.99), false, "experiments.table3: trace memo speedup"},
 		{"table3 memo allocs not lower", func(t *testing.T, fresh, _ *Report) {
 			s := speedupIn(t, fresh, "experiments.table3")

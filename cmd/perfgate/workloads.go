@@ -128,6 +128,30 @@ func benchPersistentBid(b *testing.B) {
 	}
 }
 
+// cellWindow: the §7.1 cell window build of Figs. 5–6 — a Fill of the
+// first two months of the seed-1 r3.xlarge trace the (r3.xlarge, run
+// 0) cell generates (63 days, default dwell) into a window of that
+// size, then the one CDFPartialMean that builds the prefix sums, as
+// the cell's first bid does.
+func cellWindow(b *testing.B) {
+	tr, err := trace.Generate(instances.R3XLarge, trace.GenOptions{Days: 63, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	prices := tr.Prices[:historySlots]
+	win, err := dist.NewWindowedECDF(historySlots, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := win.Fill(prices); err != nil {
+			b.Fatal(err)
+		}
+		dist.CDFPartialMean(win, prices[0])
+	}
+}
+
 // table3 runs the end-to-end Table 3 experiment once; the fixed seed
 // keeps both arms of the memo pair on identical work.
 func table3(b *testing.B) {

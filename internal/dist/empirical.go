@@ -68,12 +68,24 @@ func badSample(x float64) error {
 // contents.
 func newEmpiricalOwned(s, prefix []float64, nbins int) *Empirical {
 	e := &Empirical{xs: s, prefix: prefix}
-	for i, x := range s {
-		e.prefix[i+1] = e.prefix[i] + x
-	}
+	prefixSums(prefix, s)
 	e.mean, e.vari = MeanVar(s)
 	e.bins, e.dens = histogramFor(s, nbins)
 	return e
+}
+
+// prefixSums sets prefix[i] = Σ xs[:i] for every i ≤ len(xs); prefix
+// must hold len(xs)+1 values. The running sum stays in a register, so
+// each add waits only for the last add, not for its store, and it adds
+// left to right, the order every caller's results are pinned to.
+func prefixSums(prefix, xs []float64) {
+	p := prefix[1 : len(xs)+1]
+	prefix[0] = 0
+	sum := 0.0
+	for i, x := range xs {
+		sum += x
+		p[i] = sum
+	}
 }
 
 // histogramFor builds the equal-width histogram (bin edges + densities)

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 )
@@ -37,7 +36,7 @@ type WindowedECDF struct {
 	n        int       // live sample count, ≤ capacity
 
 	sorted []float64  // the n live samples, sorted ascending
-	runs   []valueRun // Fill's scratch, kept at its high-water size
+	runs   []valueRun // Fill's split scratch, kept at its high-water size
 
 	// sortRuns's radix scratch, grown only by a sort of at least
 	// radixMin runs, and then as append grows: the run counts of the
@@ -153,10 +152,6 @@ func (w *WindowedECDF) Push(x float64) error {
 // one value at a time: −0 and +0 compare equal but differ in bits, and
 // the places Push gives them are the contract.
 func (w *WindowedECDF) Slide(xs []float64) error {
-	runs, zero, err := scan(xs)
-	if err != nil {
-		return err
-	}
 	k := len(xs)
 	switch {
 	case k == 0:
@@ -164,12 +159,30 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 	case k == 1:
 		return w.Push(xs[0])
 	}
+	var (
+		in    []valueRun
+		byRun bool
+		zero  bool
+		err   error
+	)
+	// A batch of at least Cap values ends in Fill, which splits the
+	// window it keeps, so such a batch is only validated here.
+	if k < w.capacity {
+		if cap(w.edits) < 2*k {
+			w.edits = make([]valueRun, 2*k)
+		}
+		in, byRun, zero, err = splitRuns(w.edits[:0:k], xs)
+	} else {
+		zero, err = checkSamples(xs)
+	}
+	if err != nil {
+		return err
+	}
 	// The batch evicts the e oldest live samples, all of them when it
 	// fills the window by itself.
 	e := min(max(w.n+k-w.capacity, 0), w.n)
 	old, wrapped := w.oldest(e)
-	zero = zero || slices.Contains(old, 0) || slices.Contains(wrapped, 0)
-	if zero {
+	if zero || slices.Contains(old, 0) || slices.Contains(wrapped, 0) {
 		for _, x := range xs {
 			_ = w.Push(x) // validated above
 		}
@@ -181,12 +194,15 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 
 	// The evicted samples arrived as an earlier batch of the same
 	// stream, so the batch's runs decide how both are sorted.
-	byRun := runs*minRunLength <= k
-	if cap(w.edits) < 2*k {
-		w.edits = make([]valueRun, 2*k)
+	gone := w.edits[k : k : 2*k]
+	if byRun {
+		w.sortByRun(in)
+		gone = appendRuns(appendRuns(gone, old), wrapped)
+		w.sortByRun(gone)
+	} else {
+		in = w.sortByValue(in[:0], xs)
+		gone = w.sortByValue(gone, old, wrapped)
 	}
-	in := w.sortedRuns(w.edits[:0:k], byRun, xs)
-	gone := w.sortedRuns(w.edits[k:k:2*k], byRun, old, wrapped)
 
 	// The ring, as Push writes it: the batch lands after the newest
 	// sample, overwriting the e oldest.
@@ -206,23 +222,54 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 	return nil
 }
 
-// scan validates a batch of samples and counts its runs of equal
-// consecutive values, and reports whether it holds a zero.
-func scan(xs []float64) (runs int, zero bool, err error) {
-	prev := math.NaN()
-	for _, x := range xs {
+// splitRuns validates a stream of samples, reports whether it holds a
+// zero, and appends to rs its runs of equal consecutive values, all in
+// one pass. Only a run's head goes through CheckSample and the zero
+// test, since the rest of the run equals it. byRun reports whether the
+// runs are long enough to sort by, a mean of at least minRunLength
+// values. Once the runs so far exceed that mean's count by more than
+// splitSlack, as an i.i.d. stream's do after 2·splitSlack values,
+// splitRuns takes the stream for one too short on runs to sort by: it
+// stops appending, validates the rest one value at a time, and
+// reports byRun false; what it appended is then garbage.
+func splitRuns(rs []valueRun, xs []float64) (_ []valueRun, byRun, zero bool, err error) {
+	runs := 0
+	for i := 0; i < len(xs); {
+		x := xs[i]
 		if err := CheckSample(x); err != nil {
-			return 0, false, err
+			return rs, false, false, err
 		}
-		if x != prev {
-			runs++
-			prev = x
+		zero = zero || x == 0
+		j := i + 1
+		for j < len(xs) && xs[j] == x {
+			j++
 		}
-		if x == 0 {
-			zero = true
+		rs = append(rs, valueRun{v: x, n: j - i})
+		runs++
+		i = j
+		if minRunLength*runs > i+minRunLength*splitSlack {
+			tailZero, err := checkSamples(xs[i:])
+			return rs, false, zero || tailZero, err
 		}
 	}
-	return runs, zero, nil
+	return rs, minRunLength*runs <= len(xs), zero, nil
+}
+
+// splitSlack is how many runs splitRuns lets a stream run ahead of a
+// mean run of minRunLength before it stops splitting. A batch of at
+// most 2·splitSlack values is always split to its end, so its sort is
+// chosen by the count of all its runs.
+const splitSlack = 128
+
+// checkSamples validates samples and reports whether they hold a zero.
+func checkSamples(xs []float64) (zero bool, err error) {
+	for _, x := range xs {
+		if err := CheckSample(x); err != nil {
+			return false, err
+		}
+		zero = zero || x == 0
+	}
+	return zero, nil
 }
 
 // oldest returns the e oldest live samples in arrival order, as the
@@ -234,24 +281,21 @@ func (w *WindowedECDF) oldest(e int) (old, wrapped []float64) {
 	return w.ring[w.head : w.head+e], nil
 }
 
-// sortedRuns appends to rs the values of the segments as runs of equal
-// values sorted by value; one value may span adjacent runs. rs must
-// have room for every value. Dwell-model prices come in runs of equal
-// consecutive values, and with byRun it sorts those runs, as Fill does;
-// otherwise it sorts the values and counts the runs of the result.
-func (w *WindowedECDF) sortedRuns(rs []valueRun, byRun bool, segs ...[]float64) []valueRun {
-	if byRun {
-		for _, seg := range segs {
-			rs = appendRuns(rs, seg)
-		}
-		var buf []valueRun
-		if len(rs) >= radixMin {
-			w.runBuf = slices.Grow(w.runBuf[:0], len(rs))
-			buf = w.runBuf[:len(rs)]
-		}
-		sortRuns(rs, buf)
-		return rs
+// sortByRun sorts the runs rs by value, through the radix scratch from
+// radixMin runs up.
+func (w *WindowedECDF) sortByRun(rs []valueRun) {
+	var buf []valueRun
+	if len(rs) >= radixMin {
+		w.runBuf = slices.Grow(w.runBuf[:0], len(rs))
+		buf = w.runBuf[:len(rs)]
 	}
+	sortRuns(rs, buf)
+}
+
+// sortByValue sorts the values of the segments and appends them to rs
+// as runs of equal values; rs must have room for every value. It is
+// how Slide sorts a batch too short on runs to sort by run.
+func (w *WindowedECDF) sortByValue(rs []valueRun, segs ...[]float64) []valueRun {
 	vs := w.values[:0]
 	for _, seg := range segs {
 		vs = append(vs, seg...)
@@ -280,7 +324,9 @@ func (w *WindowedECDF) growPrefix() {
 	}
 }
 
-// appendRuns appends to rs the runs of equal consecutive values of xs.
+// appendRuns appends to rs the runs of equal consecutive values of xs,
+// samples already validated: a sorted slice, or the samples a Slide
+// evicts.
 func appendRuns(rs []valueRun, xs []float64) []valueRun {
 	for i := 0; i < len(xs); {
 		j := i + 1
@@ -379,14 +425,15 @@ func gallopBackGE(xs []float64, i int, x float64) int {
 // warm-up, and recovery after a gap too large for per-slot pushes to
 // be worth their memmoves.
 //
-// The validation pass also counts the stream's runs of equal
-// consecutive values. A dwell-model price trace holds one run per
-// price level, ~18 slots each at the default dwell, so when runs are
-// sparse Fill sorts the runs and expands them instead of sorting every
-// slot. Equal non-zero floats share their bits, so the expansion is
-// the slice sort.Float64s would produce. A window holding a zero falls
-// back to the plain sort, which puts −0 before +0 as NewEmpirical
-// does.
+// One pass validates the window and splits it into runs of equal
+// consecutive values (splitRuns). A dwell-model price trace holds one
+// run per price level, ~18 slots each at the default dwell, so when
+// runs are long Fill sorts the runs and expands them instead of
+// sorting every slot. Equal non-zero floats share their bits, so the
+// expansion is the slice sort.Float64s would produce. An i.i.d. stream
+// stops splitting within its first few hundred values and takes the
+// plain sort, as does a window holding a zero, which puts −0 before +0
+// as NewEmpirical does.
 func (w *WindowedECDF) Fill(xs []float64) error {
 	if len(xs) == 0 {
 		return fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
@@ -394,25 +441,24 @@ func (w *WindowedECDF) Fill(xs []float64) error {
 	if len(xs) > w.capacity {
 		xs = xs[len(xs)-w.capacity:]
 	}
-	runs, zero, err := scan(xs)
+	runs, byRun, zero, err := splitRuns(w.runs[:0], xs)
 	if err != nil {
 		return err
 	}
 	w.n = copy(w.ring, xs)
 	w.head = 0
 	w.sorted = w.sorted[:w.n]
-	if zero || runs*minRunLength > w.n {
+	if zero || !byRun {
+		w.runs = runs[:0]
 		copy(w.sorted, xs)
 		sortFloats(w.sorted, w.floatScratch(w.n))
 	} else {
 		// Runs of one value land next to each other in any order,
 		// since their values are bit-identical.
-		if cap(w.runs) < runs {
-			w.runs = make([]valueRun, 0, runs)
-		}
-		w.runs = w.sortedRuns(w.runs[:0], true, xs)
+		w.runs = runs
+		w.sortByRun(runs)
 		k := 0
-		for _, r := range w.runs {
+		for _, r := range runs {
 			for end := k + r.n; k < end; k++ {
 				w.sorted[k] = r.v
 			}
@@ -423,9 +469,11 @@ func (w *WindowedECDF) Fill(xs []float64) error {
 }
 
 // minRunLength is the mean run length from which Fill sorts runs
-// rather than slots. Over a 17,568-slot window the run sort ties the
-// plain sort at a mean run of 2 and wins 1.7× at 3 and 3.6× at 18;
-// below 2, as on an i.i.d. trace, the run pass is pure overhead.
+// rather than slots. Over a 17,568-slot window, each branch timed with
+// its own validation, the run branch is 1.2–1.3× slower than the plain
+// sort at a mean run of 1 (an i.i.d. trace), ties it at 1.5, and wins
+// 1.3–1.5× at 2, 1.9–2.1× at 3 and 8–11× at 18. No generated trace has
+// a mean run between 1 and 2, so the tie's move below 2 leaves this.
 const minRunLength = 2
 
 // valueRun is one run of equal consecutive values in a stream.
@@ -451,10 +499,7 @@ func (w *WindowedECDF) refreshPrefix() {
 	w.mustSample()
 	w.growPrefix()
 	w.prefix = w.prefix[:w.n+1]
-	w.prefix[0] = 0
-	for i, x := range w.sorted {
-		w.prefix[i+1] = w.prefix[i] + x
-	}
+	prefixSums(w.prefix, w.sorted)
 	w.dirtyPrefix = false
 }
 

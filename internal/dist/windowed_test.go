@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -187,11 +188,10 @@ func TestWindowedFillRuns(t *testing.T) {
 		for _, n := range []int{capacity / 2, capacity, 3 * capacity, capacity / 3} {
 			stream := runStream(rng, n, 40, c.level)
 			window := windowOf(stream, capacity)
-			w.runs = nil
 			if err := w.Fill(stream); err != nil {
 				t.Fatal(err)
 			}
-			if took := w.runs != nil; took != c.sparse {
+			if took := len(w.runs) != 0; took != c.sparse {
 				t.Fatalf("%s, %d values: run sort taken %v, want %v", c.name, n, took, c.sparse)
 			}
 			if c.sparse && len(w.runs) != runCount(window) {
@@ -202,41 +202,99 @@ func TestWindowedFillRuns(t *testing.T) {
 	}
 }
 
+// nonFinite reports whether xs holds a NaN or an Inf.
+func nonFinite(xs []float64) bool {
+	return slices.ContainsFunc(xs, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) })
+}
+
+// iidStretch returns n level bytes whose consecutive levels differ, for
+// a seed whose runs make splitRuns stop splitting: one byte per level
+// when pairs is false, and each followed by a run byte of 0 (one value)
+// when it is true. The levels are 1 to 15 times step, so none is zero,
+// and with step 0x10 and 5 none is a reserved byte of either decoder.
+func iidStretch(n int, step byte, pairs bool) []byte {
+	var out []byte
+	for i := 0; i < n; i++ {
+		out = append(out, step*byte(1+i%15))
+		if pairs {
+			out = append(out, 0)
+		}
+	}
+	return out
+}
+
 // FuzzFillEquivalence decodes the input into a run-structured stream
 // and fills one window twice, with the stream and then with its first
 // half: after each fill, every query must equal NewEmpirical over the
-// same trailing window, Values() bit for bit. Byte 0 sets the capacity;
-// each later pair is a level (int8/4, 0x80 for −0) and a run length of
-// 1–40.
+// same trailing window, Values() bit for bit. A fill whose trailing
+// window holds a NaN or an Inf must fail with ErrBadParam and leave
+// the window as it was, and a fill whose window holds a zero must take
+// the plain sort, which leaves the run buffer empty. Byte 0 sets the
+// capacity: 1–240, and 512 from 0xf0 up, room for a stretch long
+// enough that splitRuns stops splitting; each later pair is a level
+// (int8/4, with 0x80 for −0, 0x7f for NaN, 0x7e for +Inf and 0x81 for
+// −Inf) and a run length of 1–40.
 func FuzzFillEquivalence(f *testing.F) {
 	f.Add([]byte{32, 12, 17, 200, 3, 12, 9, 40, 39})
 	f.Add([]byte{8, 0, 5, 0x80, 5, 7, 2})
 	f.Add([]byte{255, 1, 0, 2, 0, 3, 0, 4, 0, 5, 0})
 	f.Add([]byte{1, 250, 39})
+	// A bad value heading a run, and as the last value.
+	f.Add([]byte{32, 12, 17, 0x7e, 3, 9, 40, 200, 2})
+	f.Add([]byte{32, 12, 17, 200, 3, 9, 5, 0x81, 0})
+	// An i.i.d. stretch long enough that the splitter stops splitting,
+	// then a NaN or the stream's only zero, in a 512-value window.
+	for _, late := range []byte{0x7f, 0} {
+		seed := append([]byte{0xf1}, iidStretch(300, 5, true)...)
+		seed = append(seed, late, 0)
+		f.Add(append(seed, iidStretch(20, 5, true)...))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 3 {
 			t.Skip()
 		}
 		capacity := int(raw[0]) + 1
+		if raw[0] >= 0xf0 {
+			capacity = 512
+		}
 		var stream []float64
 		for i := 1; i+1 < len(raw); i += 2 {
 			v := float64(int8(raw[i])) / 4
-			if raw[i] == 0x80 {
+			switch raw[i] {
+			case 0x80:
 				v = math.Copysign(0, -1)
+			case 0x7f:
+				v = math.NaN()
+			case 0x7e:
+				v = math.Inf(1)
+			case 0x81:
+				v = math.Inf(-1)
 			}
 			for j := 0; j <= int(raw[i+1])%40; j++ {
 				stream = append(stream, v)
 			}
 		}
-		w, err := NewWindowedECDF(capacity, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		w, _ := NewWindowedECDF(capacity, 0)
 		for _, xs := range [][]float64{stream, stream[:(len(stream)+1)/2]} {
-			if err := w.Fill(xs); err != nil {
+			window := windowOf(xs, capacity)
+			zero := slices.Contains(window, 0)
+			before := *w
+			before.ring, before.sorted = slices.Clone(w.ring), slices.Clone(w.sorted)
+			err := w.Fill(xs)
+			if nonFinite(window) {
+				if !errors.Is(err, ErrBadParam) {
+					t.Fatalf("Fill of a window holding a NaN or Inf: err %v, want ErrBadParam", err)
+				}
+				assertSameWindow(t, w, &before)
+				continue
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
-			assertElementIdentical(t, w, windowOf(xs, capacity), 0)
+			if zero && len(w.runs) != 0 {
+				t.Fatalf("Fill of a window holding a zero took the run sort")
+			}
+			assertElementIdentical(t, w, window, 0)
 		}
 	})
 }
@@ -281,15 +339,24 @@ func assertSameWindow(t *testing.T, got, want *WindowedECDF) {
 // trailing window. Push evicts the first zero of the sorted slice
 // whatever its sign, so a stream that mixes the two can leave a sorted
 // slice whose zeros differ in sign from the ring's; Slide must match
-// Push there too, but NewEmpirical sees only the ring.
+// Push there too, but NewEmpirical sees only the ring. A batch holding
+// a zero must go through Push, which leaves a nil value-sort scratch
+// nil: with a single zero the merge would give the same bits.
 func slideTwins(t *testing.T, slid, pushed *WindowedECDF, stream *[]float64, batch []float64) {
 	t.Helper()
 	backing := &slid.sorted[:1][0]
+	zero := slices.Contains(batch, 0)
+	if zero {
+		slid.values = nil
+	}
 	if err := slid.Slide(batch); err != nil {
 		t.Fatal(err)
 	}
 	if &slid.sorted[:1][0] != backing {
 		t.Fatalf("Slide(%v) moved the sorted slice to a new array, not editing it in place", batch)
+	}
+	if zero && slid.values != nil {
+		t.Fatalf("Slide(%v) sorted a batch holding a zero by value, not through Push", batch)
 	}
 	for _, x := range batch {
 		if err := pushed.Push(x); err != nil {
@@ -450,10 +517,14 @@ func TestWindowedSlide(t *testing.T) {
 // slides each batch into one window and Pushes it into another, and
 // requires the two to hold the same samples, oldest to newest and
 // sorted, bit for bit, and to match NewEmpirical over the trailing
-// window (see slideTwins for streams that mix the signs of zero). Byte
-// 0 sets the capacity (1–64); then each batch is a length byte (0–95)
-// followed by that many value bytes, one of 16 levels from −3.75 to
-// 3.75, except 0x08 for +0 and 0x88 for −0.
+// window (see slideTwins for streams that mix the signs of zero). A
+// batch holding a NaN or an Inf must fail with ErrBadParam and leave
+// the window as it was; the pushed twin skips it. Byte 0 sets the
+// capacity: 1–64, and 8× that from 0x80 up. Each batch is a length
+// byte, 0–95 values below 0xc0 and 8·(b−0xbf) from 0xc0 up, followed
+// by that many value bytes, one of 16 levels from −3.75 to 3.75,
+// except 0x08 for +0, 0x88 for −0, 0x09 for NaN, 0x0a for +Inf and
+// 0x0b for −Inf.
 func FuzzSlideEquivalence(f *testing.F) {
 	f.Add([]byte{15, 20, 0x10, 0x10, 0x20, 0x20, 0x20, 0xf0, 0xf0, 0x10, 0x30, 0x30, 0x30, 0x30, 0x40, 0x40, 0x10, 0x10, 0x20, 0x20, 0x50, 0x50, 5, 0x10, 0x20, 0x10, 0x60, 0x60})
 	f.Add([]byte{7, 3, 0x08, 0x10, 0x88, 12, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x10, 0x20, 0x30, 0x40, 0x50})
@@ -466,16 +537,33 @@ func FuzzSlideEquivalence(f *testing.F) {
 	f.Add([]byte{63, 2, 0x20, 0x10, 30, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x90, 0xa0, 0xb0,
 		0xc0, 0xd0, 0xe0, 0xf0, 0x10, 0x20, 0x30, 0x40, 0x50, 0x60, 0x70, 0x90, 0xa0, 0xb0, 0xc0,
 		0xd0, 0xe0, 0xf0, 0x10, 0x20})
+	// After a batch that fills the window, a bad value heading a run,
+	// then one as a batch's last value.
+	f.Add([]byte{15, 16, 0x10, 0x10, 0x20, 0x20, 0x20, 0x30, 0x40, 0x40, 0x50, 0x60, 0x60, 0x70, 0x10, 0x10, 0x20, 0x30,
+		8, 0x30, 0x30, 0x30, 0x0a, 0x0a, 0x20, 0x20, 0x40, 5, 0x50, 0x60, 0x10, 0x10, 0x0b})
+	// A 304-value batch into a 384-value window, an i.i.d. stretch long
+	// enough that the splitter stops splitting, then a NaN or the
+	// stream's only zero.
+	for _, late := range []byte{0x09, 0x08} {
+		seed := append([]byte{0x80 + 47, 0xc0 + 37}, iidStretch(290, 0x10, false)...)
+		f.Add(append(append(seed, late), iidStretch(13, 0x10, false)...))
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 {
 			t.Skip()
 		}
 		capacity := int(raw[0])%64 + 1
+		if raw[0] >= 0x80 {
+			capacity *= 8
+		}
 		slid, _ := NewWindowedECDF(capacity, 0)
 		pushed, _ := NewWindowedECDF(capacity, 0)
 		var stream []float64
 		for i := 1; i < len(raw); {
 			n := int(raw[i]) % 96
+			if raw[i] >= 0xc0 {
+				n = 8 * (int(raw[i]) - 0xbf)
+			}
 			i++
 			batch := make([]float64, 0, n)
 			for ; len(batch) < n && i < len(raw); i++ {
@@ -485,8 +573,21 @@ func FuzzSlideEquivalence(f *testing.F) {
 					v = 0
 				case 0x88:
 					v = math.Copysign(0, -1)
+				case 0x09:
+					v = math.NaN()
+				case 0x0a:
+					v = math.Inf(1)
+				case 0x0b:
+					v = math.Inf(-1)
 				}
 				batch = append(batch, v)
+			}
+			if nonFinite(batch) {
+				if err := slid.Slide(batch); !errors.Is(err, ErrBadParam) {
+					t.Fatalf("Slide of a batch holding a NaN or Inf: err %v, want ErrBadParam", err)
+				}
+				assertSameWindow(t, slid, pushed)
+				continue
 			}
 			slideTwins(t, slid, pushed, &stream, batch)
 		}
@@ -534,6 +635,34 @@ func BenchmarkWindowedSlide(b *testing.B) {
 						if err := w.Push(x); err != nil {
 							b.Fatal(err)
 						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkWindowedFill times the §7.1 cell window build: a Fill of a
+// two-month window, 17,568 prices, at the calibrated dwell of 18 slots
+// and i.i.d., alone and with the first PartialMean, which builds the
+// prefix sums as the cell's first bid does.
+func BenchmarkWindowedFill(b *testing.B) {
+	const capacity = 61 * 288
+	for _, dwell := range []int{18, 1} {
+		xs := sortPrices(capacity, dwell)
+		for _, first := range []bool{false, true} {
+			name := fmt.Sprintf("dwell%d/fill", dwell)
+			if first {
+				name += "+partialmean"
+			}
+			b.Run(name, func(b *testing.B) {
+				w, _ := NewWindowedECDF(capacity, 0)
+				for i := 0; i < b.N; i++ {
+					if err := w.Fill(xs); err != nil {
+						b.Fatal(err)
+					}
+					if first {
+						_ = w.PartialMean(0.1)
 					}
 				}
 			})
