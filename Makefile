@@ -64,8 +64,10 @@ check: fmt vet perfbench-vet no-wallclock race-obs race shuffle perfgate resilch
 # deciders, the quote-request decoder + serving path + HTTP handler,
 # the tsdb chunk decoder, the branch-free order-statistic searches,
 # the sample and run sorts against sort.Float64s and slices.SortFunc,
-# the windowed ECDF's run-length Fill and batch Slide, the Prop. 5
-# grid's one-call-per-price-step scan against its brute-force form,
+# the windowed ECDF's run-length Fill and batch Slide, both ECDF
+# types' histogram PDF and moments against the stored forms they
+# replace, the Prop. 5 grid's one-call-per-price-step scan against its
+# brute-force form,
 # the Pareto transform's exp∘log fast path, the lane kernel's
 # bulk-loop bound, and the flight recorder's stored series against one
 # Emit per change.
@@ -76,6 +78,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzFromUniformMatchesPow -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzFillEquivalence -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzSlideEquivalence -fuzztime=30s ./internal/dist/
+	$(GO) test -fuzz=FuzzHistDensity -fuzztime=30s ./internal/dist/
 	$(GO) test -fuzz=FuzzReadCSV$$ -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzReadCSVCorrupted -fuzztime=30s ./internal/trace/
 	$(GO) test -fuzz=FuzzPriceHistory -fuzztime=30s ./internal/cloud/

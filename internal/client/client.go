@@ -377,7 +377,7 @@ func (c *Client) market(t instances.Type) (core.Market, Telemetry, error) {
 		c.mu.Lock()
 		cached, ok := c.lastGood[t]
 		if ok && cached.ecdf == nil {
-			snap, serr := cached.mon.win.Snapshot(0)
+			snap, serr := cached.mon.win.Snapshot()
 			if serr != nil {
 				ok = false
 			} else {

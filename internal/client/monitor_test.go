@@ -22,7 +22,7 @@ func monitorSnapshot(t *testing.T, m core.Market) *dist.Empirical {
 	if !ok {
 		t.Fatalf("market serves %T, want the live *dist.WindowedECDF", m.Price)
 	}
-	snap, err := win.Snapshot(0)
+	snap, err := win.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,14 +190,11 @@ func (m Market) PersistentBid(job Job) (Bid, error) {
 		}
 		candidates = append(candidates, dist.Bisect(g, lo, hi, 1e-12, 200))
 	}
-	// Grid scan + golden refinement. On an ECDF the cost depends on p
-	// only through #{x_i ≤ p}, so the grid prices each step it crosses
-	// once.
+	// Grid scan + golden refinement. On an ECDF, whose Values are its
+	// sorted sample, the cost depends on p only through #{x_i ≤ p}, so
+	// the grid prices each step it crosses once.
 	var steps []float64
-	switch d := mm.Price.(type) {
-	case *dist.Empirical:
-		steps = d.Values()
-	case *dist.WindowedECDF:
+	if d, ok := mm.Price.(interface{ Values() []float64 }); ok {
 		steps = d.Values()
 	}
 	xGrid, _ := dist.GridMin(cost, lo, hi, 400, steps)

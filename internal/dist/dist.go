@@ -96,9 +96,10 @@ func SampleN(d Dist, r *rand.Rand, n int) []float64 {
 	return out
 }
 
-// MeanVar computes the sample mean and unbiased sample variance of xs.
-// It is used by tests to compare Monte-Carlo moments against analytic
-// ones. An empty slice yields (NaN, NaN); a singleton yields (x, 0).
+// MeanVar computes the sample mean and unbiased sample variance of xs:
+// the moments of both ECDF types, and the Monte-Carlo moments the tests
+// compare against analytic ones. An empty slice yields (NaN, NaN); a
+// singleton yields (x, 0).
 func MeanVar(xs []float64) (mean, variance float64) {
 	if len(xs) == 0 {
 		return math.NaN(), math.NaN()

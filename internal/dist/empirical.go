@@ -4,42 +4,43 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // Empirical is the empirical distribution of a sample, the
 // representation the bidding client builds from a spot-price history
-// (Fig. 1's "price monitor"). The CDF is the usual right-continuous
-// ECDF; the PDF is a histogram density; the quantile function uses
-// linear interpolation between order statistics, matching the common
-// "type 7" convention.
+// (Fig. 1's "price monitor"). It holds the sorted sample and its prefix
+// sums, all that a bid reads: the CDF is the usual right-continuous
+// ECDF, the quantile function uses linear interpolation between order
+// statistics, matching the common "type 7" convention, and a partial
+// mean is one search. The PDF, a histogram density, and the moments are
+// computed from the sorted sample on each call.
 type Empirical struct {
 	xs     []float64 // sorted ascending
 	prefix []float64 // prefix[i] = Σ xs[:i], for O(log n) partial means
-	bins   []float64 // histogram bin edges, len = nb+1
-	dens   []float64 // histogram densities,  len = nb
-	mean   float64   // sample mean, fixed at construction
-	vari   float64   // unbiased sample variance, fixed at construction
+	nbins  int       // the PDF's histogram bins; ≤ 0 selects the square-root rule
 }
 
-// NewEmpirical builds an empirical distribution from the sample xs
-// (which it copies and sorts, −0 before +0; see sort.go). The histogram
-// used for PDF evaluation has nbins equal-width bins over [min, max];
-// nbins ≤ 0 selects a square-root rule automatically.
+// errNoSample refuses an empty sample.
+var errNoSample = fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
+
+// NewEmpirical builds an empirical distribution from the sample xs,
+// which it copies and sorts as Fill does (−0 before +0; see sort.go).
+// The histogram used for PDF evaluation has nbins equal-width bins over
+// [min, max]; nbins ≤ 0 selects a square-root rule automatically.
 func NewEmpirical(xs []float64, nbins int) (*Empirical, error) {
 	if len(xs) == 0 {
-		return nil, fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
+		return nil, errNoSample
+	}
+	runs, byRun, _, err := splitRuns(nil, xs)
+	if err != nil {
+		return nil, err
 	}
 	s := make([]float64, len(xs))
-	copy(s, xs)
-	for _, x := range s {
-		if err := CheckSample(x); err != nil {
-			return nil, err
-		}
-	}
 	// The prefix sums are written after the sort, so their room serves
 	// as its scratch.
-	prefix := make([]float64, len(s)+1)
-	sortFloats(s, prefix[1:])
+	prefix := make([]float64, len(xs)+1)
+	sortSplit(s, xs, prefix[1:], runs, byRun, new([]valueRun))
 	return newEmpiricalOwned(s, prefix, nbins), nil
 }
 
@@ -62,16 +63,12 @@ func badSample(x float64) error {
 
 // newEmpiricalOwned finishes construction from a sorted, validated
 // sample the Empirical takes ownership of, and a prefix-sum array of
-// len(s)+1 whose first element is 0: prefix sums, cached moments,
-// histogram. NewEmpirical and WindowedECDF.Snapshot both funnel here
-// so their results are element-identical for identical window
-// contents.
+// len(s)+1 that it fills. NewEmpirical and WindowedECDF.Snapshot both
+// funnel here so their results are element-identical for identical
+// window contents.
 func newEmpiricalOwned(s, prefix []float64, nbins int) *Empirical {
-	e := &Empirical{xs: s, prefix: prefix}
 	prefixSums(prefix, s)
-	e.mean, e.vari = MeanVar(s)
-	e.bins, e.dens = histogramFor(s, nbins)
-	return e
+	return &Empirical{xs: s, prefix: prefix, nbins: nbins}
 }
 
 // prefixSums sets prefix[i] = Σ xs[:i] for every i ≤ len(xs); prefix
@@ -88,100 +85,64 @@ func prefixSums(prefix, xs []float64) {
 	}
 }
 
-// histogramFor builds the equal-width histogram (bin edges + densities)
-// for a sorted sample — shared by Empirical and WindowedECDF so both
-// produce identical PDFs for identical windows. nbins ≤ 0 selects the
-// square-root rule.
-func histogramFor(xs []float64, nbins int) (bins, dens []float64) {
-	bins, _, dens = histogramInto(xs, nbins, nil, nil, nil)
-	return bins, dens
+// quantile is the type-7 quantile of the sorted sample xs: linear
+// interpolation between order statistics at h = (n−1)q.
+func quantile(xs []float64, q float64) float64 {
+	checkProb(q)
+	n := len(xs)
+	if n == 1 {
+		return xs[0]
+	}
+	h := float64(n-1) * q
+	i := int(h)
+	if i >= n-1 {
+		return xs[n-1]
+	}
+	frac := h - float64(i)
+	return xs[i] + frac*(xs[i+1]-xs[i])
 }
 
-// histogramInto is histogramFor with caller-pooled buffers: each slice
-// is reused when its capacity suffices and reallocated otherwise, so a
-// WindowedECDF rebuilding its histogram every slot allocates only until
-// the buffers reach the window's high-water size. The returned slices
-// alias the inputs whenever possible. The bin-edge arithmetic below is
-// element-identical to Linspace(lo, hi, nbins+1) — same step, same
-// lo + i·step form, same exact-hi endpoint — which keeps pooled and
-// fresh rebuilds bit-for-bit interchangeable.
-func histogramInto(xs []float64, nbins int, bins []float64, counts []int, dens []float64) ([]float64, []int, []float64) {
-	if nbins <= 0 {
-		nbins = int(math.Ceil(math.Sqrt(float64(len(xs)))))
-		if nbins < 1 {
-			nbins = 1
-		}
-	}
-	lo, hi := xs[0], xs[len(xs)-1]
+// ecdfAt returns F(p) and the partial mean (1/n)·Σ_{x_i ≤ p} x_i of the
+// sorted sample xs with prefix sums prefix, from one search: both are
+// read off k = #{x_i ≤ p}, as k/n and prefix[k]/n.
+func ecdfAt(xs, prefix []float64, p float64) (f, pm float64) {
+	k := searchGT(xs, p)
+	n := float64(len(xs))
+	return float64(k) / n, prefix[k] / n
+}
+
+// histDensity is the PDF of both ECDF types: the density at x of the
+// histogram of the sorted sample xs with nbins equal-width bins over
+// [lo, hi] = [xs[0], xs[n−1]] (nbins ≤ 0: ⌈√n⌉ bins). Bin j holds the
+// samples with ⌊(x_i − lo)/width⌋ = j, the last bin also those above,
+// and x reads the bin below the first edge lo + j·width (the last edge
+// exactly hi) not below it. A sample's bin never decreases along the
+// sorted sample, so a bin's samples are one run of it, counted by two
+// searches. A one-value sample has a single sliver-width bin around
+// its value, so the density stays finite.
+func histDensity(xs []float64, nbins int, x float64) float64 {
+	n := len(xs)
+	lo, hi := xs[0], xs[n-1]
 	if hi == lo {
-		// Degenerate sample: one point mass. Use a single
-		// sliver-width bin so the PDF stays finite.
 		w := math.Max(math.Abs(lo)*1e-9, 1e-12)
-		bins = growFloats(bins, 2)
-		bins[0], bins[1] = lo-w/2, lo+w/2
-		dens = growFloats(dens, 1)
-		dens[0] = 1 / w
-		return bins, counts[:0], dens
+		if x < lo-w/2 || x > lo+w/2 {
+			return 0
+		}
+		return 1 / w
 	}
-	bins = growFloats(bins, nbins+1)
-	step := (hi - lo) / float64(nbins)
-	for i := range bins {
-		bins[i] = lo + float64(i)*step
-	}
-	bins[nbins] = hi
-	counts = growInts(counts, nbins)
-	for i := range counts {
-		counts[i] = 0
+	if nbins <= 0 {
+		nbins = int(math.Ceil(math.Sqrt(float64(n))))
 	}
 	width := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	dens = growFloats(dens, nbins)
-	n := float64(len(xs))
-	for i, c := range counts {
-		dens[i] = float64(c) / (n * width)
-	}
-	return bins, counts, dens
-}
-
-// growFloats reslices s to length n, reallocating only when its
-// capacity is too small.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-// growInts is growFloats for []int.
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-// histPDF evaluates a histogram density at x — shared PDF kernel for
-// Empirical and WindowedECDF.
-func histPDF(bins, dens []float64, x float64) float64 {
-	if x < bins[0] || x > bins[len(bins)-1] {
+	if x < lo || x > hi {
 		return 0
 	}
-	// Branch-free binary search for the bin containing x: searchGE
-	// returns the first index with bins[i] >= x.
-	i := searchGE(bins, x)
-	if i > 0 {
-		i--
+	// The last edge, hi, is not below x.
+	j := max(sort.Search(nbins, func(j int) bool { return !(lo+float64(j)*width < x) })-1, 0)
+	first := func(j int) int {
+		return sort.Search(n, func(i int) bool { return min(int((xs[i]-lo)/width), nbins-1) >= j })
 	}
-	if i >= len(dens) {
-		i = len(dens) - 1
-	}
-	return dens[i]
+	return float64(first(j+1)-first(j)) / (float64(n) * width)
 }
 
 // N reports the sample size.
@@ -191,31 +152,17 @@ func (e *Empirical) N() int { return len(e.xs) }
 func (e *Empirical) Values() []float64 { return e.xs }
 
 // PDF implements Dist using the histogram density.
-func (e *Empirical) PDF(x float64) float64 { return histPDF(e.bins, e.dens, x) }
+func (e *Empirical) PDF(x float64) float64 { return histDensity(e.xs, e.nbins, x) }
 
 // CDF implements Dist with the right-continuous ECDF
 // F(x) = #{x_i ≤ x}/n.
 func (e *Empirical) CDF(x float64) float64 {
-	// Index of first element > x, resolved branch-free.
 	return float64(searchGT(e.xs, x)) / float64(len(e.xs))
 }
 
 // Quantile implements Dist with linear interpolation between order
 // statistics ("type 7": h = (n−1)q).
-func (e *Empirical) Quantile(q float64) float64 {
-	checkProb(q)
-	n := len(e.xs)
-	if n == 1 {
-		return e.xs[0]
-	}
-	h := float64(n-1) * q
-	i := int(h)
-	if i >= n-1 {
-		return e.xs[n-1]
-	}
-	frac := h - float64(i)
-	return e.xs[i] + frac*(e.xs[i+1]-e.xs[i])
-}
+func (e *Empirical) Quantile(q float64) float64 { return quantile(e.xs, q) }
 
 // Sample implements Dist by bootstrap resampling: a uniformly random
 // element of the original sample.
@@ -223,12 +170,17 @@ func (e *Empirical) Sample(r *rand.Rand) float64 {
 	return e.xs[r.Intn(len(e.xs))]
 }
 
-// Mean implements Dist. The sample mean is computed once at
-// construction (the sample is immutable), not on every call.
-func (e *Empirical) Mean() float64 { return e.mean }
+// Mean implements Dist with MeanVar's sample mean.
+func (e *Empirical) Mean() float64 {
+	m, _ := MeanVar(e.xs)
+	return m
+}
 
-// Var implements Dist. Like Mean, fixed at construction.
-func (e *Empirical) Var() float64 { return e.vari }
+// Var implements Dist with MeanVar's unbiased sample variance.
+func (e *Empirical) Var() float64 {
+	_, v := MeanVar(e.xs)
+	return v
+}
 
 // Support implements Dist.
 func (e *Empirical) Support() Interval {
@@ -240,15 +192,13 @@ func (e *Empirical) Support() Interval {
 // the expected accepted price E[π | π ≤ p]·F(p) (Eq. 9) exactly
 // against a price history, with no quadrature error.
 func (e *Empirical) PartialMean(p float64) float64 {
-	return e.prefix[searchGT(e.xs, p)] / float64(len(e.xs))
+	_, pm := ecdfAt(e.xs, e.prefix, p)
+	return pm
 }
 
-// cdfPartialMean returns CDF(p) and PartialMean(p) from one search:
-// both are read off k = #{x_i ≤ p}, as k/n and prefix[k]/n.
+// cdfPartialMean returns CDF(p) and PartialMean(p) from one search.
 func (e *Empirical) cdfPartialMean(p float64) (f, pm float64) {
-	k := searchGT(e.xs, p)
-	n := float64(len(e.xs))
-	return float64(k) / n, e.prefix[k] / n
+	return ecdfAt(e.xs, e.prefix, p)
 }
 
 // partialMeaner is the optional fast path used by PartialMean.

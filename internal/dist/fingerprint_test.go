@@ -32,7 +32,7 @@ func TestFingerprintSnapshotMatchesWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := w.Snapshot(0)
+	snap, err := w.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}

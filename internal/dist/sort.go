@@ -7,8 +7,9 @@ import (
 )
 
 // Every full sort of a sample in this package goes through sortFloats,
-// and every sort of a sample's runs through sortRuns: NewEmpirical,
-// Fill's plain and run branches, and Slide's value and run branches.
+// and every sort of a sample's runs through sortRuns: the value and run
+// branches of sortSplit, which NewEmpirical and Fill share, and of
+// Slide.
 // From radixMin elements up both are one LSD radix sort on floatKey,
 // eight 8-bit digits, skipping every digit that all keys share. A
 // two-month price window holds 17,568 distinct prices whose top digit
@@ -133,14 +134,15 @@ func zerosFirst(xs []float64) {
 
 // sortRuns sorts runs by value, −0 before +0, as sortFloats sorts
 // values; the order of runs of one value is unspecified. From radixMin
-// runs up it radix sorts through buf, which must hold len(rs) runs;
-// below, it ignores buf, which may be nil.
-func sortRuns(rs, buf []valueRun) {
+// runs up it radix sorts through *buf, grown to len(rs) runs; below, it
+// leaves buf alone.
+func sortRuns(rs []valueRun, buf *[]valueRun) {
 	if len(rs) < radixMin {
 		slices.SortFunc(rs, compareRuns)
 		return
 	}
-	radixRuns(rs, buf)
+	*buf = slices.Grow((*buf)[:0], len(rs))
+	radixRuns(rs, *buf)
 }
 
 // compareRuns orders runs as sortRuns does, by their values' keys.

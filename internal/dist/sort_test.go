@@ -112,7 +112,8 @@ func FuzzSortSample(f *testing.F) {
 			return vs, all
 		}
 		wantVs, wantAll := expand(wantRuns)
-		for name, sortFn := range map[string]func(rs, buf []valueRun){"sortRuns": sortRuns, "radixRuns": radixRuns} {
+		sortRunsInto := func(rs, buf []valueRun) { sortRuns(rs, &buf) }
+		for name, sortFn := range map[string]func(rs, buf []valueRun){"sortRuns": sortRunsInto, "radixRuns": radixRuns} {
 			gotRuns := slices.Clone(runs)
 			sortFn(gotRuns, make([]valueRun, len(gotRuns)))
 			gotVs, gotAll := expand(gotRuns)

@@ -15,15 +15,12 @@ import (
 // sorted slice (two O(log n) searches and two memmoves), and the order
 // statistics backing CDF/Quantile/Support are always current.
 //
-// The derived aggregates — the prefix-sum array used by PartialMean,
-// the cached mean/variance, and the PDF histogram — are rebuilt lazily
-// on first use after a mutation, with the exact same left-to-right
-// summation order as NewEmpirical. That choice is deliberate: updating
-// a prefix sum incrementally in floating point would accumulate
-// rounding drift relative to a fresh rebuild, and the acceptance
-// contract for this type is *element-identical* results (not merely
-// approximately equal) against NewEmpirical over the same window, so
-// seeded runs are bit-for-bit unchanged by the fast path.
+// Like an Empirical it holds only the sorted sample and its prefix
+// sums, and it answers each query with the helper an Empirical calls.
+// The prefix sums are rebuilt on the first read after a mutation, in
+// NewEmpirical's left-to-right order: sums kept by incremental float
+// deltas would drift from a rebuild by rounding, and every query must
+// equal NewEmpirical's over the same window bit for bit.
 //
 // A WindowedECDF is not safe for concurrent use. Until the first Push,
 // Slide or Fill it holds no samples and the Dist methods panic;
@@ -49,42 +46,26 @@ type WindowedECDF struct {
 	edits  []valueRun
 	values []float64
 
-	// Lazily rebuilt aggregates. Each family carries its own dirty
-	// flag (every mutation sets all three) so a quote path that only
-	// needs partial means — the Prop. 4/5 grid touches CDF, Quantile,
-	// and PartialMean but never PDF or the moments — pays for exactly
-	// one O(n) prefix pass per slot, not the histogram scan and the
-	// two-pass variance it used to drag along. All rebuild buffers
-	// (prefix, bins, counts, dens) are pooled: allocated once at the
-	// window's high-water mark and reused, so the steady-state tick
-	// allocates nothing.
-	dirtyPrefix  bool
-	dirtyMoments bool
-	dirtyHist    bool
-	prefix       []float64
-	mean         float64
-	vari         float64
-	bins         []float64
-	counts       []int
-	dens         []float64
-	nbins        int // histogram bin request for lazy rebuilds; ≤0 = sqrt rule
+	// The prefix sums, in a buffer allocated once at the window's
+	// capacity, so the steady-state tick allocates nothing.
+	dirtyPrefix bool
+	prefix      []float64
+	nbins       int // the PDF's histogram bins, as NewEmpirical takes them
 }
 
 // NewWindowedECDF returns an empty monitor over a window of the given
 // capacity. nbins configures the PDF histogram exactly as in
-// NewEmpirical (≤ 0 selects the square-root rule at rebuild time).
+// NewEmpirical (≤ 0 selects the square-root rule).
 func NewWindowedECDF(capacity, nbins int) (*WindowedECDF, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("%w: windowed ECDF capacity %d < 1", ErrBadParam, capacity)
 	}
 	return &WindowedECDF{
-		capacity:     capacity,
-		ring:         make([]float64, capacity),
-		sorted:       make([]float64, 0, capacity),
-		nbins:        nbins,
-		dirtyPrefix:  true,
-		dirtyMoments: true,
-		dirtyHist:    true,
+		capacity:    capacity,
+		ring:        make([]float64, capacity),
+		sorted:      make([]float64, 0, capacity),
+		nbins:       nbins,
+		dirtyPrefix: true,
 	}, nil
 }
 
@@ -129,14 +110,14 @@ func (w *WindowedECDF) Push(x float64) error {
 	copy(w.sorted[i+1:], w.sorted[i:])
 	w.sorted[i] = x
 	w.n++
-	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
+	w.dirtyPrefix = true
 	return nil
 }
 
 // Slide ingests a batch of observations, oldest first, and leaves the
 // window exactly as Pushing them one by one would: the same samples
-// oldest to newest, the same sorted slice bit for bit, and the lazy
-// aggregates dirty. It is the catch-up path for a reader that queries
+// oldest to newest, the same sorted slice bit for bit, and the prefix
+// sums dirty. It is the catch-up path for a reader that queries
 // the window once per batch, as the lanes quote grid does once per
 // quote epoch, and as serve's quote server does once per backlog of
 // prices. k Pushes move 2k half-windows through memmove; Slide sorts
@@ -145,12 +126,13 @@ func (w *WindowedECDF) Push(x float64) error {
 // samples leave, one backward pass opens room for the batch, and no
 // second window is allocated.
 //
-// The whole batch is validated first, so a NaN or Inf leaves the
-// window unchanged. An empty batch changes nothing, a single value is
-// a Push, and a batch of at least Cap values is a Fill. A zero in the
-// batch or among the samples it evicts sends the batch through Push
-// one value at a time: −0 and +0 compare equal but differ in bits, and
-// the places Push gives them are the contract.
+// The whole batch is validated first, each value once, so a NaN or
+// Inf leaves the window unchanged. An empty batch changes nothing, a
+// single value is a Push, and a batch of at least Cap values is a Fill
+// of its trailing Cap values. A zero in the batch or among the samples
+// it evicts sends the batch through Push one value at a time: −0 and
+// +0 compare equal but differ in bits, and the places Push gives them
+// are the contract.
 func (w *WindowedECDF) Slide(xs []float64) error {
 	k := len(xs)
 	switch {
@@ -159,21 +141,20 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 	case k == 1:
 		return w.Push(xs[0])
 	}
-	var (
-		in    []valueRun
-		byRun bool
-		zero  bool
-		err   error
-	)
-	// A batch of at least Cap values ends in Fill, which splits the
-	// window it keeps, so such a batch is only validated here.
+	var in []valueRun
+	var byRun, zero bool
+	var err error
 	if k < w.capacity {
 		if cap(w.edits) < 2*k {
 			w.edits = make([]valueRun, 2*k)
 		}
 		in, byRun, zero, err = splitRuns(w.edits[:0:k], xs)
-	} else {
-		zero, err = checkSamples(xs)
+	} else if zero, err = checkSamples(xs[:k-w.capacity]); err == nil {
+		// The window keeps only the trailing Cap values, which Fill's
+		// split validates; the check covers the lead it drops.
+		var keptZero bool
+		in, byRun, keptZero, err = splitRuns(w.runs[:0], xs[k-w.capacity:])
+		w.runs, zero = in[:0], zero || keptZero
 	}
 	if err != nil {
 		return err
@@ -189,16 +170,17 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 		return nil
 	}
 	if k >= w.capacity {
-		return w.Fill(xs)
+		w.fill(xs[k-w.capacity:], in, byRun)
+		return nil
 	}
 
 	// The evicted samples arrived as an earlier batch of the same
 	// stream, so the batch's runs decide how both are sorted.
 	gone := w.edits[k : k : 2*k]
 	if byRun {
-		w.sortByRun(in)
+		sortRuns(in, &w.runBuf)
 		gone = appendRuns(appendRuns(gone, old), wrapped)
-		w.sortByRun(gone)
+		sortRuns(gone, &w.runBuf)
 	} else {
 		in = w.sortByValue(in[:0], xs)
 		gone = w.sortByValue(gone, old, wrapped)
@@ -218,7 +200,7 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 	w.n += k - e
 
 	w.sorted = insertRuns(removeRuns(w.sorted, gone), in)
-	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
+	w.dirtyPrefix = true
 	return nil
 }
 
@@ -226,13 +208,18 @@ func (w *WindowedECDF) Slide(xs []float64) error {
 // zero, and appends to rs its runs of equal consecutive values, all in
 // one pass. Only a run's head goes through CheckSample and the zero
 // test, since the rest of the run equals it. byRun reports whether the
-// runs are long enough to sort by, a mean of at least minRunLength
-// values. Once the runs so far exceed that mean's count by more than
-// splitSlack, as an i.i.d. stream's do after 2·splitSlack values,
-// splitRuns takes the stream for one too short on runs to sort by: it
-// stops appending, validates the rest one value at a time, and
-// reports byRun false; what it appended is then garbage.
+// stream can be sorted by its runs: it holds no zero, and its runs are
+// long enough, a mean of at least minRunLength values. Once the runs
+// so far exceed that mean's count by more than splitSlack, as an
+// i.i.d. stream's do after 2·splitSlack values, splitRuns takes the
+// stream for one too short on runs to sort by: it stops appending,
+// validates the rest one value at a time, and reports byRun false;
+// what it appended is then garbage. An rs with no room, a fresh
+// buffer, is allocated once at the count of runs the split appends.
 func splitRuns(rs []valueRun, xs []float64) (_ []valueRun, byRun, zero bool, err error) {
+	if cap(rs) == 0 {
+		rs = make([]valueRun, 0, splitLen(xs))
+	}
 	runs := 0
 	for i := 0; i < len(xs); {
 		x := xs[i]
@@ -252,7 +239,26 @@ func splitRuns(rs []valueRun, xs []float64) (_ []valueRun, byRun, zero bool, err
 			return rs, false, zero || tailZero, err
 		}
 	}
-	return rs, minRunLength*runs <= len(xs), zero, nil
+	return rs, !zero && minRunLength*runs <= len(xs), zero, nil
+}
+
+// splitLen is how many runs splitRuns appends for xs: every run, or
+// those up to where it stops splitting. It walks the runs as splitRuns
+// does, with no check; a miscount would only cost an append's growth.
+func splitLen(xs []float64) int {
+	runs := 0
+	for i := 0; i < len(xs); {
+		j := i + 1
+		for j < len(xs) && xs[j] == xs[i] {
+			j++
+		}
+		runs++
+		i = j
+		if minRunLength*runs > i+minRunLength*splitSlack {
+			break
+		}
+	}
+	return runs
 }
 
 // splitSlack is how many runs splitRuns lets a stream run ahead of a
@@ -281,15 +287,27 @@ func (w *WindowedECDF) oldest(e int) (old, wrapped []float64) {
 	return w.ring[w.head : w.head+e], nil
 }
 
-// sortByRun sorts the runs rs by value, through the radix scratch from
-// radixMin runs up.
-func (w *WindowedECDF) sortByRun(rs []valueRun) {
-	var buf []valueRun
-	if len(rs) >= radixMin {
-		w.runBuf = slices.Grow(w.runBuf[:0], len(rs))
-		buf = w.runBuf[:len(rs)]
+// sortSplit writes the validated sample xs to dst, of its length,
+// sorted ascending with −0 before +0, as NewEmpirical and Fill build
+// their samples: by the runs splitRuns split it into when byRun, as a
+// dwell-model trace's ~18-slot price levels allow, and otherwise value
+// by value through buf, sortFloats's scratch. Equal non-zero floats
+// share their bits, so expanded runs are the slice sort.Float64s would
+// produce. It returns the runs it sorted by, none after a value sort.
+func sortSplit(dst, xs, buf []float64, runs []valueRun, byRun bool, runBuf *[]valueRun) []valueRun {
+	if !byRun {
+		copy(dst, xs)
+		sortFloats(dst, buf)
+		return runs[:0]
 	}
-	sortRuns(rs, buf)
+	sortRuns(runs, runBuf)
+	k := 0
+	for _, r := range runs {
+		for end := k + r.n; k < end; k++ {
+			dst[k] = r.v
+		}
+	}
+	return runs
 }
 
 // sortByValue sorts the values of the segments and appends them to rs
@@ -301,27 +319,18 @@ func (w *WindowedECDF) sortByValue(rs []valueRun, segs ...[]float64) []valueRun 
 		vs = append(vs, seg...)
 	}
 	w.values = vs
-	sortFloats(vs, w.floatScratch(len(vs)))
+	sortFloats(vs, w.prefixBuf(len(vs)))
 	return appendRuns(rs, vs)
 }
 
-// floatScratch returns sortFloats's scratch for n ≤ Cap values: nil
-// below radixMin, where it needs none, and otherwise the prefix-sum
-// buffer, which every mutation leaves to be rebuilt, allocated as
-// refreshPrefix allocates it.
-func (w *WindowedECDF) floatScratch(n int) []float64 {
-	if n < radixMin {
-		return nil
-	}
-	w.growPrefix()
-	return w.prefix[:n]
-}
-
-// growPrefix gives the prefix-sum buffer room for a full window.
-func (w *WindowedECDF) growPrefix() {
+// prefixBuf returns the prefix-sum buffer at length n ≤ Cap+1, with
+// room for a full window. Every mutation leaves the sums to be
+// rebuilt, so until then it is sortFloats's scratch.
+func (w *WindowedECDF) prefixBuf(n int) []float64 {
 	if cap(w.prefix) < w.capacity+1 {
 		w.prefix = make([]float64, w.capacity+1)
 	}
+	return w.prefix[:n]
 }
 
 // appendRuns appends to rs the runs of equal consecutive values of xs,
@@ -426,46 +435,33 @@ func gallopBackGE(xs []float64, i int, x float64) int {
 // be worth their memmoves.
 //
 // One pass validates the window and splits it into runs of equal
-// consecutive values (splitRuns). A dwell-model price trace holds one
-// run per price level, ~18 slots each at the default dwell, so when
-// runs are long Fill sorts the runs and expands them instead of
-// sorting every slot. Equal non-zero floats share their bits, so the
-// expansion is the slice sort.Float64s would produce. An i.i.d. stream
-// stops splitting within its first few hundred values and takes the
-// plain sort, as does a window holding a zero, which puts −0 before +0
-// as NewEmpirical does.
+// consecutive values (splitRuns), and sortSplit sorts it, as
+// NewEmpirical does: by run when runs are long, and value by value
+// for an i.i.d. stream, which stops splitting within its first few
+// hundred values, and for a window holding a zero, which puts −0
+// before +0.
 func (w *WindowedECDF) Fill(xs []float64) error {
 	if len(xs) == 0 {
-		return fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
+		return errNoSample
 	}
 	if len(xs) > w.capacity {
 		xs = xs[len(xs)-w.capacity:]
 	}
-	runs, byRun, zero, err := splitRuns(w.runs[:0], xs)
-	if err != nil {
-		return err
+	runs, byRun, _, err := splitRuns(w.runs[:0], xs)
+	if err == nil {
+		w.fill(xs, runs, byRun)
 	}
+	return err
+}
+
+// fill loads the validated window xs, split into runs, as Fill and
+// Slide do.
+func (w *WindowedECDF) fill(xs []float64, runs []valueRun, byRun bool) {
 	w.n = copy(w.ring, xs)
 	w.head = 0
 	w.sorted = w.sorted[:w.n]
-	if zero || !byRun {
-		w.runs = runs[:0]
-		copy(w.sorted, xs)
-		sortFloats(w.sorted, w.floatScratch(w.n))
-	} else {
-		// Runs of one value land next to each other in any order,
-		// since their values are bit-identical.
-		w.runs = runs
-		w.sortByRun(runs)
-		k := 0
-		for _, r := range runs {
-			for end := k + r.n; k < end; k++ {
-				w.sorted[k] = r.v
-			}
-		}
-	}
-	w.dirtyPrefix, w.dirtyMoments, w.dirtyHist = true, true, true
-	return nil
+	w.runs = sortSplit(w.sorted, xs, w.prefixBuf(w.n), runs, byRun, &w.runBuf)
+	w.dirtyPrefix = true
 }
 
 // minRunLength is the mean run length from which Fill sorts runs
@@ -497,46 +493,22 @@ func (w *WindowedECDF) refreshPrefix() {
 		return
 	}
 	w.mustSample()
-	w.growPrefix()
-	w.prefix = w.prefix[:w.n+1]
-	prefixSums(w.prefix, w.sorted)
+	prefixSums(w.prefixBuf(w.n+1), w.sorted)
 	w.dirtyPrefix = false
-}
-
-// refreshMoments recomputes the cached mean/variance with the exact
-// MeanVar pass NewEmpirical uses.
-func (w *WindowedECDF) refreshMoments() {
-	if !w.dirtyMoments {
-		return
-	}
-	w.mustSample()
-	w.mean, w.vari = MeanVar(w.sorted)
-	w.dirtyMoments = false
-}
-
-// refreshHist rebuilds the PDF histogram into the pooled buffers with
-// histogramFor's exact arithmetic.
-func (w *WindowedECDF) refreshHist() {
-	if !w.dirtyHist {
-		return
-	}
-	w.mustSample()
-	w.bins, w.counts, w.dens = histogramInto(w.sorted, w.nbins, w.bins, w.counts, w.dens)
-	w.dirtyHist = false
 }
 
 // Snapshot freezes the current window as an immutable *Empirical —
 // what Client.market hands to the bid optimizer and keeps as its
-// stale-ECDF fallback. It skips the sort (the window is already
-// ordered) but still copies, so later Pushes cannot perturb a retained
-// snapshot. nbins semantics match NewEmpirical.
-func (w *WindowedECDF) Snapshot(nbins int) (*Empirical, error) {
+// stale-ECDF fallback — with the window's histogram bin count. It
+// skips the sort (the window is already ordered) but still copies, so
+// later Pushes cannot perturb a retained snapshot.
+func (w *WindowedECDF) Snapshot() (*Empirical, error) {
 	if w.n == 0 {
-		return nil, fmt.Errorf("%w: empirical distribution needs at least one sample", ErrBadParam)
+		return nil, errNoSample
 	}
 	s := make([]float64, w.n)
 	copy(s, w.sorted)
-	return newEmpiricalOwned(s, make([]float64, w.n+1), nbins), nil
+	return newEmpiricalOwned(s, make([]float64, w.n+1), w.nbins), nil
 }
 
 // Values returns the sorted live window (shared; callers must not
@@ -545,8 +517,8 @@ func (w *WindowedECDF) Values() []float64 { return w.sorted[:w.n] }
 
 // PDF implements Dist using the histogram density.
 func (w *WindowedECDF) PDF(x float64) float64 {
-	w.refreshHist()
-	return histPDF(w.bins, w.dens, x)
+	w.mustSample()
+	return histDensity(w.sorted, w.nbins, x)
 }
 
 // CDF implements Dist with the right-continuous ECDF
@@ -559,61 +531,46 @@ func (w *WindowedECDF) CDF(x float64) float64 {
 // Quantile implements Dist with type-7 interpolation, matching
 // Empirical.Quantile.
 func (w *WindowedECDF) Quantile(q float64) float64 {
-	checkProb(q)
-	if w.n == 0 {
-		panic("dist: windowed ECDF queried before any sample was pushed")
-	}
-	if w.n == 1 {
-		return w.sorted[0]
-	}
-	h := float64(w.n-1) * q
-	i := int(h)
-	if i >= w.n-1 {
-		return w.sorted[w.n-1]
-	}
-	frac := h - float64(i)
-	return w.sorted[i] + frac*(w.sorted[i+1]-w.sorted[i])
+	w.mustSample()
+	return quantile(w.sorted, q)
 }
 
 // Sample implements Dist by bootstrap resampling.
 func (w *WindowedECDF) Sample(r *rand.Rand) float64 {
-	if w.n == 0 {
-		panic("dist: windowed ECDF queried before any sample was pushed")
-	}
+	w.mustSample()
 	return w.sorted[r.Intn(w.n)]
 }
 
-// Mean implements Dist.
+// Mean implements Dist with MeanVar's sample mean.
 func (w *WindowedECDF) Mean() float64 {
-	w.refreshMoments()
-	return w.mean
+	w.mustSample()
+	m, _ := MeanVar(w.sorted)
+	return m
 }
 
-// Var implements Dist.
+// Var implements Dist with MeanVar's unbiased sample variance.
 func (w *WindowedECDF) Var() float64 {
-	w.refreshMoments()
-	return w.vari
+	w.mustSample()
+	_, v := MeanVar(w.sorted)
+	return v
 }
 
 // Support implements Dist.
 func (w *WindowedECDF) Support() Interval {
-	if w.n == 0 {
-		panic("dist: windowed ECDF queried before any sample was pushed")
-	}
+	w.mustSample()
 	return Interval{Lo: w.sorted[0], Hi: w.sorted[w.n-1]}
 }
 
 // PartialMean returns (1/n)·Σ_{x_i ≤ p} x_i — see Empirical.PartialMean.
 func (w *WindowedECDF) PartialMean(p float64) float64 {
 	w.refreshPrefix()
-	return w.prefix[searchGT(w.sorted, p)] / float64(w.n)
+	_, pm := ecdfAt(w.sorted, w.prefix, p)
+	return pm
 }
 
 // cdfPartialMean returns CDF(p) and PartialMean(p) from one search,
 // refreshing the prefix sums first as PartialMean does.
 func (w *WindowedECDF) cdfPartialMean(p float64) (f, pm float64) {
 	w.refreshPrefix()
-	k := searchGT(w.sorted, p)
-	n := float64(w.n)
-	return float64(k) / n, w.prefix[k] / n
+	return ecdfAt(w.sorted, w.prefix, p)
 }

@@ -68,8 +68,8 @@ func assertElementIdentical(t *testing.T, w *WindowedECDF, window []float64, nbi
 		}
 	}
 	// The frozen snapshot must be indistinguishable from a reference
-	// rebuild, including its cached moments, prefix sums, and histogram.
-	snap, err := w.Snapshot(nbins)
+	// rebuild, prefix sums and histogram bin count included.
+	snap, err := w.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func arrivals(w *WindowedECDF) []float64 {
 
 // assertSameWindow demands that got holds what want holds: the same
 // samples oldest to newest and the same sorted slice, both bit for bit,
-// with the same lazy aggregates dirty.
+// with the prefix sums dirty alike.
 func assertSameWindow(t *testing.T, got, want *WindowedECDF) {
 	t.Helper()
 	bits := func(xs []float64) []uint64 {
@@ -326,9 +326,8 @@ func assertSameWindow(t *testing.T, got, want *WindowedECDF) {
 	if g, w := bits(got.Values()), bits(want.Values()); !slices.Equal(g, w) {
 		t.Fatalf("sorted window differs:\n  slid   %v\n  pushed %v", got.Values(), want.Values())
 	}
-	if got.dirtyPrefix != want.dirtyPrefix || got.dirtyMoments != want.dirtyMoments || got.dirtyHist != want.dirtyHist {
-		t.Fatalf("dirty flags: slid (%v, %v, %v), pushed (%v, %v, %v)",
-			got.dirtyPrefix, got.dirtyMoments, got.dirtyHist, want.dirtyPrefix, want.dirtyMoments, want.dirtyHist)
+	if got.dirtyPrefix != want.dirtyPrefix {
+		t.Fatalf("prefix sums dirty: slid %v, pushed %v", got.dirtyPrefix, want.dirtyPrefix)
 	}
 }
 
@@ -375,8 +374,8 @@ func slideTwins(t *testing.T, slid, pushed *WindowedECDF, stream *[]float64, bat
 		}
 	}
 	if !(pos && neg) {
-		// Both twins answer the queries, so their lazy aggregates stay
-		// dirty alike for the next comparison.
+		// Both twins answer the queries, so their prefix sums stay dirty
+		// alike for the next comparison.
 		for _, w := range []*WindowedECDF{slid, pushed} {
 			assertElementIdentical(t, w, windowOf(*stream, w.Cap()), 0)
 		}
@@ -548,6 +547,14 @@ func FuzzSlideEquivalence(f *testing.F) {
 		seed := append([]byte{0x80 + 47, 0xc0 + 37}, iidStretch(290, 0x10, false)...)
 		f.Add(append(append(seed, late), iidStretch(13, 0x10, false)...))
 	}
+	// Into an 8-value window, a 20-value batch whose dropped lead of 12
+	// holds a NaN, a zero, or a zero while the 8 it keeps hold a −0.
+	for _, c := range []struct{ lead, kept byte }{{0x09, 0x50}, {0x08, 0x50}, {0x08, 0x88}} {
+		f.Add([]byte{7, 5, 0x10, 0x20, 0x30, 0x20, 0x10,
+			20, 0x30, 0x30, 0x40, c.lead, 0x50, 0x60, 0x60, 0x70, 0x10, 0x20, 0x20, 0x30,
+			0x40, 0x40, 0x50, c.kept, 0x60, 0x70, 0x70, 0x10,
+			3, 0x20, 0x30, 0x30})
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) < 2 {
 			t.Skip()
@@ -709,7 +716,7 @@ func TestWindowedSnapshotIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, err := w.Snapshot(0)
+	snap, err := w.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,10 +731,9 @@ func TestWindowedSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestEmpiricalMomentsCached: the satellite contract — Mean/Var are
-// fixed at construction and exactly equal to MeanVar over the sorted
-// sample.
-func TestEmpiricalMomentsCached(t *testing.T) {
+// TestEmpiricalMomentsAreMeanVar: Mean and Var are exactly MeanVar over the
+// sorted sample, on every call.
+func TestEmpiricalMomentsAreMeanVar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([]float64, 257)
 	for i := range xs {
@@ -739,7 +745,7 @@ func TestEmpiricalMomentsCached(t *testing.T) {
 	}
 	m, v := MeanVar(e.Values())
 	if e.Mean() != m || e.Var() != v {
-		t.Fatalf("cached moments (%v, %v) != MeanVar over sorted sample (%v, %v)",
+		t.Fatalf("moments (%v, %v) != MeanVar over sorted sample (%v, %v)",
 			e.Mean(), e.Var(), m, v)
 	}
 	// Repeated calls are stable.

@@ -207,9 +207,11 @@ func (e *Engine) refreshLocked() {
 	}
 }
 
-// matchLocked resolves selectors to tracks, subset-matched like
-// DB.Select and in the same sorted-key order — the float sum below
-// must add in a deterministic order.
+// matchLocked resolves selectors to tracks: every series of the
+// selector's name whose labels are a superset of its labels (none
+// match every label set, so a spec written against bare metric names
+// keeps working when a scraper stamps cell labels), in sorted-key
+// order — the float sum below must add in a deterministic order.
 func (e *Engine) matchLocked(sels []Selector) []*seriesTrack {
 	var out []*seriesTrack
 	for _, sel := range sels {
@@ -331,6 +333,3 @@ func (e *Engine) Firing(name string) bool {
 	}
 	return false
 }
-
-// SLOs returns the engine's specs.
-func (e *Engine) SLOs() []SLO { return append([]SLO(nil), e.slos...) }

@@ -263,28 +263,6 @@ func (db *DB) All() []SeriesData {
 	return out
 }
 
-// Select returns every series with the given name whose labels are a
-// superset of sub, sorted by canonical key. A nil sub matches every
-// label set — the selector form SLOs use, so a spec written against
-// bare metric names keeps working when a scraper stamps cell labels.
-func (db *DB) Select(name string, sub Labels) []SeriesData {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	keys := make([]string, 0, 4)
-	for k, s := range db.series {
-		if s.Name == name && labelsSubset(sub, s.Labels) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]SeriesData, 0, len(keys))
-	for _, k := range keys {
-		s := db.series[k]
-		out = append(out, SeriesData{Name: s.Name, Labels: append(Labels(nil), s.Labels...), Points: s.points()})
-	}
-	return out
-}
-
 // Points returns the decoded samples of one series, nil when it does
 // not exist.
 func (db *DB) Points(name string, labels Labels) []Point {

@@ -18,12 +18,11 @@ func metricsFormat(r *http.Request) (string, error) {
 	switch f := r.URL.Query().Get("format"); f {
 	case "prom", "prometheus":
 		return "prom", nil
-	case "json", "":
+	case "json":
+		return "json", nil
+	case "":
 	default:
 		return "", fmt.Errorf("unknown format %q (want json or prom)", f)
-	}
-	if f := r.URL.Query().Get("format"); f != "" {
-		return "json", nil
 	}
 	for _, part := range strings.Split(r.Header.Get("Accept"), ",") {
 		mt := strings.TrimSpace(part)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/instances"
+	"repro/internal/timeslot"
 	"repro/internal/trace"
 )
 
@@ -146,7 +147,7 @@ func TestIngestBacklogMatchesPush(t *testing.T) {
 			} else {
 				buildsFull++
 			}
-			snap, err := ref.Snapshot(0)
+			snap, err := ref.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +157,7 @@ func TestIngestBacklogMatchesPush(t *testing.T) {
 					slot, rec.Key, tbl.Fingerprint, tbl.Samples, snap.Fingerprint(), snap.N())
 			}
 			want := buildTable(ms.key, ms.spec.OnDemand, snap, tbl.Version, tbl.BuiltSlot, slot,
-				s.cfg.ExecGridHours, s.cfg.RecoveryGridHours, s.slotLen)
+				s.cfg.ExecGridHours, s.cfg.RecoveryGridHours, timeslot.DefaultSlot)
 			for _, exec := range []float64{0.5, 1, 3, 4, 9} {
 				for _, rec := range []float64{0, 30.0 / 3600, 60.0 / 3600, 300.0 / 3600, 600.0 / 3600, 1000.0 / 3600} {
 					q, ei, rj := tbl.Resolve(exec, rec)

@@ -275,7 +275,6 @@ type pendingBuild struct {
 // synchronously); answer requests with Quote.
 type Server struct {
 	cfg        Config
-	slotLen    timeslot.Hours
 	slotMicros int64
 	keys       []Key
 	markets    map[Key]*marketState
@@ -307,7 +306,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:        cfg,
-		slotLen:    timeslot.DefaultSlot,
 		slotMicros: int64(float64(timeslot.DefaultSlot) * 3.6e9),
 		markets:    make(map[Key]*marketState, len(cfg.Types)),
 		admit:      NewAdmitter(cfg.Admission),
@@ -361,10 +359,6 @@ func (s *Server) Keys() []Key {
 	copy(out, s.keys)
 	return out
 }
-
-// SlotLen returns the pricing-slot length t_k the tables are built
-// for.
-func (s *Server) SlotLen() timeslot.Hours { return s.slotLen }
 
 // SlotMicros returns one slot in logical microseconds.
 func (s *Server) SlotMicros() int64 { return s.slotMicros }

@@ -247,7 +247,7 @@ func (s *Server) MaybeRebuild(slot int) []BuildRecord {
 				EventS: BuildFailed.String()})
 			continue
 		}
-		snap, err := ms.window.Snapshot(0)
+		snap, err := ms.window.Snapshot()
 		if err != nil {
 			ms.mu.Unlock()
 			continue
@@ -260,7 +260,7 @@ func (s *Server) MaybeRebuild(slot int) []BuildRecord {
 		// The expensive part runs outside the market lock: the feed
 		// keeps flowing while the grid is memoized.
 		tbl := buildTable(ms.key, ms.spec.OnDemand, snap, version, builtSlot, slot,
-			s.cfg.ExecGridHours, s.cfg.RecoveryGridHours, s.slotLen)
+			s.cfg.ExecGridHours, s.cfg.RecoveryGridHours, timeslot.DefaultSlot)
 		s.mBuilds.Inc()
 
 		delay := s.buildDelaySlots(slot)
